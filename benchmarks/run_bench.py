@@ -248,10 +248,12 @@ _BATCH_BENCH_CODES = dict(
 def _bench_batched_codepairs_speedup(alternations: int = 2):
     """Batched vs per-cell sweep execution over one four-config traffic
     group, as a speedup ratio (per-cell / batched).  The per-cell arm
-    simulates the workload once per code configuration; the batched arm
-    (``compute_grid(batch=engine_batch_spec())``) simulates it once and
-    re-prices every configuration — the rows are pinned bit-identical
-    elsewhere, this kernel times the payoff and gates its floor."""
+    (``compute_grid(batch=None)``) simulates the workload once per code
+    configuration; the batched arm
+    (``compute_grid(batch=engine_batch_spec())``, what engine grids take
+    on their own) simulates it once and re-prices every configuration —
+    the rows are pinned bit-identical elsewhere, this kernel times the
+    payoff and gates its floor."""
     from repro.core.design_space import (
         EngineRow,
         engine_batch_spec,
@@ -265,11 +267,11 @@ def _bench_batched_codepairs_speedup(alternations: int = 2):
     def run():
         # One warm pass builds the shared fetch-order cache so both
         # arms time simulation + pricing, not the scheduler.
-        compute_grid(grid, engine_cell, EngineRow)
+        compute_grid(grid, engine_cell, EngineRow, batch=None)
         percell = batched = None
         for _ in range(alternations):
             t0 = time.perf_counter()
-            compute_grid(grid, engine_cell, EngineRow)
+            compute_grid(grid, engine_cell, EngineRow, batch=None)
             elapsed = time.perf_counter() - t0
             percell = elapsed if percell is None else min(percell, elapsed)
             t0 = time.perf_counter()
@@ -382,7 +384,7 @@ def _bench_trace_cache_warm_speedup(alternations: int = 2):
 
 
 def _bench_multi_group_pricing_speedup(alternations: int = 3):
-    """Whole-grid one-pass pricing vs per-group batched pricing, as a
+    """Multi-group one-pass pricing vs per-group batched pricing, as a
     speedup ratio (per-group / multi) over a realistic engine grid
     slice: four traffic groups (one per eviction policy) each priced
     across 32 configurations (eight transfer widths x four code
@@ -732,7 +734,7 @@ OVERHEAD_SLACK = 0.05
 #: must stay >= 5x the retained reference on the policy cell, the
 #: batched sweep >= 2x the per-cell path on a four-config traffic
 #: group, a warm trace cache >= 5x a cold batched sweep, and
-#: whole-grid multi-trace pricing >= 1.5x per-group batched pricing.
+#: multi-group one-pass pricing >= 1.5x per-group batched pricing.
 #: Ratios are machine-independent, so the floors gate directly —
 #: falling below one means the factorization (or the cache) stopped
 #: paying for itself, whatever the baseline says.

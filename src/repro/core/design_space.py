@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..perf.memo import resolve_cache, stable_key
 from ..sim.residency import FIDELITY_SEED, FIDELITY_TRIALS
 from ..sweep.grid import Cell, Grid
-from ..sweep.runner import compute_grid, persist_rows
+from ..sweep.runner import compute_grid, kernel_batch_spec, persist_rows
 from .cqla import CqlaDesign
 from .hierarchy import MemoryHierarchy
 
@@ -638,26 +638,6 @@ def engine_batch_cell(
     return [_engine_row(params, run) for params, run in zip(group, runs)]
 
 
-def engine_grid_cells(
-    groups: Sequence[Sequence[Mapping[str, Any]]], trace_cache=None
-) -> List[List[EngineRow]]:
-    """Row lists for many traffic groups, priced in one grid pass.
-
-    All traces are extracted (or loaded from ``trace_cache``) first,
-    then :func:`repro.sim.replay.price_movement_traces_multi` prices
-    every (group x config) cell in a single vectorized sweep — pinned
-    bit-identical to mapping :func:`engine_batch_cell` over the groups.
-    """
-    from ..sim.replay import price_movement_traces_multi
-
-    prepared = [_group_trace(group, trace_cache) for group in groups]
-    priced = price_movement_traces_multi(prepared)
-    return [
-        [_engine_row(params, run) for params, run in zip(group, runs)]
-        for group, runs in zip(groups, priced)
-    ]
-
-
 @dataclass(frozen=True)
 class _EngineBatchKernel:
     """Picklable per-group engine kernel bound to a trace-cache dir.
@@ -681,24 +661,13 @@ class _EngineBatchKernel:
         return engine_batch_cell(group, trace_cache=self._cache())
 
 
-@dataclass(frozen=True)
-class _EngineGridKernel(_EngineBatchKernel):
-    """Picklable whole-grid engine kernel bound to a trace-cache dir."""
-
-    def __call__(
-        self, groups: Sequence[Sequence[Mapping[str, Any]]]
-    ) -> List[List[EngineRow]]:
-        return engine_grid_cells(groups, trace_cache=self._cache())
-
-
 def engine_batch_spec(trace_cache=None):
     """The engine grid's :class:`repro.sweep.runner.BatchSpec`.
 
-    Pass it as ``compute_grid(..., batch=engine_batch_spec())`` (or use
-    ``engine_sweep(batched=True)`` / the CLI's ``--batched``) to group
-    batchable cells by traffic key and price each group in one pass.
-    On serial unsupervised runs the spec's grid mode prices *all*
-    groups in one :func:`engine_grid_cells` call.
+    :func:`repro.sweep.runner.compute_grid` takes it on its own for
+    engine grids (through :func:`repro.sweep.runner.kernel_batch_spec`):
+    cells sharing one :func:`engine_traffic_key` run as one group, one
+    extraction re-priced per member by :func:`engine_batch_cell`.
 
     ``trace_cache`` (anything
     :func:`repro.perf.tracecache.resolve_trace_cache` accepts) makes
@@ -711,11 +680,7 @@ def engine_batch_spec(trace_cache=None):
 
     resolved = resolve_trace_cache(trace_cache)
     directory = None if resolved is None else str(resolved.directory)
-    return BatchSpec(
-        group_key=engine_traffic_key,
-        fn=_EngineBatchKernel(directory),
-        grid_fn=_EngineGridKernel(directory),
-    )
+    return BatchSpec(group_key=engine_traffic_key, fn=_EngineBatchKernel(directory))
 
 
 def _normalize_code_pairs(
@@ -819,7 +784,6 @@ def engine_sweep(
     cache=None,
     store=None,
     supervise=None,
-    batched: bool = False,
     trace_cache=None,
     fidelity=None,
 ) -> List[EngineRow]:
@@ -838,13 +802,12 @@ def engine_sweep(
     per-cell records, which is how sharded workers
     (``python -m repro.sweep``) and this function share work.
 
-    ``batched=True`` simulates each traffic group once and re-prices
-    its members together (see :func:`engine_batch_cell`) — bit-identical
-    rows and store records, much cheaper wide ``code_pairs`` axes.
-    ``trace_cache`` (with ``batched=True``; see
-    :func:`repro.perf.tracecache.resolve_trace_cache` for accepted
-    values) persists each group's movement trace, so a re-run or
-    resume with a warm cache performs zero traffic simulation.
+    Cells differing only in priced axes (codes, transfer width) run as
+    one traffic group: simulated once, re-priced per member (see
+    :func:`engine_batch_cell`) — bit-identical rows and store records.
+    ``trace_cache`` (see :func:`repro.perf.tracecache.resolve_trace_cache`
+    for accepted values) persists each group's movement trace, so a
+    re-run or resume with a warm cache performs zero traffic simulation.
 
     ``fidelity`` adds the noise-aware axis: pass ``True`` (the default
     :data:`ENGINE_FIDELITY_TRIALS`/:data:`ENGINE_FIDELITY_SEED` Monte
@@ -854,12 +817,10 @@ def engine_sweep(
     its breakdown) under a distinct memo key and grid kernel
     (``fidelity_cell``).  ``fidelity=None`` leaves the sweep —
     including its memo key and store records — byte-identical to a
-    pre-fidelity build.  Fidelity runs are per-cell simulations;
-    ``batched=True`` is rejected (the batched replayer prices traffic
-    without qubit identity, so it cannot record residency).
+    pre-fidelity build.  Fidelity cells simulate per cell (the movement
+    trace has no qubit identities to record residency from), so they
+    neither group nor read the trace cache.
     """
-    if trace_cache is not None and not batched:
-        raise ValueError("trace_cache requires batched=True")
     if policies is None:
         from ..sim.policies import available_policies
 
@@ -867,42 +828,24 @@ def engine_sweep(
     code_pairs = _normalize_code_pairs(code_pairs)
     memo = resolve_cache(cache)
     if fidelity:
-        if batched:
-            raise ValueError(
-                "fidelity sweeps run per-cell (the batched replayer has "
-                "no qubit identity to record residency from); drop "
-                "batched=True"
-            )
         trials, seed = _fidelity_budget(fidelity)
-        key = stable_key(
-            "engine_sweep", workloads=list(workloads), sizes=list(sizes),
-            code_keys=list(code_keys), depths=list(depths),
-            policies=list(policies), prefetches=list(prefetches),
-            transfer_options=list(transfer_options),
-            compute_qubits=compute_qubits, cache_factor=cache_factor,
-            code_pairs=[list(pair) for pair in code_pairs],
-            fidelity_trials=trials, fidelity_seed=seed,
-        )
-        grid = fidelity_grid(
-            workloads, sizes, code_keys, depths, policies, prefetches,
-            transfer_options, compute_qubits, cache_factor, code_pairs,
-            fidelity_trials=trials, fidelity_seed=seed,
-        )
-        cell_fn, row_type = fidelity_cell, FidelityRow
+        budget = dict(fidelity_trials=trials, fidelity_seed=seed)
+        build, cell_fn, row_type = fidelity_grid, fidelity_cell, FidelityRow
     else:
-        key = stable_key(
-            "engine_sweep", workloads=list(workloads), sizes=list(sizes),
-            code_keys=list(code_keys), depths=list(depths),
-            policies=list(policies), prefetches=list(prefetches),
-            transfer_options=list(transfer_options),
-            compute_qubits=compute_qubits, cache_factor=cache_factor,
-            code_pairs=[list(pair) for pair in code_pairs],
-        )
-        grid = engine_grid(
-            workloads, sizes, code_keys, depths, policies, prefetches,
-            transfer_options, compute_qubits, cache_factor, code_pairs,
-        )
-        cell_fn, row_type = engine_cell, EngineRow
+        budget = {}
+        build, cell_fn, row_type = engine_grid, engine_cell, EngineRow
+    key = stable_key(
+        "engine_sweep", workloads=list(workloads), sizes=list(sizes),
+        code_keys=list(code_keys), depths=list(depths),
+        policies=list(policies), prefetches=list(prefetches),
+        transfer_options=list(transfer_options),
+        compute_qubits=compute_qubits, cache_factor=cache_factor,
+        code_pairs=[list(pair) for pair in code_pairs], **budget,
+    )
+    grid = build(
+        workloads, sizes, code_keys, depths, policies, prefetches,
+        transfer_options, compute_qubits, cache_factor, code_pairs, **budget,
+    )
     if memo is not None:
         hit = memo.get(key)
         if hit is not None:
@@ -916,7 +859,7 @@ def engine_sweep(
     rows = compute_grid(
         grid, cell_fn, row_type,
         store=store, workers=workers, supervise=supervise,
-        batch=engine_batch_spec(trace_cache) if batched else None,
+        batch=kernel_batch_spec(grid.kernel, trace_cache),
     )
     if memo is not None and all(row is not None for row in rows):
         memo.put(key, [asdict(row) for row in rows])

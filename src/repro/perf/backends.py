@@ -61,11 +61,12 @@ import os
 import re
 import sqlite3
 import tempfile
+import time
 from contextlib import closing
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from .store import STORE_VERSION, ResultStore, StoreStatus
+from .store import STORE_VERSION, ResultStore, StoreStatus, flocked
 
 #: Locator schemes with a registered backend.
 STORE_SCHEMES = ("fs", "sqlite")
@@ -147,6 +148,10 @@ def _reads_as_sqlite(path: Path) -> bool:
         return False
 
 
+#: sqlite3 error texts of a corrupt or foreign database file — the only
+#: read errors that may read as "no rows".
+_CORRUPT_SIGNS = ("not a database", "malformed")
+
 _SCHEMA = (
     """CREATE TABLE IF NOT EXISTS records (
         key TEXT PRIMARY KEY,
@@ -178,11 +183,18 @@ class SqliteStore:
     timeout lets any number of worker processes upsert cells while
     readers (the service, ``status``, ``merge``) stay unblocked, the
     same many-writers/many-readers regime the filesystem backend
-    handles with atomic renames and ``flock``.
+    handles with atomic renames and ``flock``.  The one-time WAL switch
+    and schema creation run under an ``flock``'d sidecar, and an
+    operation that still finds the database busy retries with bounded
+    backoff and then raises.
     """
 
     #: How long a writer waits on a locked database before erroring.
     BUSY_TIMEOUT_S = 30.0
+
+    #: Retries of an operation that still finds the database busy or
+    #: locked (the busy timeout does not cover every lock transition).
+    BUSY_RETRIES = 8
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
@@ -199,33 +211,74 @@ class SqliteStore:
             raise StoreBackendError(
                 f"sqlite store path {self.path} is not a SQLite database"
             )
+        self._initialized = False
 
     # -- connections -----------------------------------------------------
     def _connect(self) -> sqlite3.Connection:
-        """A fresh connection with the schema ensured.
+        """A fresh connection to an initialized database.
 
         Short-lived connections per operation keep the store safe to
         use from any thread or process without shared handles — the
         sweep workload is records-per-cell, not a hot OLTP loop.
         """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if not self._initialized:
+            self._initialize()
         conn = sqlite3.connect(str(self.path), timeout=self.BUSY_TIMEOUT_S)
-        conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
-        for statement in _SCHEMA:
-            conn.execute(statement)
         return conn
 
+    def _initialize(self) -> None:
+        """Switch the database to WAL and create the schema, once.
+
+        The journal-mode switch takes an exclusive lock that does not
+        wait out the busy timeout, so two processes racing it on a
+        fresh database fail at once.  Initializers therefore serialize
+        on an ``flock``'d sidecar (``<db>.lock``), as the filesystem
+        backend does for its index; once on, WAL persists in the file.
+        """
+        with flocked(self.path.with_name(self.path.name + ".lock")):
+            conn = sqlite3.connect(str(self.path), timeout=self.BUSY_TIMEOUT_S)
+            with closing(conn):
+                conn.execute("PRAGMA journal_mode=WAL")
+                for statement in _SCHEMA:
+                    conn.execute(statement)
+        self._initialized = True
+
+    def _run(self, operation: Callable[[sqlite3.Connection], Any]) -> Any:
+        """``operation(conn)`` in one transaction, retrying when busy.
+
+        A busy or locked database is retried with bounded exponential
+        backoff (:data:`BUSY_RETRIES` attempts after the first), then
+        the error propagates: a database that stays locked is an
+        error, never "no data".
+        """
+        for attempt in range(self.BUSY_RETRIES + 1):
+            try:
+                with closing(self._connect()) as conn, conn:
+                    return operation(conn)
+            except sqlite3.OperationalError as exc:
+                busy = "locked" in str(exc) or "busy" in str(exc)
+                if not busy or attempt == self.BUSY_RETRIES:
+                    raise
+                time.sleep(min(0.01 * 2**attempt, 1.0))
+
     def _read(self, query: str, args: Tuple = ()) -> List[Tuple]:
-        """Rows of a read-only query; a missing or torn database reads
-        as empty, mirroring the filesystem backend's missing-directory
-        and corrupt-file tolerance."""
+        """Rows of a read-only query.
+
+        A missing database reads as empty, and so does a corrupt one
+        (not a database, malformed image) — mirroring the filesystem
+        backend's missing-directory and corrupt-file tolerance.  A
+        locked or busy database is retried and then raised, never read
+        as "no rows".
+        """
         if not self.path.is_file():
             return []
         try:
-            with closing(self._connect()) as conn:
-                return list(conn.execute(query, args))
-        except sqlite3.Error:
+            return self._run(lambda conn: list(conn.execute(query, args)))
+        except sqlite3.DatabaseError as exc:
+            corrupt = any(sign in str(exc) for sign in _CORRUPT_SIGNS)
+            if isinstance(exc, sqlite3.OperationalError) or not corrupt:
+                raise
             return []
 
     # -- records ---------------------------------------------------------
@@ -252,7 +305,8 @@ class SqliteStore:
             meta["params"] = params
         record = {"value": value, "meta": meta}
         text = json.dumps(record, sort_keys=True)
-        with closing(self._connect()) as conn, conn:
+
+        def upsert(conn: sqlite3.Connection) -> None:
             conn.execute(
                 "INSERT INTO records(key, record) VALUES(?, ?) "
                 "ON CONFLICT(key) DO UPDATE SET record=excluded.record",
@@ -264,6 +318,8 @@ class SqliteStore:
                     "ON CONFLICT(key) DO UPDATE SET meta=excluded.meta",
                     (key, json.dumps(meta, sort_keys=True)),
                 )
+
+        self._run(upsert)
         return meta
 
     @staticmethod
@@ -335,12 +391,13 @@ class SqliteStore:
         if params is not None:
             meta["params"] = params
         record = {"failure": dict(failure), "meta": meta}
-        with closing(self._connect()) as conn, conn:
-            conn.execute(
+        self._run(
+            lambda conn: conn.execute(
                 "INSERT INTO failures(key, record) VALUES(?, ?) "
                 "ON CONFLICT(key) DO UPDATE SET record=excluded.record",
                 (key, json.dumps(record, sort_keys=True)),
             )
+        )
         return record
 
     @staticmethod
@@ -375,8 +432,9 @@ class SqliteStore:
         """Drop ``key``'s failure record (a later attempt succeeded)."""
         if not self.path.is_file():
             return
-        with closing(self._connect()) as conn, conn:
-            conn.execute("DELETE FROM failures WHERE key=?", (key,))
+        self._run(
+            lambda conn: conn.execute("DELETE FROM failures WHERE key=?", (key,))
+        )
 
     # -- index -----------------------------------------------------------
     def read_index(self) -> Dict[str, Any]:
@@ -392,8 +450,8 @@ class SqliteStore:
 
     def index_add(self, entries: Dict[str, Any]) -> None:
         """Merge ``entries`` (key -> meta) into the index, transactionally."""
-        with closing(self._connect()) as conn, conn:
-            conn.executemany(
+        self._run(
+            lambda conn: conn.executemany(
                 "INSERT INTO index_meta(key, meta) VALUES(?, ?) "
                 "ON CONFLICT(key) DO UPDATE SET meta=excluded.meta",
                 [
@@ -401,6 +459,7 @@ class SqliteStore:
                     for key, meta in entries.items()
                 ],
             )
+        )
 
     def rebuild_index(self) -> Dict[str, Any]:
         """Regenerate the index from the records actually stored."""
@@ -413,7 +472,8 @@ class SqliteStore:
                 continue
             meta = record.get("meta")
             records[key] = meta if isinstance(meta, dict) else {}
-        with closing(self._connect()) as conn, conn:
+
+        def replace(conn: sqlite3.Connection) -> None:
             conn.execute("DELETE FROM index_meta")
             conn.executemany(
                 "INSERT INTO index_meta(key, meta) VALUES(?, ?)",
@@ -422,6 +482,8 @@ class SqliteStore:
                     for key, meta in records.items()
                 ],
             )
+
+        self._run(replace)
         return records
 
     # -- fault injection -------------------------------------------------
@@ -450,8 +512,9 @@ class SqliteStore:
                 os.unlink(tmp)
             except OSError:
                 pass
-        with closing(self._connect()) as conn, conn:
-            conn.execute(
-                "UPDATE records SET record=? WHERE key=?", (torn_text, key),
+        self._run(
+            lambda conn: conn.execute(
+                "UPDATE records SET record=? WHERE key=?", (torn_text, key)
             )
+        )
         return True

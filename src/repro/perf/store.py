@@ -78,6 +78,26 @@ LOCK_NAME = ".index.lock"
 FAILURE_DIR = "failures"
 
 
+@contextmanager
+def flocked(path: Path) -> Iterator[None]:
+    """Hold an exclusive inter-process ``flock`` on the sidecar ``path``.
+
+    The file (and its directory) is created on first use.  Shared by
+    every persistence layer that serializes a read-modify-write cycle
+    across processes: the store index, the trace-cache tally, and the
+    SQLite backend's one-time initialization.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a+") as handle:
+        if fcntl is not None:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            if fcntl is not None:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+
+
 def atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
 
@@ -306,18 +326,9 @@ class ResultStore:
         return plan.corrupt_after_write(self.record_path(key), params)
 
     # -- index -----------------------------------------------------------
-    @contextmanager
-    def _locked(self) -> Iterator[None]:
+    def _locked(self):
         """Exclusive inter-process lock for index read-modify-write."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.directory / LOCK_NAME, "a+") as handle:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        return flocked(self.directory / LOCK_NAME)
 
     def read_index(self) -> Dict[str, Any]:
         """The advisory index mapping key -> record meta (may be stale)."""

@@ -47,12 +47,7 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
-from .store import atomic_write_text
-
-try:  # POSIX only; stats updates degrade to lock-free elsewhere.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
+from .store import atomic_write_text, flocked
 
 #: Environment variable naming the shared cache root (the same root the
 #: memoization layer uses; each subsystem owns a subdirectory).
@@ -196,20 +191,11 @@ class TraceCache:
             for name in _COUNTERS:
                 self._flushed[name] = getattr(self, name)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            with open(self.directory / STATS_LOCK_NAME, "a+") as handle:
-                if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-                try:
-                    stats = self.read_stats()
-                    for name, delta in deltas.items():
-                        stats[name] = stats.get(name, 0) + delta
-                    atomic_write_text(
-                        self.stats_path, json.dumps(stats, sort_keys=True)
-                    )
-                finally:
-                    if fcntl is not None:
-                        fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+            with flocked(self.directory / STATS_LOCK_NAME):
+                stats = self.read_stats()
+                for name, delta in deltas.items():
+                    stats[name] = stats.get(name, 0) + delta
+                atomic_write_text(self.stats_path, json.dumps(stats, sort_keys=True))
         except OSError:
             # Roll the failed flush back into the pending delta.
             with self._lock:

@@ -40,18 +40,19 @@ that exhaust their attempts (durable failure record, shard still exits
 degrades gracefully, emitting the rows that exist plus a failure
 footer instead of refusing the whole table.
 
-Performance: ``run --batched`` / ``resume --batched`` (engine grids
-only) executes each *traffic group* — cells differing only in priced
-axes such as ``code_pairs`` — as one unit: the movement trace is
-simulated once and re-priced per member, with stored records
-bit-identical to the per-cell path.  Group-aware sharding keeps whole
-groups on one worker.  ``--trace-cache DIR`` additionally persists each
-group's movement trace as a verified, content-addressed blob shared
-across shards and across run→resume — a warm cache turns any engine
-sweep into a pure pricing pass with zero traffic simulation (the
-printed ``(N extractions)`` tally proves it; ``status --trace-cache``
-reports the cache-wide totals).  ``--profile`` wraps the shard in
-cProfile and drops a ``.pstats`` dump next to the store directory.
+Performance: engine grids run each *traffic group* — cells differing
+only in priced axes such as ``code_pairs`` — as one unit on their own:
+the movement trace is simulated once and re-priced per member, with
+stored records byte-identical to the per-cell path, and sharding keeps
+whole groups on one worker (:func:`repro.sweep.runner.plan_shard`, so
+``status --shards K`` counts the same partition ``run`` computes).
+``--trace-cache DIR`` additionally persists each group's movement trace
+as a verified, content-addressed blob shared across shards and across
+run→resume — a warm cache turns any engine sweep into a pure pricing
+pass with zero traffic simulation (the printed ``(N extractions)``
+tally proves it; ``status --trace-cache`` reports the cache-wide
+totals).  ``--profile`` wraps the shard in cProfile and drops a
+``.pstats`` dump next to the store directory.
 """
 
 from __future__ import annotations
@@ -71,8 +72,10 @@ from .grid import Grid, parse_shard_spec
 from .runner import (
     MissingCells,
     compute_grid,
+    kernel_batch_spec,
     kernel_registry,
     missing_report,
+    plan_shard,
     rows_from_store,
 )
 
@@ -213,17 +216,10 @@ def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
 def _add_execution_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("execution")
     group.add_argument(
-        "--batched",
-        action="store_true",
-        help="engine grids only: simulate each traffic group once and "
-        "re-price every member (bit-identical records, one group = one "
-        "unit of work and of sharding)",
-    )
-    group.add_argument(
         "--trace-cache",
         default=None,
         metavar="DIR",
-        help="with --batched: persist each traffic group's movement trace "
+        help="engine grids: persist each traffic group's movement trace "
         "under DIR (shared across shards and run/resume), so a warm "
         "re-run performs zero traffic simulation",
     )
@@ -232,37 +228,6 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="profile this invocation with cProfile and write a .pstats "
         "dump next to the store directory",
-    )
-
-
-def _batch_from_args(args: argparse.Namespace):
-    """``(BatchSpec, shard group_key)`` under ``--batched``, else ``(None, None)``.
-
-    The traffic/price factorization is a property of the engine design
-    space (replacement traffic is code-agnostic for reservation-model
-    cells), so ``--batched`` with any other kernel is a usage error,
-    not a silent fall-back.
-    """
-    if not getattr(args, "batched", False):
-        if getattr(args, "trace_cache", None):
-            raise SystemExit(
-                "--trace-cache requires --batched (traces are artifacts "
-                "of the batched traffic/price factorization)"
-            )
-        return None, None
-    if args.kernel != "engine_cell":
-        raise SystemExit(
-            f"--batched only applies to engine_cell grids "
-            f"(got --kernel {args.kernel})"
-        )
-    from ..core import design_space
-
-    def group_key(cell):
-        return design_space.engine_traffic_key(cell.as_dict())
-
-    return (
-        design_space.engine_batch_spec(getattr(args, "trace_cache", None)),
-        group_key,
     )
 
 
@@ -442,8 +407,7 @@ def _grid_from_args(args: argparse.Namespace) -> Grid:
 def _cmd_run(args: argparse.Namespace) -> int:
     grid = _grid_from_args(args)
     index, count = parse_shard_spec(args.shard)
-    batch, group_key = _batch_from_args(args)
-    shard = grid.shard(index, count, group_key=group_key)
+    shard = plan_shard(grid, index, count)
     store = open_store(args.store)
     before = store.status(shard.keys())
     fn, row_type = kernel_registry()[grid.kernel]
@@ -456,7 +420,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 store=store,
                 workers=args.workers,
                 supervise=_supervision_from_args(args),
-                batch=batch,
+                batch=kernel_batch_spec(grid.kernel, args.trace_cache),
             )
     except TooManyFailures as exc:
         print(f"shard {index}/{count} aborted: {exc}", file=sys.stderr)
@@ -473,7 +437,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     grid = _grid_from_args(args)
-    batch, _ = _batch_from_args(args)
     store = open_store(args.store)
     before = store.status(grid.keys())
     fn, row_type = kernel_registry()[grid.kernel]
@@ -486,7 +449,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
                 store=store,
                 workers=args.workers,
                 supervise=_supervision_from_args(args),
-                batch=batch,
+                batch=kernel_batch_spec(grid.kernel, args.trace_cache),
             )
     except TooManyFailures as exc:
         print(f"resume aborted: {exc}", file=sys.stderr)
@@ -510,7 +473,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     )
     if args.shards:
         for index in range(args.shards):
-            shard_status = store.status(grid.shard(index, args.shards).keys())
+            shard_status = store.status(plan_shard(grid, index, args.shards).keys())
             print(
                 f"  shard {index}/{args.shards}: "
                 f"{shard_status.done}/{shard_status.total} done"
@@ -570,7 +533,9 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             )
             print(f"  missing {cell.key}: {why}", file=sys.stderr)
     if args.verify:
-        recomputed = compute_grid(grid, fn, row_type)
+        # Per-cell on purpose: an independent recomputation cross-checks
+        # records the sharded runs wrote group by group.
+        recomputed = compute_grid(grid, fn, row_type, batch=None)
         # Under --allow-missing only the cells that exist are checked;
         # a quarantined hole is reported above, not a verify failure.
         mismatched = [

@@ -112,7 +112,7 @@ class Grid:
         ``group_key`` makes the partition group-aware: cells mapping to
         the same token are hashed by that token instead of their own
         key, so a whole work group (e.g. one traffic group of the
-        batched engine sweep) always lands in one shard and is never
+        engine sweep) always lands in one shard and is never
         split across workers.  Cells whose token is ``None`` fall back
         to their own key.  Determinism is unchanged — the assignment is
         still a pure function of (token, count).

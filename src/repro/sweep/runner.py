@@ -6,7 +6,9 @@ single-process :func:`repro.core.design_space.engine_sweep` call, a
 a crash are all the same loop: skip cells whose record is already in
 the store, fan the rest over :func:`repro.perf.parallel.parallel_indexed`,
 persist each result as it completes, return rows in canonical grid
-order.
+order.  Cells that share work run as one group, by the grid kernel's
+own :func:`kernel_batch_spec` (the engine grid's traffic groups), with
+one record per cell either way.
 
 A ``supervise=`` :class:`repro.perf.supervise.Supervision` spec runs
 the same loop under the supervised executor instead: transient faults
@@ -28,7 +30,7 @@ absent or corrupt, unless ``allow_missing=True`` degrades gracefully
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from ..perf import chaos
 from ..perf.parallel import parallel_indexed
@@ -72,38 +74,31 @@ class BatchSpec:
     parameter dicts of one group (in canonical grid order) and returns
     one row per member, same order.  Both must be module-level
     (picklable) so groups can run in pool workers.
-
-    ``grid_fn`` is the optional whole-grid kernel: it takes *every*
-    group's member tuple at once and returns one row list per group
-    (same orders) — the engine's grid mode extracts or cache-loads all
-    movement traces first, then prices the entire (group x config) grid
-    in a single vectorized pass.  It must be bit-identical to mapping
-    ``fn`` over the groups; the runner engages it only on serial,
-    unsupervised runs (a process pool already spreads groups across
-    cores, and supervision retries/quarantines per group), so every
-    other execution mode is untouched.
     """
 
     group_key: Callable[[Dict[str, Any]], Optional[str]]
     fn: Callable[[Tuple[Dict[str, Any], ...]], List[Any]]
-    grid_fn: Optional[
-        Callable[[Tuple[Tuple[Dict[str, Any], ...], ...]], List[List[Any]]]
-    ] = None
+
+
+#: :func:`compute_grid`'s default ``batch``: the grid kernel's own
+#: grouping (:func:`kernel_batch_spec`).
+KERNEL_BATCH = "kernel"
 
 
 @dataclass(frozen=True)
 class _BatchKernel:
-    """Picklable dispatcher for batched work items.
+    """Picklable dispatcher for work items.
 
-    A work item is ``("cell", params)`` or ``("group", (params, ...))``;
-    both return a *list* of rows so the runner maps results back
-    uniformly.  Chaos faults fire per member — a scripted fault aimed
-    at any one cell of a group poisons (and on retry, re-poisons) the
-    whole group, which is the unit of supervised work.
+    A work item is ``("cell", params)`` or ``("group", (params, ...))``
+    (the latter only under a :class:`BatchSpec`); both return a *list*
+    of rows so the runner maps results back uniformly.  Chaos faults
+    fire per member — a scripted fault aimed at any one cell of a group
+    poisons (and on retry, re-poisons) the whole group, which is the
+    unit of supervised work.
     """
 
     cell_fn: Callable[[Dict[str, Any]], Any]
-    group_fn: Callable[[Tuple[Dict[str, Any], ...]], List[Any]]
+    group_fn: Optional[Callable[[Tuple[Dict[str, Any], ...]], List[Any]]]
 
     def __call__(self, item: Tuple[str, Any]) -> List[Any]:
         kind, payload = item
@@ -141,7 +136,7 @@ def compute_grid(
     store=None,
     workers: Optional[int] = None,
     supervise: Optional[Supervision] = None,
-    batch: Optional[BatchSpec] = None,
+    batch: Union[BatchSpec, None, str] = KERNEL_BATCH,
 ) -> List[Any]:
     """Rows for every grid cell, reading through ``store`` when given.
 
@@ -166,18 +161,24 @@ def compute_grid(
     deadline) fault-free output is bit-identical to the unsupervised
     path.
 
-    ``batch`` (a :class:`BatchSpec`) groups cells that share work: each
-    group is *one* unit of execution — one pool task, one supervised
-    attempt (a transient fault retries only its group, charged once),
-    one per-group deadline scaled by member count — while the store
-    still receives one record per member cell, so memo keys, resume,
+    Cells that share work run as groups: by default the grid kernel's
+    own grouping (:func:`kernel_batch_spec` — the engine grid's traffic
+    groups), engaged when ``fn`` is that kernel's registered cell
+    function.  ``batch`` overrides it with another :class:`BatchSpec`,
+    or ``None`` runs every cell through ``fn``.  Each group of two or
+    more pending cells is *one* unit of execution — one pool task, one
+    supervised attempt (a transient fault retries only its group,
+    charged once), one per-group deadline scaled by member count —
+    while the store still receives one record per member cell,
+    byte-identical to the per-cell path, so memo keys, resume,
     quarantine and ``merge --verify`` are unaffected.  A terminal group
     failure quarantines every member, each failure record naming the
-    full membership under ``"group_members"``.  A spec with a
-    ``grid_fn`` additionally prices *all* groups in one whole-grid
-    kernel call on serial unsupervised runs (see :class:`BatchSpec`);
-    rows and records are pinned bit-identical either way.
+    full membership under ``"group_members"``.  Singleton groups and
+    ungroupable cells run through ``fn``.
     """
+    if batch == KERNEL_BATCH:
+        cell_fn, _ = kernel_registry().get(grid.kernel, (None, None))
+        batch = kernel_batch_spec(grid.kernel) if cell_fn is fn else None
     resolved: Optional[ResultStore] = resolve_store(store)
     cells = list(grid)
     rows: List[Any] = [None] * len(cells)
@@ -191,40 +192,28 @@ def compute_grid(
         todo.append(position)
     written: Dict[str, Any] = {}
     try:
-        if batch is None:
-            _run_cells(
-                grid,
-                fn,
-                cells,
-                todo,
-                rows,
-                resolved,
-                written,
-                workers=workers,
-                supervise=supervise,
-            )
-        else:
-            _run_batched(
-                grid,
-                fn,
-                batch,
-                cells,
-                todo,
-                rows,
-                resolved,
-                written,
-                workers=workers,
-                supervise=supervise,
-            )
+        _run(
+            grid,
+            fn,
+            batch,
+            cells,
+            todo,
+            rows,
+            resolved,
+            written,
+            workers=workers,
+            supervise=supervise,
+        )
     finally:
         if resolved is not None and written:
             resolved.index_add(written)
     return rows
 
 
-def _run_cells(
+def _run(
     grid: Grid,
     fn: Callable[[Dict[str, Any]], Any],
+    batch: Optional[BatchSpec],
     cells: List[Cell],
     todo: List[int],
     rows: List[Any],
@@ -234,83 +223,32 @@ def _run_cells(
     workers: Optional[int],
     supervise: Optional[Supervision],
 ) -> None:
-    """The per-cell execution loop of :func:`compute_grid`."""
-    fn = chaos.wrap_if_active(fn)
-    params_list = [cells[position].as_dict() for position in todo]
-    # Completion order, not input order: each finished cell is
-    # persisted immediately, never queued behind a slower one.
-    if supervise is None:
-        for offset, row in parallel_indexed(fn, params_list, workers=workers):
-            position = todo[offset]
-            rows[position] = row
-            if resolved is not None:
-                written[cells[position].key] = _persist(resolved, cells[position], row)
-        return
-    outcomes = supervised_indexed(
-        fn, params_list, workers=workers, supervision=supervise
-    )
-    for outcome in outcomes:
-        position = todo[outcome.index]
-        cell = cells[position]
-        if outcome.ok:
-            rows[position] = outcome.value
-            if resolved is not None:
-                written[cell.key] = _persist(resolved, cell, outcome.value)
-            continue
-        if not supervise.quarantine:
-            raise CellFailed(cell, outcome.failure)
-        if resolved is not None:
-            resolved.put_failure(
-                cell.key,
-                outcome.failure.as_record(),
-                kernel=cell.kernel,
-                params=cell.as_dict(),
-            )
+    """The execution loop of :func:`compute_grid`.
 
-
-def _run_batched(
-    grid: Grid,
-    fn: Callable[[Dict[str, Any]], Any],
-    batch: BatchSpec,
-    cells: List[Cell],
-    todo: List[int],
-    rows: List[Any],
-    resolved: Optional[ResultStore],
-    written: Dict[str, Any],
-    *,
-    workers: Optional[int],
-    supervise: Optional[Supervision],
-) -> None:
-    """The grouped execution loop of :func:`compute_grid`.
-
-    Work items are whole groups (first-appearance order, members in
-    canonical grid order); unbatchable cells (``group_key`` None) ride
-    along as singleton ``("cell", params)`` items through the same
-    pipeline, so one sweep can mix both kinds.
+    Work items are whole groups of two or more pending cells
+    (first-appearance order, members in canonical grid order); a
+    singleton group or an ungroupable cell (``group_key`` None, or no
+    ``batch`` at all) is a ``("cell", params)`` item through the same
+    pipeline, so one sweep can mix both kinds.  Items persist in
+    completion order, not input order: each finished item is persisted
+    immediately, never queued behind a slower one.
     """
-    items: List[Tuple[str, Any]] = []
     members: List[List[int]] = []
-    group_slots: Dict[str, int] = {}
+    groups: Dict[str, List[int]] = {}
     for position in todo:
-        params = cells[position].as_dict()
-        token = batch.group_key(params)
+        token = None if batch is None else batch.group_key(cells[position].as_dict())
         if token is None:
-            items.append(("cell", params))
             members.append([position])
-            continue
-        slot = group_slots.get(token)
-        if slot is None:
-            group_slots[token] = len(items)
-            items.append(("group", [params]))
-            members.append([position])
+        elif token in groups:
+            groups[token].append(position)
         else:
-            items[slot][1].append(params)
-            members[slot].append(position)
-    items = [
-        (kind, tuple(payload) if kind == "group" else payload)
-        for kind, payload in items
-    ]
-    kernel = _BatchKernel(cell_fn=fn, group_fn=batch.fn)
+            groups[token] = [position]
+            members.append(groups[token])
+    items: List[Tuple[str, Any]] = []
+    for positions in members:
+        params = tuple(cells[p].as_dict() for p in positions)
+        items.append(("group", params) if len(params) > 1 else ("cell", params[0]))
+    kernel = _BatchKernel(cell_fn=fn, group_fn=None if batch is None else batch.fn)
 
     def emit(offset: int, group_rows: Sequence[Any]) -> None:
         positions = members[offset]
@@ -323,36 +261,6 @@ def _run_batched(
             rows[position] = row
             if resolved is not None:
                 written[cells[position].key] = _persist(resolved, cells[position], row)
-
-    if (
-        batch.grid_fn is not None
-        and supervise is None
-        and workers in (None, 0, 1)
-    ):
-        # Grid mode: one whole-grid kernel call prices every group at
-        # once.  Chaos faults still fire per member (the same points
-        # the per-group dispatcher hits), so scripted-fault tests see
-        # identical behavior; singleton unbatchable cells ride through
-        # the ordinary dispatcher below.
-        offsets = [i for i, (kind, _) in enumerate(items) if kind == "group"]
-        if offsets:
-            plan = chaos.active_plan()
-            if plan is not None:
-                for offset in offsets:
-                    for params in items[offset][1]:
-                        plan.before_cell(params)
-            per_group = batch.grid_fn(tuple(items[i][1] for i in offsets))
-            if len(per_group) != len(offsets):
-                raise ValueError(
-                    f"grid kernel returned {len(per_group)} row lists "
-                    f"for {len(offsets)} groups of the {grid.kernel} grid"
-                )
-            for offset, group_rows in zip(offsets, per_group):
-                emit(offset, group_rows)
-        for offset, item in enumerate(items):
-            if item[0] == "cell":
-                emit(offset, kernel(item))
-        return
 
     if supervise is None:
         for offset, group_rows in parallel_indexed(kernel, items, workers=workers):
@@ -377,7 +285,8 @@ def _run_batched(
         # One failure record per member, each naming the whole group:
         # a quarantined group must be diagnosable from any of its cells.
         record = outcome.failure.as_record()
-        record["group_members"] = [cells[p].key for p in positions]
+        if len(positions) > 1:
+            record["group_members"] = [cells[p].key for p in positions]
         for position in positions:
             cell = cells[position]
             resolved.put_failure(
@@ -495,3 +404,36 @@ def kernel_registry() -> Dict[str, Tuple[Callable[[Dict[str, Any]], Any], Type]]
         "hierarchy_cell": (design_space.hierarchy_cell, design_space.HierarchyRow),
         "transfer_cell": (design_space.transfer_cell, design_space.TransferRow),
     }
+
+
+def kernel_batch_spec(kernel: str, trace_cache=None) -> Optional[BatchSpec]:
+    """The registered grouping of a kernel's grids, or None (per-cell).
+
+    Only the engine grid groups: its reservation-model cells share one
+    movement trace per traffic group
+    (:func:`repro.core.design_space.engine_batch_spec`).  Fidelity cells
+    record residency per cell and the Table 3/4/5 kernels have no
+    shared work.  ``trace_cache`` (see
+    :func:`repro.perf.tracecache.resolve_trace_cache`) persists each
+    group's trace so a warm re-run performs zero traffic simulation.
+    """
+    if kernel != "engine_cell":
+        return None
+    from ..core.design_space import engine_batch_spec
+
+    return engine_batch_spec(trace_cache)
+
+
+def plan_shard(grid: Grid, index: int, count: int) -> Grid:
+    """Shard ``index`` of a ``count``-way partition, groups kept whole.
+
+    ``run`` computes and ``status`` reports exactly this sub-grid: cells
+    of one :func:`kernel_batch_spec` group hash by their group token, so
+    a group never splits across workers.
+    """
+    spec = kernel_batch_spec(grid.kernel)
+    if spec is None:
+        return grid.shard(index, count)
+    return grid.shard(
+        index, count, group_key=lambda cell: spec.group_key(cell.as_dict())
+    )

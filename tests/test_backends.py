@@ -300,8 +300,44 @@ def _hammer_many_cells(args):
     return True
 
 
+def _soak_writer(locator, start, rounds):
+    """One process of the fresh-store soak: open, write, read back.
+
+    An exception exits the process non-zero, which the test asserts on.
+    """
+    start.wait()
+    store = open_store(locator)
+    for i in range(rounds):
+        key = f"cell{i % 8}"
+        store.put(key, {"value-for": key}, kernel="engine_cell")
+        assert store.get(key) == {"value-for": key}
+        store.status([key])
+
+
 class TestConcurrentWriters:
     """Worker processes open stores from locator strings, like real shards."""
+
+    def test_fresh_store_soak(self, backend, tmp_path):
+        # Every trial is a brand-new store that several processes open
+        # and write at the same instant: the first-writer window (the
+        # sqlite WAL switch and schema creation) is raced every time.
+        writers = 4
+        for trial in range(8):
+            locator = make_locator(backend, tmp_path, f"soak{trial}")
+            start = multiprocessing.Barrier(writers)
+            procs = [
+                multiprocessing.Process(
+                    target=_soak_writer, args=(locator, start, 16)
+                )
+                for _ in range(writers)
+            ]
+            for proc in procs:
+                proc.start()
+            for proc in procs:
+                proc.join(120)
+            assert [proc.exitcode for proc in procs] == [0] * writers, trial
+            store = open_store(locator)
+            assert store.keys() == sorted(f"cell{i}" for i in range(8))
 
     def test_two_processes_racing_one_cell(self, backend, tmp_path):
         locator = make_locator(backend, tmp_path)

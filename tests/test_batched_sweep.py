@@ -1,11 +1,12 @@
-"""Tests for batched (traffic-grouped) sweep execution.
+"""Tests for traffic-grouped sweep execution.
 
 The engine design space factorizes: reservation-model replacement
 traffic depends only on the traffic axes (workload, size, depth,
 policy), never on the priced axes (code assignment, transfer width).
-The batched runner exploits this — one group simulates its movement
-trace once and re-prices it per member — and these tests pin the
-batched path to the per-cell path at every observable layer: returned
+``compute_grid`` exploits this on its own for engine grids — each
+traffic group of two or more pending cells simulates its movement trace
+once and re-prices it per member — and these tests pin that grouping to
+the per-cell path (``batch=None``) at every observable layer: returned
 rows, stored record bytes, group-shaped supervision and quarantine,
 shard assignment, and the CLI.
 """
@@ -14,6 +15,8 @@ import pstats
 
 import pytest
 
+import repro.core.design_space as design_space
+import repro.sim.replay as replay
 from repro.core.design_space import (
     EngineRow,
     engine_batch_cell,
@@ -27,11 +30,11 @@ from repro.perf import chaos
 from repro.perf.store import ResultStore
 from repro.perf.supervise import Supervision, RetryPolicy, supervised_indexed
 from repro.sweep.cli import main as sweep_main
-from repro.sweep.runner import compute_grid
+from repro.sweep.runner import compute_grid, plan_shard
 
 PAIRS = (("bacon_shor", "steane"), ("steane", "bacon_shor"))
 
-#: One small engine grid with both batchable (no-prefetch) and
+#: One small engine grid with both groupable (no-prefetch) and
 #: time-coupled (next_k) cells, and a three-config priced axis per
 #: traffic group (pure steane plus both mixed pairs).
 GRID_KWARGS = dict(
@@ -44,6 +47,10 @@ GRID_ARGS = [
     "--policies", "lru", "belady", "--prefetches", "none", "next_k",
     "--code-pairs", "bacon_shor:steane", "steane:bacon_shor",
 ]
+
+#: The same grid without the mixed-code axis: every traffic group is a
+#: singleton.
+SINGLETON_KWARGS = {k: v for k, v in GRID_KWARGS.items() if k != "code_pairs"}
 
 
 def _record_bytes(store: ResultStore) -> dict:
@@ -61,6 +68,34 @@ def _groups(grid):
         if token is not None:
             groups.setdefault(token, []).append(cell)
     return groups
+
+
+def _percell_store(grid, directory) -> ResultStore:
+    """The per-cell reference: every cell through ``engine_cell``."""
+    store = ResultStore(directory)
+    compute_grid(grid, engine_cell, EngineRow, store=store, batch=None)
+    return store
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts traffic extractions and the group sizes the group kernel
+    receives (serial runs only: pool workers do not see the patch)."""
+    calls = {"extract": 0, "groups": []}
+    extract = replay.extract_movement_trace
+    batch_cell = design_space.engine_batch_cell
+
+    def counted_extract(*args, **kwargs):
+        calls["extract"] += 1
+        return extract(*args, **kwargs)
+
+    def counted_batch_cell(group, trace_cache=None):
+        calls["groups"].append(len(group))
+        return batch_cell(group, trace_cache=trace_cache)
+
+    monkeypatch.setattr(replay, "extract_movement_trace", counted_extract)
+    monkeypatch.setattr(design_space, "engine_batch_cell", counted_batch_cell)
+    return calls
 
 
 class TestTrafficKey:
@@ -111,42 +146,96 @@ class TestBatchKernel:
             engine_batch_cell((prefetched[0],))
 
 
-class TestBatchedEquivalence:
-    def test_rows_bit_identical(self):
-        assert engine_sweep(**GRID_KWARGS) == engine_sweep(
-            batched=True, **GRID_KWARGS
-        )
+class TestAutomaticGrouping:
+    """Engine grids group by traffic key with no caller flag."""
 
+    def test_engine_sweep_extracts_once_per_group(self, kernel_calls):
+        grid = engine_grid(**GRID_KWARGS)
+        groups = _groups(grid)
+        rows = engine_sweep(cache=False, **GRID_KWARGS)
+        assert kernel_calls["extract"] == len(groups) > 0
+        assert kernel_calls["groups"] == [3] * len(groups)
+        assert rows == compute_grid(grid, engine_cell, EngineRow, batch=None)
+
+    def test_cli_run_extracts_once_per_group(self, tmp_path, kernel_calls):
+        grid = engine_grid(**GRID_KWARGS)
+        store = tmp_path / "store"
+        assert sweep_main(["run", "--store", str(store), *GRID_ARGS]) == 0
+        assert kernel_calls["extract"] == len(_groups(grid))
+        reference = _percell_store(grid, tmp_path / "percell")
+        assert _record_bytes(ResultStore(store)) == _record_bytes(reference)
+
+    def test_singleton_groups_and_prefetch_cells_run_per_cell(
+        self, tmp_path, kernel_calls
+    ):
+        grid = engine_grid(**SINGLETON_KWARGS)
+        assert all(len(group) == 1 for group in _groups(grid).values())
+        store = ResultStore(tmp_path / "store")
+        compute_grid(grid, engine_cell, EngineRow, store=store)
+        assert kernel_calls == {"extract": 0, "groups": []}
+        reference = _percell_store(grid, tmp_path / "percell")
+        assert _record_bytes(store) == _record_bytes(reference)
+
+    def test_one_pending_member_runs_per_cell(self, tmp_path, kernel_calls):
+        # Grouping counts *pending* cells: a resume that finds all but
+        # one member of every group stored recomputes the rest per cell.
+        grid = engine_grid(**GRID_KWARGS)
+        store = _percell_store(grid, tmp_path / "store")
+        reference = _record_bytes(store)
+        for group in _groups(grid).values():
+            store.record_path(group[0].key).unlink()
+        compute_grid(grid, engine_cell, EngineRow, store=store)
+        assert kernel_calls == {"extract": 0, "groups": []}
+        assert _record_bytes(store) == reference
+
+    def test_fidelity_cells_run_per_cell(self, kernel_calls):
+        rows = engine_sweep(
+            workloads=("qft",), sizes=(16,), depths=(2,), policies=("lru",),
+            prefetches=("none",), code_pairs=PAIRS, cache=False,
+            fidelity={"trials": 300, "seed": 7},
+        )
+        assert len(rows) == 3
+        assert kernel_calls == {"extract": 0, "groups": []}
+
+    def test_unregistered_cell_function_is_not_grouped(self):
+        grid = engine_grid(**GRID_KWARGS)
+        seen = []
+
+        def wrapped(params):
+            seen.append(params)
+            return engine_cell(params)
+
+        rows = compute_grid(grid, wrapped, EngineRow)
+        assert len(seen) == len(grid)
+        assert rows == compute_grid(grid, engine_cell, EngineRow)
+
+
+class TestGroupedEquivalence:
     def test_store_records_byte_identical(self, tmp_path):
         grid = engine_grid(**GRID_KWARGS)
-        percell = ResultStore(tmp_path / "percell")
-        batched = ResultStore(tmp_path / "batched")
-        rows_percell = compute_grid(grid, engine_cell, EngineRow,
-                                    store=percell)
-        rows_batched = compute_grid(grid, engine_cell, EngineRow,
-                                    store=batched,
-                                    batch=engine_batch_spec())
-        assert rows_percell == rows_batched
-        assert _record_bytes(percell) == _record_bytes(batched)
+        grouped = ResultStore(tmp_path / "grouped")
+        rows = compute_grid(grid, engine_cell, EngineRow, store=grouped)
+        percell = _percell_store(grid, tmp_path / "percell")
+        assert rows == compute_grid(grid, engine_cell, EngineRow, batch=None)
+        assert _record_bytes(grouped) == _record_bytes(percell)
 
-    def test_supervised_batched_identical(self):
+    def test_supervised_pooled_grouping_identical(self):
         grid = engine_grid(**GRID_KWARGS)
-        plain = compute_grid(grid, engine_cell, EngineRow)
+        plain = compute_grid(grid, engine_cell, EngineRow, batch=None)
         supervised = compute_grid(
-            grid, engine_cell, EngineRow, batch=engine_batch_spec(),
+            grid, engine_cell, EngineRow,
             supervise=Supervision(cell_timeout_s=120.0), workers=2,
         )
         assert plain == supervised
 
-    def test_batched_reads_through_store(self, tmp_path):
+    def test_grouped_reads_through_store(self, tmp_path):
         grid = engine_grid(**GRID_KWARGS)
         store = ResultStore(tmp_path / "store")
-        first = compute_grid(grid, engine_cell, EngineRow, store=store,
-                             batch=engine_batch_spec())
+        first = compute_grid(grid, engine_cell, EngineRow, store=store)
         # Second pass must resolve every cell from the store; a kernel
         # that explodes on contact proves nothing recomputes.
         def _explodes(params):
-            raise AssertionError("warm batched run recomputed a cell")
+            raise AssertionError("warm grouped run recomputed a cell")
 
         again = compute_grid(grid, _explodes, EngineRow, store=store,
                              batch=engine_batch_spec())
@@ -154,37 +243,23 @@ class TestBatchedEquivalence:
 
 
 class TestTraceCacheSweep:
-    """The persistent trace cache and whole-grid mode on real sweeps."""
-
-    def test_grid_mode_store_matches_per_group_mode(self, tmp_path):
-        # Serial unsupervised batched runs take the whole-grid pricing
-        # path (BatchSpec.grid_fn); pooled runs price per group.  Both
-        # must leave byte-identical record trees.
-        grid = engine_grid(**GRID_KWARGS)
-        grid_store = ResultStore(tmp_path / "grid")
-        pooled_store = ResultStore(tmp_path / "pooled")
-        rows_grid = compute_grid(grid, engine_cell, EngineRow,
-                                 store=grid_store, batch=engine_batch_spec())
-        rows_pooled = compute_grid(grid, engine_cell, EngineRow,
-                                   store=pooled_store, workers=2,
-                                   batch=engine_batch_spec())
-        assert rows_grid == rows_pooled
-        assert _record_bytes(grid_store) == _record_bytes(pooled_store)
+    """The persistent trace cache on real sweeps."""
 
     def test_warm_cache_skips_extraction_and_is_bit_identical(self, tmp_path):
         from repro.perf.tracecache import TraceCache
 
         cache_dir = tmp_path / "traces"
-        grid = engine_grid(**GRID_KWARGS)
         cold_store = ResultStore(tmp_path / "cold")
         warm_store = ResultStore(tmp_path / "warm")
-        cold = compute_grid(grid, engine_cell, EngineRow, store=cold_store,
-                            batch=engine_batch_spec(trace_cache=cache_dir))
+        cold = engine_sweep(store=cold_store, trace_cache=cache_dir,
+                            cache=False, **GRID_KWARGS)
         after_cold = TraceCache(cache_dir).read_stats()
-        assert after_cold["extractions"] > 0
+        assert after_cold["extractions"] == len(
+            _groups(engine_grid(**GRID_KWARGS))
+        )
         assert len(TraceCache(cache_dir)) == after_cold["extractions"]
-        warm = compute_grid(grid, engine_cell, EngineRow, store=warm_store,
-                            batch=engine_batch_spec(trace_cache=cache_dir))
+        warm = engine_sweep(store=warm_store, trace_cache=cache_dir,
+                            cache=False, **GRID_KWARGS)
         after_warm = TraceCache(cache_dir).read_stats()
         # The warm run simulated nothing and loaded every group.
         assert after_warm["extractions"] == after_cold["extractions"]
@@ -208,10 +283,6 @@ class TestTraceCacheSweep:
         again = TraceCache(cache_dir).read_stats()
         assert again["extractions"] == stats["extractions"]
 
-    def test_engine_sweep_trace_cache_requires_batched(self, tmp_path):
-        with pytest.raises(ValueError):
-            engine_sweep(trace_cache=tmp_path / "traces", **GRID_KWARGS)
-
 
 class TestGroupSupervision:
     def test_transient_group_fault_retried_once_per_attempt(self, tmp_path):
@@ -232,9 +303,8 @@ class TestGroupSupervision:
         )
         with chaos.active(plan):
             rows = compute_grid(grid, engine_cell, EngineRow,
-                                batch=engine_batch_spec(),
                                 supervise=supervision)
-        assert rows == compute_grid(grid, engine_cell, EngineRow)
+        assert rows == compute_grid(grid, engine_cell, EngineRow, batch=None)
 
     def test_terminal_group_failure_quarantines_every_member(self, tmp_path):
         grid = engine_grid(**GRID_KWARGS)
@@ -259,7 +329,6 @@ class TestGroupSupervision:
         assert len(group) == 3
         with chaos.active(plan):
             rows = compute_grid(grid, engine_cell, EngineRow, store=store,
-                                batch=engine_batch_spec(),
                                 supervise=supervision)
         member_keys = sorted(cell.key for cell in group)
         assert sorted(store.failure_keys()) == member_keys
@@ -287,12 +356,7 @@ class TestGroupAwareSharding:
     @pytest.mark.parametrize("count", [2, 3, 5])
     def test_groups_never_split_and_cover_the_grid(self, count):
         grid = engine_grid(**GRID_KWARGS)
-
-        def group_key(cell):
-            return engine_traffic_key(cell.as_dict())
-
-        shards = [grid.shard(index, count, group_key=group_key)
-                  for index in range(count)]
+        shards = [plan_shard(grid, index, count) for index in range(count)]
         seen = [cell.key for shard in shards for cell in shard]
         assert sorted(seen) == sorted(grid.keys())
         for token, group in _groups(grid).items():
@@ -305,38 +369,50 @@ class TestGroupAwareSharding:
             assert len(owners) == 1, (token, owners)
 
 
-class TestBatchedCli:
-    def test_sharded_batched_run_matches_percell(self, tmp_path):
-        percell, batched = str(tmp_path / "percell"), str(tmp_path / "batched")
+class TestGroupedCli:
+    def test_sharded_run_matches_percell(self, tmp_path):
+        store = str(tmp_path / "store")
         for index in range(2):
             assert sweep_main(["run", "--shard", f"{index}/2", "--store",
-                               percell, *GRID_ARGS]) == 0
-            assert sweep_main(["run", "--shard", f"{index}/2", "--store",
-                               batched, "--batched", *GRID_ARGS]) == 0
-        out_percell = tmp_path / "rows-percell.json"
-        out_batched = tmp_path / "rows-batched.json"
-        assert sweep_main(["merge", "--store", percell, "--verify",
-                           "--output", str(out_percell), *GRID_ARGS]) == 0
-        assert sweep_main(["merge", "--store", batched, "--verify",
-                           "--output", str(out_batched), *GRID_ARGS]) == 0
-        assert out_percell.read_bytes() == out_batched.read_bytes()
-        assert _record_bytes(ResultStore(percell)) == _record_bytes(
-            ResultStore(batched)
-        )
+                               store, *GRID_ARGS]) == 0
+        out = tmp_path / "rows.json"
+        assert sweep_main(["merge", "--store", store, "--verify",
+                           "--output", str(out), *GRID_ARGS]) == 0
+        reference = _percell_store(engine_grid(**GRID_KWARGS),
+                                   tmp_path / "percell")
+        assert _record_bytes(ResultStore(store)) == _record_bytes(reference)
+
+    def test_status_shards_match_the_run_partition(self, tmp_path, capsys):
+        # `status --shards K` must count the partition `run` computed:
+        # after shard 0 of 2 alone, shard 0 is complete and shard 1
+        # empty, and every traffic group is wholly stored or absent.
+        grid = engine_grid(**GRID_KWARGS)
+        store = str(tmp_path / "store")
+        assert sweep_main(["run", "--shard", "0/2", "--store", store,
+                           *GRID_ARGS]) == 0
+        capsys.readouterr()
+        assert sweep_main(["status", "--store", store, "--shards", "2",
+                           *GRID_ARGS]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        owned = [len(plan_shard(grid, index, 2)) for index in range(2)]
+        assert all(owned)
+        assert f"  shard 0/2: {owned[0]}/{owned[0]} done" in lines
+        assert f"  shard 1/2: 0/{owned[1]} done" in lines
+        stored = set(ResultStore(store).keys())
+        for group in _groups(grid).values():
+            assert len({cell.key in stored for cell in group}) == 1
 
     def test_trace_cache_run_reports_warm_second_pass(self, tmp_path,
                                                       capsys):
         cache = str(tmp_path / "traces")
         cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
         assert sweep_main(["run", "--shard", "0/1", "--store", cold,
-                           "--batched", "--trace-cache", cache,
-                           *GRID_ARGS]) == 0
+                           "--trace-cache", cache, *GRID_ARGS]) == 0
         cold_out = capsys.readouterr().out
         assert "trace cache:" in cold_out
         assert "(0 extractions)" not in cold_out
         assert sweep_main(["run", "--shard", "0/1", "--store", warm,
-                           "--batched", "--trace-cache", cache,
-                           *GRID_ARGS]) == 0
+                           "--trace-cache", cache, *GRID_ARGS]) == 0
         warm_out = capsys.readouterr().out
         # The warm pass loaded every group: zero simulations, and the
         # record trees are byte-identical.
@@ -350,22 +426,10 @@ class TestBatchedCli:
         status_out = capsys.readouterr().out
         assert "blobs" in status_out and "lifetime" in status_out
 
-    def test_trace_cache_requires_batched(self, tmp_path):
-        with pytest.raises(SystemExit):
-            sweep_main(["run", "--shard", "0/1", "--store",
-                        str(tmp_path / "s"), "--trace-cache",
-                        str(tmp_path / "traces"), *GRID_ARGS])
-
-    def test_batched_rejects_table_kernels(self, tmp_path):
-        with pytest.raises(SystemExit):
-            sweep_main(["run", "--shard", "0/1", "--store",
-                        str(tmp_path / "s"), "--kernel", "transfer_cell",
-                        "--batched"])
-
     def test_profile_writes_loadable_pstats(self, tmp_path):
         store = tmp_path / "store"
         assert sweep_main(["run", "--shard", "0/1", "--store", str(store),
-                           "--profile", "--batched", *GRID_ARGS]) == 0
+                           "--profile", *GRID_ARGS]) == 0
         dump = tmp_path / "store-profile-shard0of1.pstats"
         assert dump.is_file()
         stats = pstats.Stats(str(dump))

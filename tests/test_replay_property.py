@@ -118,7 +118,7 @@ class TestTrafficInvariance:
 
 
 class TestMultiGroupPricing:
-    """Whole-grid one-pass pricing vs per-group batched pricing.
+    """Multi-group one-pass pricing vs per-group batched pricing.
 
     ``price_movement_traces_multi`` pads variable-length traces from
     many traffic groups into one structured batch; every engine must

@@ -17,7 +17,7 @@ Pins the coupling between the engine dialects and the ECC Monte Carlo:
   byte-identical to the pre-fidelity layout.
 * **Seed determinism** — fidelity accrual is reproducible across the
   process-pool fan-out (4 workers vs serial, byte-compared) and
-  consistent with the batched replay engine's pricing.
+  consistent with the traffic-grouped replay engine's pricing.
 """
 
 import json
@@ -485,10 +485,6 @@ class TestFidelityOffPins:
             assert params.pop("fidelity_seed") == SEED
             assert params == eng_cell.as_dict()
 
-    def test_batched_fidelity_rejected(self):
-        with pytest.raises(ValueError, match="per-cell"):
-            engine_sweep(fidelity=True, batched=True)
-
 
 class TestSeedDeterminism:
     """Satellite 3: same seed, same bytes — across workers and engines."""
@@ -526,17 +522,19 @@ class TestSeedDeterminism:
         assert type(first[0]) is FidelityRow
         assert first[0].fidelity_seed == SEED
 
-    def test_batched_replay_prices_match_fidelity_rows(self):
-        # The batched replay engine (fidelity off) and the recorded
-        # per-cell runs must agree on every shared engine field.
+    def test_grouped_replay_prices_match_fidelity_rows(self):
+        # The traffic-grouped replay engine (fidelity off; two codes per
+        # group) and the recorded per-cell runs must agree on every
+        # shared engine field.
         kwargs = dict(
             workloads=("draper_adder",), sizes=(N_BITS,), depths=(2, 3),
             policies=("lru", "fidelity"), prefetches=("none",), cache=False,
+            code_keys=("steane", "bacon_shor"),
         )
-        batched = engine_sweep(batched=True, **kwargs)
+        grouped = engine_sweep(**kwargs)
         fid = engine_sweep(fidelity={"trials": TRIALS, "seed": SEED}, **kwargs)
-        assert len(batched) == len(fid)
-        for eng_row, fid_row in zip(batched, fid):
+        assert len(grouped) == len(fid)
+        for eng_row, fid_row in zip(grouped, fid):
             for field in fields(EngineRow):
                 assert getattr(fid_row, field.name) == getattr(
                     eng_row, field.name
