@@ -104,11 +104,13 @@ def _bench_engine(n_bits: int, depth: int = 3):
     return run
 
 
-def _bench_prefetch(n_bits: int, depth: int = 3):
+def _bench_prefetch(n_bits: int, depth: int = 3, policy: str = "lru"):
     """The split-transaction event-kernel path: a 3-level stack under
     exact next_k prefetching on one adder workload (demand on the
     reservation model is the engine kernel above; this one times the
-    discrete-event dispatch, movement queues, and prefetch walk)."""
+    discrete-event dispatch, movement queues, and prefetch walk).
+    ``policy="fidelity"`` times the engine's generic path, which drives
+    the real policy objects."""
     from repro.circuits.workloads import build_workload
     from repro.core.design_space import (
         ENGINE_CACHE_FACTOR,
@@ -125,7 +127,7 @@ def _bench_prefetch(n_bits: int, depth: int = 3):
     order = simulate_optimized(circuit, stack.levels[0].capacity).order
 
     def run():
-        return simulate_hierarchy_run(stack, circuit, order=order,
+        return simulate_hierarchy_run(stack, circuit, policy, order=order,
                                       prefetch="next_k")
 
     return run
@@ -615,6 +617,8 @@ def kernel_set(quick: bool):
             "mc_steane_2000_x8": _times(_bench_mc("steane", 2000), 8),
             "engine_3level_policies_512": _bench_engine(512),
             "prefetch_3level_next_k_512": _bench_prefetch(512),
+            "prefetch_3level_fidelity_next_k_512":
+                _bench_prefetch(512, policy="fidelity"),
             "sweep_store_roundtrip_x20": _bench_sweep_store(20),
             "supervised_runner_overhead": _bench_supervised_overhead(),
             "residency_accrual_overhead": _bench_residency_accrual_overhead(),
@@ -638,6 +642,8 @@ def kernel_set(quick: bool):
         "hierarchy_sweep": _bench_hierarchy_sweep(),
         "engine_3level_policies_256": _bench_engine(256),
         "prefetch_3level_next_k_512": _bench_prefetch(512),
+        "prefetch_3level_fidelity_next_k_512":
+            _bench_prefetch(512, policy="fidelity"),
         "sweep_store_roundtrip_x20": _bench_sweep_store(20),
         "supervised_runner_overhead": _bench_supervised_overhead(),
         "residency_accrual_overhead": _bench_residency_accrual_overhead(),

@@ -1,4 +1,4 @@
-"""Flattened split-transaction engine for the shipped policy set.
+"""Flattened split-transaction engine for every eviction policy.
 
 :class:`~repro.sim.levels._SplitTransactionRun` is the retained
 reference for the pipelined transfer model: an event kernel driving
@@ -15,26 +15,37 @@ This module is the compiled-down replica that
   the per-qubit movement queues hold those records directly, so a
   completed movement launches its successor without allocating a
   closure;
-* replacement state is the specialized dict-per-level machinery of
-  :mod:`repro.sim.replay` (insertion-ordered dicts, a shared
-  incremental score window, int-keyed lazy Belady heaps) extended with
-  the exclusion sets and non-destructive victim peeks prefetching
-  needs;
+* replacement state for the four policies with a specialized loop
+  (``lru``, ``fifo``, ``score``, ``belady``) is the dict-per-level
+  machinery of :mod:`repro.sim.replay` (insertion-ordered dicts, a
+  shared incremental score window, int-keyed lazy Belady heaps)
+  extended with the exclusion sets and non-destructive victim peeks
+  prefetching needs; every other registered policy (``fidelity``, and
+  any user-registered one) drives its real
+  :class:`~repro.sim.policies.EvictionPolicy` objects, calling
+  ``on_hit``/``on_insert``/``on_remove``/``victim`` exactly where the
+  reference's ``PolicyCache`` does;
 * the prefetch walk is slice-free (an epoch-stamped array replaces the
   per-call ``seen`` set), lazy for ``next_k`` (the reference walk has
   no side effects, so candidates the budget never reaches are never
   scanned), and the exactness veto reads next uses from an
   incrementally-maintained array — a candidate's next use is its own
-  walk position — instead of bisecting a ``TraceIndex``.
+  walk position — instead of bisecting a ``TraceIndex``;
+* the first veto ends a ``next_k`` walk.  This is exact, not a
+  heuristic: ``next_k`` candidates arrive in ascending trace position,
+  and the peeked victim (with its next use) stays fixed until a
+  prefetch is accepted, so once one candidate is vetoed every later
+  one is too.  ``distance`` re-ranks its candidates by depth, so it
+  keeps walking past a veto.
 
 Every kernel-schedule and queue-insertion call site mirrors the
 reference one-to-one, so the (time, seq) event order — and therefore
 every float in the result — is bit-identical.  The equivalence suite
 pins this across every (depth, policy, workload, prefetch) cell.
 
-:func:`supports_fast_split` gates dispatch: unknown (user-registered)
-policies or prefetchers fall back to the reference engine, which drives
-the real registry objects.
+:func:`supports_fast_split` gates dispatch: only user-registered
+prefetchers fall back to the reference engine, which drives the real
+registry objects.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ..circuits.circuit import Circuit
 from .levels import HierarchyEngineResult, HierarchyStack, LevelStat
+from .policies import available_policies, make_policy
 from .replay import _scan_program
 
 __all__ = ["simulate_split_fast", "supports_fast_split"]
@@ -75,7 +87,9 @@ _K_HOP, _K_WB = 0, 1
 # successor — the reference's ``_Trigger`` subscriptions, flattened
 # (each trigger ever has at most one subscriber).
 
-_FAST_POLICIES = frozenset({"belady", "fifo", "lru", "score"})
+#: Policies with hand-flattened replacement state; every other
+#: registered policy runs through its real ``EvictionPolicy`` objects.
+_SPECIALIZED_POLICIES = frozenset({"belady", "fifo", "lru", "score"})
 _FAST_PREFETCHERS = frozenset({"distance", "next_k", "none"})
 
 _SCORE_WINDOW = 256  # ScorePolicy's default lookahead
@@ -84,11 +98,13 @@ _SCORE_WINDOW = 256  # ScorePolicy's default lookahead
 def supports_fast_split(policy: str, prefetch: str) -> bool:
     """True when the flattened engine covers (policy, prefetch).
 
-    Only the shipped policies and prefetchers are specialized; any
-    user-registered extension falls back to the reference engine, which
-    drives the real registry objects.
+    Every registered policy is covered — the four shipped ones with
+    specialized replacement state, all others through their real policy
+    objects.  Only the prefetch walk is specialized: a user-registered
+    prefetcher falls back to the reference engine, which drives the
+    real registry objects.
     """
-    return policy in _FAST_POLICIES and prefetch in _FAST_PREFETCHERS
+    return prefetch in _FAST_PREFETCHERS and policy in available_policies()
 
 
 def simulate_split_fast(
@@ -148,7 +164,17 @@ def simulate_split_fast(
     orders_: List[dict] = [{} for _ in range(n_finite)]
     d0 = orders_[0]
     cap0 = caps[0]
-    refresh_on_hit = policy != "fifo"
+    # Any policy without a specialized loop drives its real policy
+    # objects; ``orders_`` then only tracks residency.
+    generic = policy not in _SPECIALIZED_POLICIES
+    pols: list = []
+    pol0 = None
+    if generic:
+        pols = [make_policy(policy) for _ in range(n_finite)]
+        for pol, cap in zip(pols, caps):
+            pol.reset(cap, trace)
+        pol0 = pols[0]
+    refresh_on_hit = not generic and policy != "fifo"
     track_nu = policy == "belady"
     keybase: Sequence[int] = ()
     qkb: List[int] = []
@@ -226,12 +252,15 @@ def simulate_split_fast(
                 heappush(h, e)
         return next(iter(d))
 
+    def victim_generic(i, vpos, excl):
+        return pols[i].victim(vpos, excl)
+
     select_victim = {
         "lru": victim_recency,
         "fifo": victim_recency,
         "score": victim_score,
         "belady": victim_belady,
-    }[policy]
+    }.get(policy, victim_generic)
 
     # --- run state ----------------------------------------------------
     location = [-1] * n_qubits
@@ -256,6 +285,7 @@ def simulate_split_fast(
     pos = 0
 
     prefetching = prefetch != "none"
+    in_order = prefetch == "next_k"  # candidates ascend in position
     next_pos: Sequence[int] = ()
     nu_now: List[int] = []
     stamp: List[int] = []
@@ -422,8 +452,12 @@ def simulate_split_fast(
             if len(d) >= caps[lvl]:
                 bumped = select_victim(lvl, pos, ())
                 del d[bumped]
+                if generic:
+                    pols[lvl].on_remove(bumped)
                 evc[lvl] += 1
             d[victim] = None
+            if generic:
+                pols[lvl].on_insert(victim, pos)
             if track_nu:
                 # The victim's cached next use carries down unchanged.
                 key = bseq + qkb[victim]
@@ -473,7 +507,7 @@ def simulate_split_fast(
         # reference walks with the round-start residency snapshot, so a
         # freshly-demoted victim is not a candidate until next gate.
         round_demoted: Optional[Set[int]] = None
-        if prefetch == "next_k":
+        if in_order:
             # Lazy walk: the reference materializes up to k candidates,
             # but scanning is side-effect-free and the pin budget stops
             # far short of k — candidates past the break never cost.
@@ -527,14 +561,27 @@ def simulate_split_fast(
                     if victim is not None:
                         victim_next = nu_now[victim]
             if victim is not None and victim_next <= cand_next:
-                continue  # exactness veto
+                # Exactness veto.  next_k candidates ascend in trace
+                # position and the victim holds until an acceptance, so
+                # every later candidate would be vetoed too.
+                if in_order:
+                    break
+                continue
             if src != bottom:
                 del orders_[src][cq]  # quiet pull: no counters
+                if generic:
+                    pols[src].on_remove(cq)
             evicted = victim
             if evicted is not None:
+                if generic:
+                    # PolicyCache.insert asks the policy again.
+                    evicted = pol0.victim(pos, exclusions)
+                    pol0.on_remove(evicted)
                 del d0[evicted]
                 evc[0] += 1
             d0[cq] = None
+            if generic:
+                pol0.on_insert(cq, pos)
             if track_nu:
                 # The candidate's next use *is* its walk position.
                 base = -cand_next * span
@@ -574,6 +621,8 @@ def simulate_split_fast(
                 if refresh_on_hit:
                     del d0[q]
                     d0[q] = None
+                elif generic:
+                    pol0.on_hit(q, pos)
                 if track_nu:
                     kb = keybase[pos]
                     qkb[q] = kb
@@ -597,6 +646,8 @@ def simulate_split_fast(
                     acc[src] += 1
                     hit[src] += 1
                     del orders_[src][q]
+                    if generic:
+                        pols[src].on_remove(q)
                 acc[0] += 1
                 mis[0] += 1
                 exclusions = set(pinned)
@@ -606,8 +657,12 @@ def simulate_split_fast(
                 if len(d0) >= cap0:
                     evicted = select_victim(0, pos, exclusions)
                     del d0[evicted]
+                    if generic:
+                        pol0.on_remove(evicted)
                     evc[0] += 1
                 d0[q] = None
+                if generic:
+                    pol0.on_insert(q, pos)
                 if track_nu:
                     kb = keybase[pos]
                     qkb[q] = kb

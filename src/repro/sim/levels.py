@@ -502,9 +502,11 @@ def simulate_hierarchy_run(
     This entry point runs the *fast* engines — the reservation model
     through :mod:`repro.sim.replay` (extract the movement trace, price
     it), the split-transaction model through
-    :mod:`repro.sim.fastsplit` (the flattened event loop) — both
-    pinned bit-identical to the retained reference implementations
-    behind :func:`simulate_hierarchy_run_audited`.
+    :mod:`repro.sim.fastsplit` (the flattened event loop, for every
+    registered policy; only a user-registered prefetcher falls back to
+    the reference) — both pinned bit-identical to the retained
+    reference implementations behind
+    :func:`simulate_hierarchy_run_audited`.
     """
     circuit = _resolve_workload(workload)
     if not circuit.gates:
@@ -528,6 +530,7 @@ def simulate_hierarchy_run(
             return simulate_split_fast(
                 stack, circuit, order, policy, prefetch, recorder=recorder
             )
+        # A user-registered prefetcher: only the reference drives it.
         run = _SplitTransactionRun(
             stack, circuit, order, circuit.operand_trace(order), policy,
             [make_policy(policy) for _ in stack.levels[:-1]], prefetch,

@@ -98,6 +98,7 @@ class TestCheckBaseline:
         )
         assert "engine_3level_policies_512" in data["kernels"]
         assert "prefetch_3level_next_k_512" in data["kernels"]
+        assert "prefetch_3level_fidelity_next_k_512" in data["kernels"]
         assert "supervised_runner_overhead" in data["kernels"]
         assert "residency_accrual_overhead" in data["kernels"]
         assert data["meta"]["calibration_s"] > 0

@@ -16,23 +16,33 @@ Two invariants carry the whole batched-sweep design:
 Plus the split-transaction pin: the flattened event loop
 (:mod:`repro.sim.fastsplit`) dispatched by ``simulate_hierarchy_run``
 is held bit-identical to the retained reference across a policy ×
-prefetcher × stack matrix.
+prefetcher × stack matrix, including test-local user-registered
+policies (run on the flattened loop) and prefetchers (run on the
+reference).
 """
 
 import random
+from collections import OrderedDict
 
 import pytest
 
 from repro.circuits.workloads import build_workload
+from repro.sim import fastsplit, policies
+from repro.sim import prefetch as prefetch_mod
 from repro.sim.cache import simulate_optimized
+from repro.sim.fastsplit import supports_fast_split
 from repro.sim.levels import (
     mixed_stack,
     simulate_hierarchy_run,
     simulate_hierarchy_run_audited,
     standard_stack,
 )
-from repro.sim.policies import available_policies
-from repro.sim.prefetch import available_prefetchers
+from repro.sim.policies import EvictionPolicy, available_policies
+from repro.sim.prefetch import (
+    NextKPrefetcher,
+    Prefetcher,
+    available_prefetchers,
+)
 from repro.sim.replay import (
     extract_movement_trace,
     price_movement_trace_batch,
@@ -213,3 +223,126 @@ class TestFastSplitEquivalence:
                 pipeline=True,
             )
             assert fast == reference
+
+
+class _MruPolicy(EvictionPolicy):
+    """Evict the most recently used unpinned resident."""
+
+    name = "test_mru"
+
+    def reset(self, capacity, trace):
+        self._order = OrderedDict()
+
+    def on_insert(self, qubit, pos):
+        self._order[qubit] = None
+
+    def on_hit(self, qubit, pos):
+        self._order.move_to_end(qubit)
+
+    def on_remove(self, qubit):
+        del self._order[qubit]
+
+    def victim(self, pos, pinned=()):
+        for qubit in reversed(self._order):
+            if qubit not in pinned:
+                return qubit
+        return next(reversed(self._order))  # unsatisfiable pin
+
+
+class _SeededRandomPolicy(_MruPolicy):
+    """Evict a seeded-random unpinned resident.  ``victim`` draws from
+    an RNG, so it is not a pure query: an engine that asks the policy
+    more or less often than the reference diverges."""
+
+    name = "test_random"
+
+    def reset(self, capacity, trace):
+        super().reset(capacity, trace)
+        self._rng = random.Random(capacity)
+
+    def victim(self, pos, pinned=()):
+        free = [q for q in self._order if q not in pinned]
+        return self._rng.choice(free or list(self._order))
+
+
+class _ReversedNextKPrefetcher(Prefetcher):
+    """The next_k candidates, farthest first."""
+
+    name = "test_reversed_next_k"
+
+    def __init__(self):
+        self._walker = NextKPrefetcher()
+
+    def reset(self, trace, index, depth):
+        super().reset(trace, index, depth)
+        self._walker.reset(trace, index, depth)
+
+    def candidates(self, pos, location):
+        return self._walker.candidates(pos, location)[::-1]
+
+
+class TestFastSplitUserExtensions:
+    """User-registered policies run on the flattened engine through
+    their real policy objects; user-registered prefetchers still take
+    the reference engine.  Registrations are test-local."""
+
+    @pytest.fixture
+    def fast_calls(self, monkeypatch):
+        for cls in (_MruPolicy, _SeededRandomPolicy):
+            monkeypatch.setitem(policies._REGISTRY, cls.name, cls)
+        monkeypatch.setitem(
+            prefetch_mod._REGISTRY, _ReversedNextKPrefetcher.name,
+            _ReversedNextKPrefetcher,
+        )
+        calls = []
+        real = fastsplit.simulate_split_fast
+
+        def spy(*args, **kwargs):
+            calls.append(args[3:5])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fastsplit, "simulate_split_fast", spy)
+        return calls
+
+    @staticmethod
+    def _pin(policy, prefetch_name):
+        circuit = build_workload("draper_adder", 48)
+        results = []
+        for stack in (
+            standard_stack("steane", 3, compute_qubits=12),
+            mixed_stack("bacon_shor", "steane", depth=3, compute_qubits=12),
+        ):
+            order = simulate_optimized(
+                circuit, stack.levels[0].capacity
+            ).order
+            fast = simulate_hierarchy_run(
+                stack, circuit, policy, order=order,
+                prefetch=prefetch_name, pipeline=True,
+            )
+            reference, _ = simulate_hierarchy_run_audited(
+                stack, circuit, policy, order=order,
+                prefetch=prefetch_name, pipeline=True,
+            )
+            assert fast == reference
+            results.append(reference)
+        return results
+
+    @pytest.mark.parametrize("policy", ["test_mru", "test_random"])
+    @pytest.mark.parametrize("prefetch_name", ["none", "next_k", "distance"])
+    def test_user_policy_runs_fastsplit(self, fast_calls, policy,
+                                        prefetch_name):
+        assert supports_fast_split(policy, prefetch_name)
+        results = self._pin(policy, prefetch_name)
+        assert fast_calls == [(policy, prefetch_name)] * 2
+        for result in results:
+            assert result.level_stats[0].evictions > 0
+            if prefetch_name != "none":
+                assert result.prefetches_issued > 0
+
+    @pytest.mark.parametrize("policy", ["lru", "test_mru"])
+    def test_user_prefetcher_takes_reference(self, fast_calls, policy):
+        name = _ReversedNextKPrefetcher.name
+        assert not supports_fast_split(policy, name)
+        results = self._pin(policy, name)
+        assert fast_calls == []
+        assert all(result.prefetches_issued > 0 for result in results)

@@ -170,9 +170,7 @@ class TestPartitionProperties:
             assert audit.residency_clamped == recorder.clamped
 
     @pytest.mark.parametrize("workload", WORKLOADS)
-    @pytest.mark.parametrize(
-        "policy", [p for p in available_policies() if supports_fast_split(p, "next_k")]
-    )
+    @pytest.mark.parametrize("policy", available_policies())
     @pytest.mark.parametrize("prefetch", ("none", "next_k"))
     def test_fastsplit_dialect(self, workload, policy, prefetch):
         circuit, order = _order(workload)
@@ -269,19 +267,21 @@ class TestDialectEquivalence:
     """Satellite 2: recorded intervals agree across the dialects."""
 
     @pytest.mark.parametrize("workload", WORKLOADS)
-    @pytest.mark.parametrize("prefetch", ("none", "next_k"))
+    @pytest.mark.parametrize("policy", available_policies())
+    @pytest.mark.parametrize("prefetch", ("none", "next_k", "distance"))
     def test_fastsplit_intervals_bit_identical_to_reference(
-        self, workload, prefetch
+        self, workload, policy, prefetch
     ):
+        assert supports_fast_split(policy, prefetch)
         circuit, order = _order(workload)
         fast_rec = ResidencyRecorder()
         fast = simulate_hierarchy_run(
-            _stack(), circuit, "lru", order=order, prefetch=prefetch,
+            _stack(), circuit, policy, order=order, prefetch=prefetch,
             pipeline=True, recorder=fast_rec,
         )
         ref_rec = ResidencyRecorder()
         ref, _ = simulate_hierarchy_run_audited(
-            _stack(), circuit, "lru", order=order, prefetch=prefetch,
+            _stack(), circuit, policy, order=order, prefetch=prefetch,
             pipeline=True, recorder=ref_rec,
         )
         assert fast == ref
