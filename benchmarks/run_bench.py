@@ -141,10 +141,12 @@ def _bench_residency_accrual_overhead(n_bits: int = 512, depth: int = 3,
     and the committed *seconds* kernels (``prefetch_3level_next_k_512``,
     ``engine_3level_policies_512``) gate that fidelity-off side against
     their unchanged baselines.  The recorded arm attaches a
-    :class:`~repro.sim.residency.ResidencyRecorder` and finishes it,
-    timing the movement log plus the interval-partition build (the
-    Monte Carlo calibration is lru_cached per (code, level) and
-    amortizes to zero across a sweep, so it is excluded).  The arms
+    :class:`~repro.sim.residency.ResidencyRecorder` and accrues it,
+    timing the movement log plus the residency walk that integrates it
+    (the Monte Carlo calibration is lru_cached per (code, level) and
+    amortizes to zero across a sweep, so a warm-up call excludes it;
+    no :class:`~repro.sim.residency.Interval` objects are built on this
+    path).  The arms
     alternate so clock drift hits both equally; the committed baseline
     pins the honest measured tax and ``OVERHEAD_SLACK`` bounds its
     drift."""
@@ -155,7 +157,7 @@ def _bench_residency_accrual_overhead(n_bits: int = 512, depth: int = 3,
     )
     from repro.sim.cache import simulate_optimized
     from repro.sim.levels import simulate_hierarchy_run, standard_stack
-    from repro.sim.residency import ResidencyRecorder
+    from repro.sim.residency import ResidencyRecorder, accrue_residency, stack_noise
 
     circuit = build_workload("draper_adder", n_bits)
     stack = standard_stack("steane", depth,
@@ -164,6 +166,7 @@ def _bench_residency_accrual_overhead(n_bits: int = 512, depth: int = 3,
     order = simulate_optimized(circuit, stack.levels[0].capacity).order
 
     def run():
+        stack_noise(stack)  # warm the lru_cached calibration
         bare = recorded = None
         for _ in range(alternations):
             t0 = time.perf_counter()
@@ -176,6 +179,7 @@ def _bench_residency_accrual_overhead(n_bits: int = 512, depth: int = 3,
             result = simulate_hierarchy_run(stack, circuit, order=order,
                                             prefetch="next_k", recorder=rec)
             rec.finish(result.total_time_s)
+            accrue_residency(rec, stack)
             elapsed = time.perf_counter() - t0
             recorded = elapsed if recorded is None else min(recorded, elapsed)
         return recorded / bare - 1.0
@@ -229,6 +233,73 @@ def _bench_engine_replay_speedup(n_bits: int = 512, depth: int = 3,
             elapsed = time.perf_counter() - t0
             fast = elapsed if fast is None else min(fast, elapsed)
         return reference / fast
+
+    return run
+
+
+def _bench_fidelity_replay_speedup(n_bits: int = 512, depth: int = 3,
+                                   alternations: int = 2):
+    """The identity-carrying trace payoff on a fidelity traffic group,
+    as a speedup ratio (per-cell event kernel / grouped replay).  The
+    group is one reservation-model cell priced over four code
+    configurations (both pure stacks and both mixed pairs).  The
+    per-cell arm runs the retained event-kernel engine with a residency
+    recorder (``simulate_hierarchy_run_audited``) and accrues each
+    configuration; the grouped arm extracts the movement trace once and
+    re-prices it per configuration with a recorder attached
+    (``price_movement_trace(..., recorder)``), then accrues — what
+    fidelity grids now do per traffic group.  Both arms record the same
+    movement log (pinned by the residency tests); machine speed cancels
+    out of the ratio, so ``SPEEDUP_FLOORS`` gates it directly."""
+    from repro.circuits.workloads import build_workload
+    from repro.core.design_space import (
+        ENGINE_CACHE_FACTOR,
+        ENGINE_COMPUTE_QUBITS,
+    )
+    from repro.sim.cache import simulate_optimized
+    from repro.sim.levels import (
+        mixed_stack,
+        simulate_hierarchy_run_audited,
+        standard_stack,
+    )
+    from repro.sim.replay import extract_movement_trace, price_movement_trace
+    from repro.sim.residency import ResidencyRecorder, accrue_residency, stack_noise
+
+    geometry = dict(compute_qubits=ENGINE_COMPUTE_QUBITS,
+                    cache_factor=ENGINE_CACHE_FACTOR)
+    stacks = [
+        standard_stack("steane", depth, **geometry),
+        standard_stack("bacon_shor", depth, **geometry),
+        mixed_stack("bacon_shor", "steane", depth, **geometry),
+        mixed_stack("steane", "bacon_shor", depth, **geometry),
+    ]
+    circuit = build_workload("draper_adder", n_bits)
+    order = simulate_optimized(circuit, stacks[0].levels[0].capacity).order
+
+    def run():
+        for stack in stacks:
+            stack_noise(stack)  # warm the lru_cached calibrations
+        percell = grouped = None
+        for _ in range(alternations):
+            t0 = time.perf_counter()
+            for stack in stacks:
+                rec = ResidencyRecorder()
+                result, _ = simulate_hierarchy_run_audited(
+                    stack, circuit, order=order, recorder=rec
+                )
+                rec.finish(result.total_time_s)
+                accrue_residency(rec, stack)
+            elapsed = time.perf_counter() - t0
+            percell = elapsed if percell is None else min(percell, elapsed)
+            t0 = time.perf_counter()
+            trace = extract_movement_trace(stacks[0], circuit, order=order)
+            for stack in stacks:
+                rec = ResidencyRecorder()
+                price_movement_trace(trace, stack, rec)
+                accrue_residency(rec, stack)
+            elapsed = time.perf_counter() - t0
+            grouped = elapsed if grouped is None else min(grouped, elapsed)
+        return percell / grouped
 
     return run
 
@@ -623,6 +694,7 @@ def kernel_set(quick: bool):
             "supervised_runner_overhead": _bench_supervised_overhead(),
             "residency_accrual_overhead": _bench_residency_accrual_overhead(),
             "engine_replay_speedup": _bench_engine_replay_speedup(512),
+            "fidelity_replay_speedup": _bench_fidelity_replay_speedup(512),
             "batched_vs_percell_codepairs_speedup":
                 _bench_batched_codepairs_speedup(),
             "batched_codepairs_scaling_overhead":
@@ -648,6 +720,7 @@ def kernel_set(quick: bool):
         "supervised_runner_overhead": _bench_supervised_overhead(),
         "residency_accrual_overhead": _bench_residency_accrual_overhead(),
         "engine_replay_speedup": _bench_engine_replay_speedup(512),
+        "fidelity_replay_speedup": _bench_fidelity_replay_speedup(512),
         "batched_vs_percell_codepairs_speedup":
             _bench_batched_codepairs_speedup(),
         "batched_codepairs_scaling_overhead":
@@ -739,13 +812,16 @@ OVERHEAD_SLACK = 0.05
 #: criteria, not baseline-relative drift limits): the replay engine
 #: must stay >= 5x the retained reference on the policy cell, the
 #: batched sweep >= 2x the per-cell path on a four-config traffic
-#: group, a warm trace cache >= 5x a cold batched sweep, and
-#: multi-group one-pass pricing >= 1.5x per-group batched pricing.
+#: group, grouped fidelity replay >= 3x per-cell recorded event-kernel
+#: runs on the same group, a warm trace cache >= 5x a cold batched
+#: sweep, and multi-group one-pass pricing >= 1.5x per-group batched
+#: pricing.
 #: Ratios are machine-independent, so the floors gate directly —
 #: falling below one means the factorization (or the cache) stopped
 #: paying for itself, whatever the baseline says.
 SPEEDUP_FLOORS = {
     "engine_replay_speedup": 5.0,
+    "fidelity_replay_speedup": 3.0,
     "batched_vs_percell_codepairs_speedup": 2.0,
     "trace_cache_warm_speedup": 5.0,
     "multi_group_pricing_speedup": 1.5,

@@ -550,23 +550,30 @@ def engine_cell(params: Mapping[str, Any]) -> EngineRow:
 #: pin), so cells differing only here share one extraction.
 ENGINE_PRICED_AXES = ("code_key", "memory_code_key", "parallel_transfers")
 
+#: Fidelity-cell axes that only re-price the noise model (the Monte
+#: Carlo calibration budget); the movement trace is invariant across
+#: them too, so fidelity and engine cells of one traffic group share
+#: one trace (and one trace-cache blob).
+FIDELITY_PRICED_AXES = ("fidelity_trials", "fidelity_seed")
+
 
 def engine_traffic_key(params: Mapping[str, Any]) -> Optional[str]:
-    """The traffic-group identity of one engine cell, or None.
+    """The traffic-group identity of one engine or fidelity cell, or None.
 
     Cells with equal traffic keys share one movement trace and may be
-    priced together by :func:`engine_batch_cell`.  Returns ``None`` for
-    cells that must run the full simulation per cell: any prefetching
-    cell runs the split-transaction model, whose traffic is
-    time-coupled (a prefetch accepted under one latency assignment can
-    be vetoed under another), so batching is bypassed there.
+    priced together by :func:`engine_batch_cell` (or recorded together
+    by :func:`fidelity_batch_cell`).  Returns ``None`` for cells that
+    must run the full simulation per cell: any prefetching cell runs
+    the split-transaction model, whose traffic is time-coupled (a
+    prefetch accepted under one latency assignment can be vetoed under
+    another), so batching is bypassed there.
     """
     if params.get("prefetch", "none") != "none":
         return None
     traffic = {
         name: value
         for name, value in params.items()
-        if name not in ENGINE_PRICED_AXES
+        if name not in ENGINE_PRICED_AXES and name not in FIDELITY_PRICED_AXES
     }
     return stable_key("engine_traffic", **traffic)
 
@@ -589,14 +596,14 @@ def _group_trace(group: Sequence[Mapping[str, Any]], trace_cache=None):
     key = engine_traffic_key(first)
     if key is None:
         raise ValueError(
-            "engine_batch_cell requires batchable cells "
+            "a traffic group requires batchable cells "
             "(prefetch='none'); got a time-coupled cell"
         )
     for params in group[1:]:
         if engine_traffic_key(params) != key:
             raise ValueError(
-                "engine_batch_cell group members must share one "
-                "traffic key (the shard planner groups by it)"
+                "traffic group members must share one traffic key "
+                "(the shard planner groups by it)"
             )
     stacks = [_engine_stack(params) for params in group]
 
@@ -639,15 +646,19 @@ def engine_batch_cell(
 
 
 @dataclass(frozen=True)
-class _EngineBatchKernel:
-    """Picklable per-group engine kernel bound to a trace-cache dir.
+class _TrafficGroupKernel:
+    """Picklable per-group kernel bound to a trace-cache dir.
 
-    Pool workers reconstruct the :class:`TraceCache` from the directory
+    ``kernel`` names the grid kernel whose group function runs
+    (``engine_cell`` or ``fidelity_cell``; looked up at call time so
+    the group functions stay patchable module attributes).  Pool
+    workers reconstruct the :class:`TraceCache` from the directory
     string on every call — the cache object itself holds a lock and is
     not picklable, and per-call construction keeps the durable
     ``stats.json`` tally correct across processes.
     """
 
+    kernel: str = "engine_cell"
     trace_cache_dir: Optional[str] = None
 
     def _cache(self):
@@ -658,29 +669,37 @@ class _EngineBatchKernel:
         return TraceCache(self.trace_cache_dir)
 
     def __call__(self, group: Sequence[Mapping[str, Any]]) -> List[EngineRow]:
-        return engine_batch_cell(group, trace_cache=self._cache())
+        fn = engine_batch_cell if self.kernel == "engine_cell" else fidelity_batch_cell
+        return fn(group, trace_cache=self._cache())
 
 
-def engine_batch_spec(trace_cache=None):
-    """The engine grid's :class:`repro.sweep.runner.BatchSpec`.
+def engine_batch_spec(trace_cache=None, kernel: str = "engine_cell"):
+    """The engine (or fidelity) grid's :class:`repro.sweep.runner.BatchSpec`.
 
     :func:`repro.sweep.runner.compute_grid` takes it on its own for
-    engine grids (through :func:`repro.sweep.runner.kernel_batch_spec`):
-    cells sharing one :func:`engine_traffic_key` run as one group, one
-    extraction re-priced per member by :func:`engine_batch_cell`.
+    engine and fidelity grids (through
+    :func:`repro.sweep.runner.kernel_batch_spec`): cells sharing one
+    :func:`engine_traffic_key` run as one group — one extraction
+    re-priced per member by :func:`engine_batch_cell`, or re-priced
+    with a residency recorder and accrued per member by
+    :func:`fidelity_batch_cell` when ``kernel="fidelity_cell"``.
 
     ``trace_cache`` (anything
     :func:`repro.perf.tracecache.resolve_trace_cache` accepts) makes
-    every group's movement trace a durable shared artifact: a warm
-    cache turns repeated and resumed sweeps into pure pricing runs with
-    zero traffic simulation.
+    every group's movement trace a durable shared artifact, shared by
+    both kernels: a warm cache turns repeated and resumed sweeps into
+    pure pricing runs with zero traffic simulation.
     """
     from ..perf.tracecache import resolve_trace_cache
     from ..sweep.runner import BatchSpec
 
+    if kernel not in ("engine_cell", "fidelity_cell"):
+        raise ValueError(f"kernel {kernel!r} has no traffic groups")
     resolved = resolve_trace_cache(trace_cache)
     directory = None if resolved is None else str(resolved.directory)
-    return BatchSpec(group_key=engine_traffic_key, fn=_EngineBatchKernel(directory))
+    return BatchSpec(
+        group_key=engine_traffic_key, fn=_TrafficGroupKernel(kernel, directory)
+    )
 
 
 def _normalize_code_pairs(
@@ -817,9 +836,10 @@ def engine_sweep(
     its breakdown) under a distinct memo key and grid kernel
     (``fidelity_cell``).  ``fidelity=None`` leaves the sweep —
     including its memo key and store records — byte-identical to a
-    pre-fidelity build.  Fidelity cells simulate per cell (the movement
-    trace has no qubit identities to record residency from), so they
-    neither group nor read the trace cache.
+    pre-fidelity build.  Fidelity cells group by the same traffic key
+    (see :func:`fidelity_batch_cell`): the movement trace carries qubit
+    identities, so one extraction — or one trace-cache load, shared
+    with the engine grid — serves every member's residency recording.
     """
     if policies is None:
         from ..sim.policies import available_policies
@@ -928,6 +948,11 @@ def fidelity_cell(params: Mapping[str, Any]) -> FidelityRow:
         prefetch=params["prefetch"],
         trials=params["fidelity_trials"], seed=params["fidelity_seed"],
     )
+    return _fidelity_row(params, run, fid)
+
+
+def _fidelity_row(params: Mapping[str, Any], run, fid) -> FidelityRow:
+    """Fold one recorded run and its accrual into a fidelity row."""
     return FidelityRow(
         **asdict(_engine_row(params, run)),
         fidelity_trials=params["fidelity_trials"],
@@ -936,6 +961,37 @@ def fidelity_cell(params: Mapping[str, Any]) -> FidelityRow:
         level_errors=fid.level_errors,
         transit_error=fid.transit_error,
     )
+
+
+def fidelity_batch_cell(
+    group: Sequence[Mapping[str, Any]], trace_cache=None
+) -> List[FidelityRow]:
+    """Rows for one traffic group of fidelity cells, from one extraction.
+
+    The group's movement trace (extracted once, or loaded from
+    ``trace_cache`` — the same blob the engine grid's group uses) is
+    re-priced per member with a
+    :class:`~repro.sim.residency.ResidencyRecorder` attached: the
+    pricer emits exactly the reservation engine's movement records, so
+    each row is bit-identical to :func:`fidelity_cell` on the same
+    parameters.  A member whose residency walk counts a source-level
+    mismatch raises, failing (and under supervision quarantining) the
+    group.  Module-level so worker processes can pickle it.
+    """
+    from ..sim.replay import price_movement_trace
+    from ..sim.residency import ResidencyRecorder, accrue_residency
+
+    trace, stacks = _group_trace(group, trace_cache)
+    rows = []
+    for params, stack in zip(group, stacks):
+        recorder = ResidencyRecorder()
+        run = price_movement_trace(trace, stack, recorder)
+        fid = accrue_residency(
+            recorder, stack,
+            trials=params["fidelity_trials"], seed=params["fidelity_seed"],
+        )
+        rows.append(_fidelity_row(params, run, fid))
+    return rows
 
 
 def fidelity_grid(

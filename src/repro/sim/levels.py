@@ -493,11 +493,10 @@ def simulate_hierarchy_run(
     and pass it as ``order`` to skip redundant scheduling runs.
 
     ``recorder`` (a :class:`~repro.sim.residency.ResidencyRecorder`)
-    observes per-qubit residency intervals; with one attached the
-    reservation model runs the event-kernel engine instead of the
-    replay pricer (its makespan is pinned bit-identical), and every
-    returned float is unchanged — recording never touches engine
-    arithmetic.
+    observes per-qubit residency intervals in every dialect — the
+    reservation model's replay pricer emits the same records as the
+    event-kernel engine — and every returned float is unchanged:
+    recording never touches engine arithmetic.
 
     This entry point runs the *fast* engines — the reservation model
     through :mod:`repro.sim.replay` (extract the movement trace, price
@@ -537,19 +536,10 @@ def simulate_hierarchy_run(
             recorder=recorder,
         )
         return run.run()[0]
-    if recorder is not None:
-        # The movement trace has no qubit identities, so a recorded
-        # reservation run goes through the event-kernel engine (its
-        # makespan is pinned bit-identical to the replay pricer).
-        return _run_reservation(
-            stack, circuit, order, circuit.operand_trace(order), policy,
-            [make_policy(policy) for _ in stack.levels[:-1]],
-            recorder=recorder,
-        )[0]
     from .replay import _extract, _scan_program, price_movement_trace
 
     movement = _extract(stack, circuit, policy, _scan_program(circuit, order))
-    return price_movement_trace(movement, stack)
+    return price_movement_trace(movement, stack, recorder)
 
 
 def simulate_hierarchy_run_audited(

@@ -11,12 +11,15 @@ module exploits it:
 * :func:`extract_movement_trace` runs the cache machinery **once** per
   (workload, depth, policy) group and records a code-agnostic
   :class:`MovementTrace` — per-gate miss records ``(source level,
-  evicted?, cascade length)`` plus every traffic counter;
+  qubit, victim, cascade length)``, the cascade's bumped qubits, plus
+  every traffic counter;
 * :func:`price_movement_trace` replays that trace against one concrete
   :class:`~repro.sim.levels.HierarchyStack`, reproducing the greedy
   port-reservation arithmetic float-for-float, so its
   :class:`~repro.sim.levels.HierarchyEngineResult` is bit-identical to
-  a fresh :func:`~repro.sim.levels.simulate_hierarchy_run`;
+  the reservation engine's; the trace carries qubit identities, so an
+  attached :class:`~repro.sim.residency.ResidencyRecorder` receives the
+  engine's residency records hop for hop;
 * :func:`price_movement_trace_batch` prices the trace across **many**
   stacks at once — scalar per config below
   :data:`BATCH_NUMPY_THRESHOLD` configs, a vectorized numpy pass (one
@@ -103,7 +106,7 @@ MULTI_NUMPY_THRESHOLD = 24
 #: Folded into every :func:`trace_key`, so a layout change invalidates
 #: persisted traces (a cache miss and re-extraction) instead of ever
 #: decoding them under the wrong schema.
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -208,13 +211,17 @@ def _scan_program(circuit: Circuit, order: Sequence[int]) -> _ScanProgram:
 class MovementTrace:
     """The code-agnostic traffic of one reservation-model run.
 
-    Every miss is three small integers — the level the operand was
-    found at (``miss_src``), whether the compute-level insertion
-    evicted a resident (``miss_evict``), and how many cascade
-    write-backs rippled down the stack (``miss_clen``) — grouped per
-    scheduled gate by ``gate_nmiss``.  Together with the per-gate EC
-    durations this is *everything* the time model consumes: the
-    re-pricer never needs qubit identities, and every cache counter is
+    Every miss is a few small integers — the level the operand was
+    found at (``miss_src``), the missing qubit (``miss_qubit``), the
+    resident the compute-level insertion evicted (``miss_victim``, -1
+    when nothing was evicted), and how many cascade write-backs
+    rippled down the stack (``miss_clen``) — grouped per scheduled gate
+    by ``gate_nmiss``.  ``cascade_qubit`` lists the qubit bumped at
+    each cascade level, all misses' cascades concatenated in scan
+    order, and ``touched`` is the run's touched-qubit order.  Together
+    with the per-gate EC durations this is *everything* the time model
+    consumes, and the identities are everything a residency recorder
+    needs (see :func:`price_movement_trace`); every cache counter is
     already final (replacement never observes time).
     """
 
@@ -225,8 +232,11 @@ class MovementTrace:
     gate_ec: Tuple[int, ...]
     gate_nmiss: Tuple[int, ...]
     miss_src: Tuple[int, ...]
-    miss_evict: Tuple[int, ...]
+    miss_qubit: Tuple[int, ...]
+    miss_victim: Tuple[int, ...]
     miss_clen: Tuple[int, ...]
+    cascade_qubit: Tuple[int, ...]
+    touched: Tuple[int, ...]
     fetches: Tuple[int, ...]
     writebacks: Tuple[int, ...]
     bottom_hits: int
@@ -252,8 +262,11 @@ class MovementTrace:
             "gate_ec": list(self.gate_ec),
             "gate_nmiss": list(self.gate_nmiss),
             "miss_src": list(self.miss_src),
-            "miss_evict": list(self.miss_evict),
+            "miss_qubit": list(self.miss_qubit),
+            "miss_victim": list(self.miss_victim),
             "miss_clen": list(self.miss_clen),
+            "cascade_qubit": list(self.cascade_qubit),
+            "touched": list(self.touched),
             "fetches": list(self.fetches),
             "writebacks": list(self.writebacks),
             "bottom_hits": self.bottom_hits,
@@ -286,8 +299,9 @@ class MovementTrace:
         if not isinstance(payload, dict):
             raise ValueError("not a serialized MovementTrace: not an object")
         tuple_fields = (
-            "capacities", "gate_ec", "gate_nmiss", "miss_src", "miss_evict",
-            "miss_clen", "fetches", "writebacks", "level_accesses",
+            "capacities", "gate_ec", "gate_nmiss", "miss_src", "miss_qubit",
+            "miss_victim", "miss_clen", "cascade_qubit", "touched",
+            "fetches", "writebacks", "level_accesses",
             "level_hits", "level_misses", "level_evictions",
             "final_occupancy",
         )
@@ -386,50 +400,6 @@ def _extract(
     return _extract_generic(stack, circuit, policy, program)
 
 
-def _trace_from_state(
-    stack: HierarchyStack,
-    circuit: Circuit,
-    policy: str,
-    program: _ScanProgram,
-    gate_nmiss: List[int],
-    miss_src: List[int],
-    miss_evict: List[int],
-    miss_clen: List[int],
-    fetches: List[int],
-    writebacks: List[int],
-    bottom_hits: int,
-    accesses: List[int],
-    hits: List[int],
-    misses: List[int],
-    evictions: List[int],
-    location: Dict[int, int],
-) -> MovementTrace:
-    """Assemble the :class:`MovementTrace` from an extraction's state."""
-    occupancy = [0] * stack.depth
-    for lvl in location.values():
-        occupancy[lvl] += 1
-    return MovementTrace(
-        workload=circuit.name or f"circuit-{circuit.n_qubits}q",
-        policy=policy,
-        depth=stack.depth,
-        capacities=tuple(level.capacity for level in stack.levels),
-        gate_ec=program.gate_ec_tuple,
-        gate_nmiss=tuple(gate_nmiss),
-        miss_src=tuple(miss_src),
-        miss_evict=tuple(miss_evict),
-        miss_clen=tuple(miss_clen),
-        fetches=tuple(fetches),
-        writebacks=tuple(writebacks),
-        bottom_hits=bottom_hits,
-        level_accesses=tuple(accesses),
-        level_hits=tuple(hits),
-        level_misses=tuple(misses),
-        level_evictions=tuple(evictions),
-        final_occupancy=tuple(occupancy),
-        total_ec=program.total_ec,
-    )
-
-
 def _extract_specialized(
     stack: HierarchyStack,
     circuit: Circuit,
@@ -449,10 +419,10 @@ def _extract_specialized(
     would have been a demand access pulling it up — so cached next
     uses stay exact all the way down the stack).
 
-    The loop records only the per-miss ``(src, evicted, cascade)``
-    triples; every access/hit/traffic counter is derived from them
-    afterwards (see :func:`_trace_from_misses`), which keeps counter
-    bookkeeping entirely out of the hot path.
+    The loop records only the per-miss ``(src, qubit, victim,
+    cascade)`` records; every access/hit/traffic counter is derived
+    from them afterwards (see :func:`_trace_from_misses`), which keeps
+    counter bookkeeping entirely out of the hot path.
     """
     bottom = stack.depth - 1
     caps = [level.capacity for level in stack.levels[:-1]]
@@ -585,12 +555,16 @@ def _extract_specialized(
         location[q] = bottom
     gate_nmiss: List[int] = []
     miss_src: List[int] = []
-    miss_evict: List[int] = []
+    miss_qubit: List[int] = []
+    miss_victim: List[int] = []
     miss_clen: List[int] = []
+    cascade_qubit: List[int] = []
     append_nmiss = gate_nmiss.append
     append_src = miss_src.append
-    append_evict = miss_evict.append
+    append_qubit = miss_qubit.append
+    append_victim = miss_victim.append
     append_clen = miss_clen.append
+    append_cascade = cascade_qubit.append
     d0 = orders[0]
     cap0 = caps[0]
     h0 = bheaps[0]
@@ -619,7 +593,7 @@ def _extract_specialized(
                     continue
                 if src != bottom:
                     del orders[src][q]
-                evicted = None
+                evicted = -1
                 if len(d0) >= cap0:
                     # The operands already issued for this gate are
                     # pinned (they cannot be teleported away mid-gate).
@@ -634,7 +608,7 @@ def _extract_specialized(
                 bseq += 1
                 location[q] = 0
                 clen = 0
-                if evicted is not None:
+                if evicted >= 0:
                     location[evicted] = 1
                     victim = evicted
                     lvl = 1
@@ -654,11 +628,13 @@ def _extract_specialized(
                         if bumped is None:
                             break
                         location[bumped] = lvl + 1
+                        append_cascade(bumped)
                         victim = bumped
                         lvl += 1
                         clen += 1
                 append_src(src)
-                append_evict(1 if evicted is not None else 0)
+                append_qubit(q)
+                append_victim(evicted)
                 append_clen(clen)
                 nmiss += 1
                 j += 1
@@ -680,7 +656,7 @@ def _extract_specialized(
                     continue
                 if src != bottom:
                     del orders[src][q]
-                evicted = None
+                evicted = -1
                 if len(d0) >= cap0:
                     # The operands already issued for this gate are
                     # pinned (they cannot be teleported away mid-gate).
@@ -689,7 +665,7 @@ def _extract_specialized(
                 d0[q] = None
                 location[q] = 0
                 clen = 0
-                if evicted is not None:
+                if evicted >= 0:
                     location[evicted] = 1
                     victim = evicted
                     lvl = 1
@@ -703,30 +679,22 @@ def _extract_specialized(
                         if bumped is None:
                             break
                         location[bumped] = lvl + 1
+                        append_cascade(bumped)
                         victim = bumped
                         lvl += 1
                         clen += 1
                 append_src(src)
-                append_evict(1 if evicted is not None else 0)
+                append_qubit(q)
+                append_victim(evicted)
                 append_clen(clen)
                 nmiss += 1
                 j += 1
                 pos += 1
             append_nmiss(nmiss)
 
-    occupancy = [0] * stack.depth
-    for q in program.touched:
-        occupancy[location[q]] += 1
     return _trace_from_misses(
-        stack,
-        circuit,
-        policy,
-        program,
-        gate_nmiss,
-        miss_src,
-        miss_evict,
-        miss_clen,
-        occupancy,
+        stack, circuit, policy, program, gate_nmiss, miss_src, miss_qubit,
+        miss_victim, miss_clen, cascade_qubit, location,
     )
 
 
@@ -737,9 +705,11 @@ def _trace_from_misses(
     program: _ScanProgram,
     gate_nmiss: List[int],
     miss_src: List[int],
-    miss_evict: List[int],
+    miss_qubit: List[int],
+    miss_victim: List[int],
     miss_clen: List[int],
-    occupancy: List[int],
+    cascade_qubit: List[int],
+    location: Sequence[int],
 ) -> MovementTrace:
     """Derive every traffic counter from the per-miss records.
 
@@ -751,7 +721,8 @@ def _trace_from_misses(
     through levels ``1..clen`` — which also pins ``evictions[k] ==
     writebacks[k]`` for ``k >= 1`` and ``evictions[0] ==
     writebacks[0]`` (every compute-level eviction pairs with exactly
-    one write-back).
+    one write-back).  ``location`` maps each qubit to its final level
+    (indexed by qubit id; only touched qubits are read).
     """
     bottom = stack.depth - 1
     n_finite = bottom
@@ -762,7 +733,7 @@ def _trace_from_misses(
     clen_count = [0] * (bottom + 1)
     for c, cnt in Counter(miss_clen).items():
         clen_count[c] = cnt
-    evicted0 = sum(miss_evict)
+    evicted0 = n_misses - miss_victim.count(-1)
     accesses = [0] * n_finite
     hits = [0] * n_finite
     misses = [0] * n_finite
@@ -786,6 +757,9 @@ def _trace_from_misses(
         bumped = sum(clen_count[k:])
         writebacks[k] = bumped
         evictions[k] = bumped
+    occupancy = [0] * stack.depth
+    for q in program.touched:
+        occupancy[location[q]] += 1
     return MovementTrace(
         workload=circuit.name or f"circuit-{circuit.n_qubits}q",
         policy=policy,
@@ -794,8 +768,11 @@ def _trace_from_misses(
         gate_ec=program.gate_ec_tuple,
         gate_nmiss=tuple(gate_nmiss),
         miss_src=tuple(miss_src),
-        miss_evict=tuple(miss_evict),
+        miss_qubit=tuple(miss_qubit),
+        miss_victim=tuple(miss_victim),
         miss_clen=tuple(miss_clen),
+        cascade_qubit=tuple(cascade_qubit),
+        touched=tuple(program.touched),
         fetches=tuple(fetches),
         writebacks=tuple(writebacks),
         bottom_hits=src_count[bottom],
@@ -816,22 +793,21 @@ def _extract_generic(
 ) -> MovementTrace:
     """Extraction through the real policy objects (any registered
     policy).  Identical event stream to ``_run_reservation`` with the
-    port arithmetic deleted."""
+    port arithmetic deleted; the counters derive from the miss records
+    exactly as in the specialized loop."""
     bottom = stack.depth - 1
     trace = program.trace
     caches = [
         PolicyCache(level.capacity, make_policy(policy), trace)
         for level in stack.levels[:-1]
     ]
-    n_finite = len(caches)
-    fetches = [0] * n_finite
-    writebacks = [0] * n_finite
-    bottom_hits = 0
     location = {q: bottom for q in program.touched}
     gate_nmiss: List[int] = []
     miss_src: List[int] = []
-    miss_evict: List[int] = []
+    miss_qubit: List[int] = []
+    miss_victim: List[int] = []
     miss_clen: List[int] = []
+    cascade_qubit: List[int] = []
     pos = 0
     for qubits in program.gate_qubits:
         nmiss = 0
@@ -843,21 +819,13 @@ def _extract_generic(
                 issued.add(q)
                 pos += 1
                 continue
-            for k in range(1, src):
-                caches[k].record_miss()
-            if src == bottom:
-                bottom_hits += 1
-            else:
+            if src != bottom:
                 caches[src].lookup_remove(q, pos)
-            for k in range(src - 1, 0, -1):
-                fetches[k] += 1
             _, evicted = caches[0].access_evicting(q, pos, issued)
             location[q] = 0
             issued.add(q)
-            fetches[0] += 1
             clen = 0
             if evicted is not None:
-                writebacks[0] += 1
                 location[evicted] = 1
                 victim = evicted
                 lvl = 1
@@ -865,36 +833,22 @@ def _extract_generic(
                     bumped = caches[lvl].insert(victim, pos)
                     if bumped is None:
                         break
-                    writebacks[lvl] += 1
                     location[bumped] = lvl + 1
+                    cascade_qubit.append(bumped)
                     victim = bumped
                     lvl += 1
                     clen += 1
             miss_src.append(src)
-            miss_evict.append(1 if evicted is not None else 0)
+            miss_qubit.append(q)
+            miss_victim.append(-1 if evicted is None else evicted)
             miss_clen.append(clen)
             nmiss += 1
             pos += 1
         gate_nmiss.append(nmiss)
 
-    stats = [cache.stats for cache in caches]
-    return _trace_from_state(
-        stack,
-        circuit,
-        policy,
-        program,
-        gate_nmiss,
-        miss_src,
-        miss_evict,
-        miss_clen,
-        fetches,
-        writebacks,
-        bottom_hits,
-        [s.accesses for s in stats],
-        [s.hits for s in stats],
-        [s.misses for s in stats],
-        [s.evictions for s in stats],
-        location,
+    return _trace_from_misses(
+        stack, circuit, policy, program, gate_nmiss, miss_src, miss_qubit,
+        miss_victim, miss_clen, cascade_qubit, location,
     )
 
 
@@ -917,7 +871,7 @@ def _check_geometry(trace: MovementTrace, stack: HierarchyStack) -> None:
 
 
 def price_movement_trace(
-    trace: MovementTrace, stack: HierarchyStack
+    trace: MovementTrace, stack: HierarchyStack, recorder=None
 ) -> HierarchyEngineResult:
     """Replay ``trace`` against one stack's codes and port widths.
 
@@ -926,8 +880,15 @@ def price_movement_trace(
     lane/version entries only tie-break equal floats, which are
     interchangeable), ``start = max(free, ready)``, lanes held through
     ``start + duration + hold``.  Every output float is bit-identical
-    to :func:`~repro.sim.levels.simulate_hierarchy_run` on the same
-    cell.
+    to the reservation engine on the same cell.
+
+    ``recorder`` (a :class:`~repro.sim.residency.ResidencyRecorder`)
+    receives ``begin`` with the touched qubits at the backing store,
+    one ``transfer`` per hop — the fetch hops of each missing qubit,
+    its compute-level arrival, the paired write-back of its victim and
+    every cascade bump, in exactly the order (and with exactly the
+    floats) the reservation engine emits them — and ``finish`` with
+    the makespan.  Recording never touches the arithmetic.
     """
     _check_geometry(trace, stack)
     networks = stack.networks()
@@ -939,7 +900,15 @@ def price_movement_trace(
     d0 = demote[0]
     p0 = promote[0]
     h0 = heaps[0]
-    misses = zip(trace.miss_src, trace.miss_evict, trace.miss_clen)
+    rec = None
+    if recorder is not None:
+        bottom = trace.depth - 1
+        recorder.begin({q: bottom for q in trace.touched})
+        rec = recorder.transfer
+        miss_qubit = trace.miss_qubit
+        cascade_qubit = trace.cascade_qubit
+        mi = ci = 0
+    misses = zip(trace.miss_src, trace.miss_victim, trace.miss_clen)
     next_miss = misses.__next__
     compute_free = 0.0
     transfer_wait = 0.0
@@ -954,14 +923,15 @@ def price_movement_trace(
             continue
         arrivals = 0.0
         for _ in range(nmiss):
-            src, ev, clen = next_miss()
+            src, victim, clen = next_miss()
             prev = 0.0
             if src > 1:
                 # Depth 3 dominates real grids: unroll its single hop.
                 if src == 2:
                     h = heaps[1]
                     free = h[0]
-                    prev = (free if free > 0.0 else 0.0) + demote[1]
+                    hop = free if free > 0.0 else 0.0
+                    prev = hop + demote[1]
                     heapreplace(h, prev)
                 else:
                     for k in range(src - 1, 0, -1):
@@ -970,10 +940,20 @@ def price_movement_trace(
                         start = free if free > prev else prev
                         prev = start + demote[k]
                         heapreplace(h, prev)
+                        if rec is not None:
+                            rec(miss_qubit[mi], k + 1, k, start, prev, k)
             free = h0[0]
             start = free if free > prev else prev
             arrival = start + d0
-            if ev:
+            if rec is not None:
+                q = miss_qubit[mi]
+                mi += 1
+                if src == 2:
+                    rec(q, 2, 1, hop, prev, 1)
+                rec(q, 1, 0, start, arrival, 0)
+                if victim >= 0:
+                    rec(victim, 0, 1, arrival, arrival + p0, 0)
+            if victim >= 0:
                 # The paired write-back holds the arrival port
                 # (busy = start + demote + promote = arrival + promote,
                 # matching the reference's left-associated sum).
@@ -983,7 +963,11 @@ def price_movement_trace(
                     h = heaps[1]
                     free = h[0]
                     start2 = free if free > available else available
-                    heapreplace(h, start2 + promote[1])
+                    available = start2 + promote[1]
+                    heapreplace(h, available)
+                    if rec is not None:
+                        rec(cascade_qubit[ci], 1, 2, start2, available, 1)
+                        ci += 1
                 elif clen:
                     for lvl in range(1, clen + 1):
                         h = heaps[lvl]
@@ -991,6 +975,10 @@ def price_movement_trace(
                         start2 = free if free > available else available
                         available = start2 + promote[lvl]
                         heapreplace(h, available)
+                        if rec is not None:
+                            rec(cascade_qubit[ci], lvl, lvl + 1, start2,
+                                available, lvl)
+                            ci += 1
             else:
                 heapreplace(h0, arrival)
             if arrival > arrivals:
@@ -1000,6 +988,8 @@ def price_movement_trace(
             transfer_wait += arrivals - compute_free
         compute_free = start + duration
 
+    if recorder is not None:
+        recorder.finish(compute_free)
     return _result_from_trace(trace, stack, compute_free, compute_time, transfer_wait)
 
 
@@ -1130,14 +1120,14 @@ def _price_batch_numpy(
     transfer_wait = np.zeros(n_cfg)
     compute_time = np.zeros(n_cfg)
     msrc = trace.miss_src
-    mev = trace.miss_evict
+    mvic = trace.miss_victim
     mcl = trace.miss_clen
     mi = 0
     for ec, nmiss in zip(trace.gate_ec, trace.gate_nmiss):
         arrivals = zero
         for _ in range(nmiss):
             src = msrc[mi]
-            ev = mev[mi]
+            ev = mvic[mi] >= 0
             clen = mcl[mi]
             mi += 1
             prev = zero
@@ -1290,7 +1280,7 @@ def _price_multi_numpy(
         # evcl = evict + clen (evict in {0,1}, so evcl == 0 iff no
         # eviction, and the cascade reached level lvl iff
         # evcl - 1 >= lvl).
-        evict = np.asarray(trace.miss_evict, dtype=np.int64)
+        evict = (np.asarray(trace.miss_victim, dtype=np.int64) >= 0).astype(np.int64)
         evcl_g[:n_miss, g] = evict + np.asarray(trace.miss_clen, dtype=np.int64)
         ec_g[: len(trace.gate_ec), g] = trace.gate_ec
     # Expand the per-group streams to per-column matrices once, so the

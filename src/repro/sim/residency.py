@@ -1,19 +1,21 @@
 """Noise-aware residency: per-qubit intervals + logical-error accrual.
 
 The engine prices *time*; this module prices *fidelity* on top of it.
-Every engine dialect (the reservation model, the split-transaction
-reference, and the flattened :mod:`repro.sim.fastsplit` engine) accepts
-an optional :class:`ResidencyRecorder` that observes each qubit's
-movements: where it starts, every hop it takes across a boundary
-network, and when the run's horizon closes.  :meth:`ResidencyRecorder.
-finish` turns that movement log into per-qubit *residency intervals* —
-an exact partition of ``[0, horizon]`` into level-tagged parked spans
-and network-tagged in-flight spans — and :func:`accrue_residency`
-integrates those intervals against per-level error rates derived from
-each level's concatenated code, calibrated by the ECC Monte Carlo
-(:mod:`repro.ecc.montecarlo`).  The result is a ``(makespan_s,
-logical_error)`` pair with a per-level breakdown
-(:class:`FidelityResult`), surfaced in one call through
+Every engine dialect (the reservation model's movement-trace replay,
+the split-transaction reference, and the flattened
+:mod:`repro.sim.fastsplit` engine) accepts an optional
+:class:`ResidencyRecorder` that observes each qubit's movements: where
+it starts, every hop it takes across a boundary network, and when the
+run's horizon closes.  :meth:`ResidencyRecorder.walk` turns that
+movement log into per-qubit *residency spans* — an exact partition of
+``[0, horizon]`` into level-tagged parked spans and network-tagged
+in-flight spans — and :func:`accrue_residency` integrates them on the
+fly against per-level error rates derived from each level's
+concatenated code, calibrated by the ECC Monte Carlo
+(:mod:`repro.ecc.montecarlo`); the same walk materializes
+``ResidencyRecorder.intervals`` lazily for tests and audits.  The
+result is a ``(makespan_s, logical_error)`` pair with a per-level
+breakdown (:class:`FidelityResult`), surfaced in one call through
 :func:`simulate_fidelity_run`.
 
 Interval semantics per dialect
@@ -22,14 +24,17 @@ Interval semantics per dialect
 * **Split-transaction / fastsplit**: each qubit's transfers complete in
   per-qubit causal order (the movement queues serialize them), so the
   recorded intervals are exact and ``clamped == 0``.
-* **Reservation model**: ports are greedily reserved at *scan* time, so
-  a later movement of a qubit can be booked at an earlier port slot
-  than its previous arrival.  The recorder monotonizes by
-  clamp-truncation — the inverted span is charged to the level the
-  qubit was parked at, the transit span shrinks (possibly to zero), and
-  ``clamped`` counts the events.  The partition invariant holds exactly
-  in every dialect; clamping only ever *under*-charges a little transit
-  time in the reservation dialect's scan-time approximation.
+* **Reservation model**: recorded by replaying the identity-carrying
+  movement trace (:func:`repro.sim.replay.price_movement_trace` with a
+  recorder emits the event-kernel engine's records hop for hop).  Ports
+  are greedily reserved at *scan* time, so a later movement of a qubit
+  can be booked at an earlier port slot than its previous arrival.  The
+  walk monotonizes by clamp-truncation — the inverted span is charged
+  to the level the qubit was parked at, the transit span shrinks
+  (possibly to zero), and ``clamped`` counts the events.  The partition
+  invariant holds exactly in every dialect; clamping only ever
+  *under*-charges a little transit time in the reservation dialect's
+  scan-time approximation.
 
 Noise derivation
 ----------------
@@ -94,9 +99,12 @@ class ResidencyRecorder:
 
     Engines call :meth:`begin` with the initial location map, then
     :meth:`transfer` once per completed hop, then :meth:`finish` with
-    the makespan.  ``finish`` builds ``intervals`` — for every touched
-    qubit, an exact partition of ``[0, horizon]`` (see the module
-    docstring for the per-dialect clamp semantics).
+    the makespan.  :meth:`walk` turns the per-qubit record streams into
+    residency spans — for every touched qubit, an exact partition of
+    ``[0, horizon]`` (see the module docstring for the per-dialect
+    clamp semantics) — integrated on the fly; ``intervals`` is the same
+    walk materialized as :class:`Interval` lists, built lazily for
+    tests and audits.
     """
 
     def __init__(self) -> None:
@@ -106,13 +114,9 @@ class ResidencyRecorder:
         self._finished = False
         self.makespan = 0.0
         self.horizon = 0.0
-        #: Reservation-dialect time inversions, monotonized away.
-        self.clamped = 0
-        #: Records whose source level disagreed with the tracked
-        #: location — an engine accounting bug; must stay 0 everywhere.
-        self.mismatches = 0
-        self.intervals: Dict[int, List[Interval]] = {}
-        self.final_level: Dict[int, int] = {}
+        #: (clamped, mismatches, final_level) of the last walk.
+        self._walked: Optional[Tuple[int, int, Dict[int, int]]] = None
+        self._intervals: Optional[Dict[int, List[Interval]]] = None
 
     def begin(self, locations: Mapping[int, int]) -> None:
         """Record where every touched qubit starts (engine-called)."""
@@ -126,7 +130,8 @@ class ResidencyRecorder:
         self.records.append((qubit, src, dst, start, end, net))
 
     def finish(self, makespan: float) -> "ResidencyRecorder":
-        """Close the run and build the per-qubit interval partitions.
+        """Close the run: the horizon is the makespan or the last hop's
+        completion, whichever is later.
 
         Idempotent: a second call is a no-op (engines may finish a
         recorder that a wrapper also finishes defensively).
@@ -135,40 +140,112 @@ class ResidencyRecorder:
             return self
         self._finished = True
         self.makespan = makespan
-        horizon = makespan
+        self.horizon = max(
+            makespan, max((rec[4] for rec in self.records), default=makespan)
+        )
+        return self
+
+    def walk(
+        self,
+        level_rates: Sequence[float],
+        transit_rates: Sequence[float],
+        timelines: Optional[Dict[int, List[Interval]]] = None,
+    ) -> Tuple[List[float], float]:
+        """Integrate every qubit's residency spans; the clamp lives here.
+
+        Walks each touched qubit's record stream in ``begin`` order
+        (qubit-major, each stream chronological in emission order),
+        charging parked spans ``duration * level_rates[level]`` and
+        in-flight spans ``duration * transit_rates[net]``; returns the
+        per-level exponents and the summed transit exponent.  A record
+        booked before the qubit's previous arrival is clamp-truncated
+        (counted in :attr:`clamped`), a record whose source level
+        disagrees with the tracked location is counted in
+        :attr:`mismatches`.  ``timelines`` (a dict) also receives each
+        qubit's spans as :class:`Interval` lists.
+        """
+        if not self._finished:
+            raise RuntimeError("walk() before finish()")
+        streams: Dict[int, List[Tuple[int, int, int, float, float, int]]]
+        streams = {q: [] for q in self._initial}
         for rec in self.records:
-            if rec[4] > horizon:
-                horizon = rec[4]
-        self.horizon = horizon
-        per_qubit: Dict[int, List[Tuple[int, int, int, float, float, int]]]
-        per_qubit = {q: [] for q in self._initial}
-        for rec in self.records:
-            per_qubit[rec[0]].append(rec)
-        for q, level in self._initial.items():
-            timeline: List[Interval] = []
+            streams[rec[0]].append(rec)
+        horizon = self.horizon
+        level_exp = [0.0] * len(level_rates)
+        transit_exp = 0.0
+        clamped = mismatches = 0
+        final_level: Dict[int, int] = {}
+        for q, cur_level in self._initial.items():
+            timeline = None if timelines is None else timelines.setdefault(q, [])
             cur_t = 0.0
-            cur_level = level
-            for _, src, dst, start, end, net in per_qubit[q]:
+            for _, src, dst, start, end, net in streams[q]:
                 if src != cur_level:
-                    self.mismatches += 1
+                    mismatches += 1
                 if start < cur_t:
                     # Reservation-dialect inversion: truncate the
                     # transit span so the partition stays exact.
-                    self.clamped += 1
+                    clamped += 1
                     start = cur_t
                     if end < start:
                         end = start
                 if start > cur_t:
-                    timeline.append(Interval(cur_t, start, LEVEL, cur_level))
+                    level_exp[cur_level] += (start - cur_t) * level_rates[cur_level]
+                    if timeline is not None:
+                        timeline.append(Interval(cur_t, start, LEVEL, cur_level))
                 if end > start:
-                    timeline.append(Interval(start, end, TRANSIT, net))
+                    transit_exp += (end - start) * transit_rates[net]
+                    if timeline is not None:
+                        timeline.append(Interval(start, end, TRANSIT, net))
                 cur_t = end
                 cur_level = dst
             if horizon > cur_t:
-                timeline.append(Interval(cur_t, horizon, LEVEL, cur_level))
-            self.intervals[q] = timeline
-            self.final_level[q] = cur_level
-        return self
+                level_exp[cur_level] += (horizon - cur_t) * level_rates[cur_level]
+                if timeline is not None:
+                    timeline.append(Interval(cur_t, horizon, LEVEL, cur_level))
+            final_level[q] = cur_level
+        self._walked = (clamped, mismatches, final_level)
+        return level_exp, transit_exp
+
+    def _timelines(self) -> Dict[int, List[Interval]]:
+        """Materialize (once) the walk's :class:`Interval` lists."""
+        if self._intervals is None:
+            depth = 1 + max(
+                [*self._initial.values(), *(rec[2] for rec in self.records)],
+                default=0,
+            )
+            zeros = [0.0] * depth
+            timelines: Dict[int, List[Interval]] = {}
+            self.walk(zeros, zeros, timelines)
+            self._intervals = timelines
+        return self._intervals
+
+    @property
+    def intervals(self) -> Dict[int, List[Interval]]:
+        """Per-qubit :class:`Interval` partitions (``{}`` before finish)."""
+        return self._timelines() if self._finished else {}
+
+    def _walk_stats(self) -> Tuple[int, int, Dict[int, int]]:
+        if not self._finished:
+            return 0, 0, {}
+        if self._walked is None:
+            self._timelines()
+        return self._walked
+
+    @property
+    def clamped(self) -> int:
+        """Reservation-dialect time inversions, monotonized away."""
+        return self._walk_stats()[0]
+
+    @property
+    def mismatches(self) -> int:
+        """Records whose source level disagreed with the tracked
+        location — an engine accounting bug; must stay 0 everywhere."""
+        return self._walk_stats()[1]
+
+    @property
+    def final_level(self) -> Dict[int, int]:
+        """Each touched qubit's level at the end of its record stream."""
+        return self._walk_stats()[2]
 
     @property
     def finished(self) -> bool:
@@ -350,18 +427,24 @@ def accrue_residency(
     trials: int = FIDELITY_TRIALS,
     seed: int = FIDELITY_SEED,
 ) -> FidelityResult:
-    """Integrate a finished recorder's intervals against stack noise."""
+    """Integrate a finished recorder's residency against stack noise.
+
+    One :meth:`ResidencyRecorder.walk` over the record streams — no
+    :class:`Interval` objects are built.  A run whose walk counts any
+    source-level mismatch raises :class:`RuntimeError` instead of
+    pricing inconsistent residency (supervised sweeps quarantine the
+    cell like any other failure).
+    """
     if not recorder.finished:
         raise ValueError("accrue_residency() requires a finished recorder")
     noise = stack_noise(stack, trials=trials, seed=seed)
-    level_exp = [0.0] * stack.depth
-    transit_exp = 0.0
-    for timeline in recorder.intervals.values():
-        for iv in timeline:
-            if iv.kind == LEVEL:
-                level_exp[iv.place] += iv.duration * noise.level_rates[iv.place]
-            else:
-                transit_exp += iv.duration * noise.transit_rates[iv.place]
+    level_exp, transit_exp = recorder.walk(noise.level_rates, noise.transit_rates)
+    if recorder.mismatches:
+        raise RuntimeError(
+            f"residency audit failed: {recorder.mismatches} recorded hop(s) "
+            "leave a level their qubit is not parked at — the engine's "
+            "movement accounting is inconsistent"
+        )
     total = sum(level_exp) + transit_exp
     return FidelityResult(
         makespan_s=recorder.makespan,
@@ -392,7 +475,7 @@ def simulate_fidelity_run(
     fidelity)`` — the unchanged
     :class:`~repro.sim.levels.HierarchyEngineResult` (every float
     bit-identical to a recorder-less run) plus the
-    :class:`FidelityResult` accrued from the recorded intervals.
+    :class:`FidelityResult` accrued from the recorded movement.
     """
     from .levels import simulate_hierarchy_run
 

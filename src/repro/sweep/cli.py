@@ -40,16 +40,18 @@ that exhaust their attempts (durable failure record, shard still exits
 degrades gracefully, emitting the rows that exist plus a failure
 footer instead of refusing the whole table.
 
-Performance: engine grids run each *traffic group* — cells differing
-only in priced axes such as ``code_pairs`` — as one unit on their own:
-the movement trace is simulated once and re-priced per member, with
+Performance: engine and fidelity grids run each *traffic group* —
+cells differing only in priced axes such as ``code_pairs`` — as one
+unit on their own: the movement trace is simulated once and re-priced
+per member (with a residency recorder on fidelity cells), with
 stored records byte-identical to the per-cell path, and sharding keeps
 whole groups on one worker (:func:`repro.sweep.runner.plan_shard`, so
 ``status --shards K`` counts the same partition ``run`` computes).
 ``--trace-cache DIR`` additionally persists each group's movement trace
 as a verified, content-addressed blob shared across shards and across
-run→resume — a warm cache turns any engine sweep into a pure pricing
-pass with zero traffic simulation (the printed ``(N extractions)``
+run→resume, and between the engine and fidelity grids of the same
+axes — a warm cache turns any such sweep into a pure pricing pass with
+zero traffic simulation (the printed ``(N extractions)``
 tally proves it; ``status --trace-cache`` reports the cache-wide
 totals).  ``--profile`` wraps the shard in cProfile and drops a
 ``.pstats`` dump next to the store directory.
@@ -219,7 +221,7 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
         "--trace-cache",
         default=None,
         metavar="DIR",
-        help="engine grids: persist each traffic group's movement trace "
+        help="engine/fidelity grids: persist each traffic group's movement trace "
         "under DIR (shared across shards and run/resume), so a warm "
         "re-run performs zero traffic simulation",
     )

@@ -409,19 +409,19 @@ def kernel_registry() -> Dict[str, Tuple[Callable[[Dict[str, Any]], Any], Type]]
 def kernel_batch_spec(kernel: str, trace_cache=None) -> Optional[BatchSpec]:
     """The registered grouping of a kernel's grids, or None (per-cell).
 
-    Only the engine grid groups: its reservation-model cells share one
-    movement trace per traffic group
-    (:func:`repro.core.design_space.engine_batch_spec`).  Fidelity cells
-    record residency per cell and the Table 3/4/5 kernels have no
-    shared work.  ``trace_cache`` (see
+    The engine and fidelity grids group: their reservation-model cells
+    share one movement trace per traffic group
+    (:func:`repro.core.design_space.engine_batch_spec`), re-priced per
+    member — with a residency recorder on fidelity cells.  The Table
+    3/4/5 kernels have no shared work.  ``trace_cache`` (see
     :func:`repro.perf.tracecache.resolve_trace_cache`) persists each
     group's trace so a warm re-run performs zero traffic simulation.
     """
-    if kernel != "engine_cell":
+    if kernel not in ("engine_cell", "fidelity_cell"):
         return None
     from ..core.design_space import engine_batch_spec
 
-    return engine_batch_spec(trace_cache)
+    return engine_batch_spec(trace_cache, kernel)
 
 
 def plan_shard(grid: Grid, index: int, count: int) -> Grid:

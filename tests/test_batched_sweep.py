@@ -188,14 +188,26 @@ class TestAutomaticGrouping:
         assert kernel_calls == {"extract": 0, "groups": []}
         assert _record_bytes(store) == reference
 
-    def test_fidelity_cells_run_per_cell(self, kernel_calls):
+    def test_fidelity_cells_group_by_traffic_key(self, kernel_calls):
+        # Fidelity cells share the engine grid's traffic groups: one
+        # extraction, re-priced with a recorder per member (through
+        # their own group kernel, not engine_batch_cell).
         rows = engine_sweep(
             workloads=("qft",), sizes=(16,), depths=(2,), policies=("lru",),
             prefetches=("none",), code_pairs=PAIRS, cache=False,
             fidelity={"trials": 300, "seed": 7},
         )
         assert len(rows) == 3
-        assert kernel_calls == {"extract": 0, "groups": []}
+        assert kernel_calls == {"extract": 1, "groups": []}
+        grid = design_space.fidelity_grid(
+            workloads=("qft",), sizes=(16,), depths=(2,), policies=("lru",),
+            prefetches=("none",), code_pairs=PAIRS,
+            fidelity_trials=300, fidelity_seed=7,
+        )
+        assert rows == compute_grid(
+            grid, design_space.fidelity_cell, design_space.FidelityRow,
+            batch=None,
+        )
 
     def test_unregistered_cell_function_is_not_grouped(self):
         grid = engine_grid(**GRID_KWARGS)

@@ -101,6 +101,8 @@ class TestCheckBaseline:
         assert "prefetch_3level_fidelity_next_k_512" in data["kernels"]
         assert "supervised_runner_overhead" in data["kernels"]
         assert "residency_accrual_overhead" in data["kernels"]
+        assert "fidelity_replay_speedup" in data["kernels"]
+        assert _run_bench().SPEEDUP_FLOORS["fidelity_replay_speedup"] >= 3.0
         assert data["meta"]["calibration_s"] > 0
         # The committed overhead baseline is pinned at zero so the gate
         # is exactly the OVERHEAD_SLACK budget, not a noisy measurement.

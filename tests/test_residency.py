@@ -18,6 +18,11 @@ Pins the coupling between the engine dialects and the ECC Monte Carlo:
 * **Seed determinism** — fidelity accrual is reproducible across the
   process-pool fan-out (4 workers vs serial, byte-compared) and
   consistent with the traffic-grouped replay engine's pricing.
+* **Grouped replay** — the identity-carrying movement trace, re-priced
+  with a recorder, emits the event-kernel oracle's records exactly
+  (clamps included); traffic-grouped fidelity sweeps extract once per
+  group and write records byte-identical to per-cell runs; a corrupt
+  trace fails the residency audit and quarantines its group.
 """
 
 import json
@@ -539,6 +544,180 @@ class TestSeedDeterminism:
                 assert getattr(fid_row, field.name) == getattr(
                     eng_row, field.name
                 )
+
+
+class TestGroupedReplay:
+    """Recorded reservation runs replay the identity-carrying trace."""
+
+    GRID_KW = dict(
+        workloads=("draper_adder",), sizes=(N_BITS,), depths=(2, 3),
+        policies=None, prefetches=("none",),
+        code_keys=("steane", "bacon_shor"),
+        code_pairs=(("bacon_shor", "steane"),),
+        fidelity_trials=TRIALS, fidelity_seed=SEED,
+    )
+
+    @staticmethod
+    def _records(store):
+        return {
+            path.name: path.read_bytes()
+            for path in store.directory.glob("*.json")
+            if path.name != "index.json"
+        }
+
+    def test_grouped_records_byte_identical_to_percell(self, tmp_path):
+        # All five policies (four specialized extractors + the generic
+        # fallback), depth 2 and 3, pure and mixed stacks.
+        from repro.perf.store import ResultStore
+
+        grid = fidelity_grid(**self.GRID_KW)
+        assert {c.as_dict()["policy"] for c in grid} == set(available_policies())
+        grouped = ResultStore(tmp_path / "grouped")
+        percell = ResultStore(tmp_path / "percell")
+        rows = compute_grid(grid, fidelity_cell, FidelityRow, store=grouped)
+        ref = compute_grid(
+            grid, fidelity_cell, FidelityRow, store=percell, batch=None
+        )
+        assert rows == ref
+        assert self._records(grouped) == self._records(percell)
+        assert len(self._records(grouped)) == len(grid)
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    @pytest.mark.parametrize("policy", available_policies())
+    def test_replay_recorder_matches_audited_oracle(self, workload, policy):
+        from repro.sim.replay import extract_movement_trace, price_movement_trace
+
+        circuit, order = _order(workload)
+        for stack in (_stack(), mixed_stack(
+            "bacon_shor", "steane", 3, compute_qubits=COMPUTE_QUBITS,
+            cache_factor=CACHE_FACTOR, parallel_transfers=3,
+        )):
+            trace = extract_movement_trace(stack, circuit, policy, order=order)
+            replayed = ResidencyRecorder()
+            run = price_movement_trace(trace, stack, replayed)
+            oracle = ResidencyRecorder()
+            ref, audit = simulate_hierarchy_run_audited(
+                stack, circuit, policy, order=order, recorder=oracle,
+            )
+            assert run == ref
+            assert replayed.finished and replayed.makespan == ref.total_time_s
+            assert replayed.records == oracle.records
+            assert replayed.intervals == oracle.intervals
+            assert replayed.final_level == oracle.final_level
+            assert replayed.clamped == oracle.clamped == audit.residency_clamped
+            assert replayed.mismatches == oracle.mismatches == 0
+
+    def test_clamp_is_exercised(self):
+        # The replayed records keep the reservation dialect's scan-time
+        # inversions: the clamp is live, not dead code.
+        from repro.sim.replay import extract_movement_trace, price_movement_trace
+
+        circuit, order = _order("draper_adder")
+        trace = extract_movement_trace(_stack(), circuit, "lru", order=order)
+        recorder = ResidencyRecorder()
+        price_movement_trace(trace, _stack(), recorder)
+        oracle = ResidencyRecorder()
+        simulate_hierarchy_run_audited(
+            _stack(), circuit, "lru", order=order, recorder=oracle,
+        )
+        assert recorder.clamped == oracle.clamped > 0
+        assert recorder.intervals == oracle.intervals
+        assert recorder.partition_ok()
+
+    def test_accrual_matches_interval_integration(self):
+        # The walk integrates without building intervals; the same sums
+        # recomputed from the materialized intervals agree bit for bit.
+        circuit, order = _order("qft")
+        stack = _stack()
+        recorder = ResidencyRecorder()
+        run = simulate_hierarchy_run(stack, circuit, "belady", order=order,
+                                     recorder=recorder)
+        fid = accrue_residency(recorder, stack, trials=TRIALS, seed=SEED)
+        noise = stack_noise(stack, trials=TRIALS, seed=SEED)
+        level_exp = [0.0] * stack.depth
+        transit_exp = 0.0
+        for timeline in recorder.intervals.values():
+            for iv in timeline:
+                if iv.kind == LEVEL:
+                    level_exp[iv.place] += iv.duration * noise.level_rates[iv.place]
+                else:
+                    transit_exp += iv.duration * noise.transit_rates[iv.place]
+        assert fid.level_exponents == tuple(level_exp)
+        assert fid.transit_exponent == transit_exp
+        assert fid.makespan_s == run.total_time_s
+
+    def test_fidelity_sweep_extracts_once_per_traffic_group(self, monkeypatch):
+        import repro.sim.replay as replay
+        from repro.core.design_space import engine_traffic_key
+
+        calls = []
+        extract = replay.extract_movement_trace
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(replay, "extract_movement_trace", counted)
+        kwargs = dict(
+            workloads=("draper_adder",), sizes=(N_BITS,), depths=(2, 3),
+            policies=("lru", "fidelity"), prefetches=("none",),
+            code_keys=("steane", "bacon_shor"), transfer_options=(10, 20),
+        )
+        rows = engine_sweep(cache=False, fidelity=True, **kwargs)
+        grid = fidelity_grid(**kwargs)
+        groups = {engine_traffic_key(cell.as_dict()) for cell in grid}
+        assert len(rows) == len(grid) == 4 * len(groups)
+        assert len(calls) == len(groups)
+
+    def test_corrupt_trace_quarantines_group(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import repro.core.design_space as design_space
+        from repro.perf.store import ResultStore
+        from repro.perf.supervise import Supervision
+        from repro.sim.replay import price_movement_trace
+
+        group_trace = design_space._group_trace
+
+        def corrupted(group, trace_cache=None):
+            trace, stacks = group_trace(group, trace_cache)
+            victims = list(trace.miss_victim)
+            i = next(i for i, v in enumerate(victims) if v >= 0)
+            # A qubit not fetched yet is still parked at the backing
+            # store: recording its write-back from level 0 mismatches.
+            fetched = set(trace.miss_qubit[: i + 1])
+            victims[i] = next(q for q in trace.touched if q not in fetched)
+            bad = dataclasses.replace(trace, miss_victim=tuple(victims))
+            return bad, stacks
+
+        monkeypatch.setattr(design_space, "_group_trace", corrupted)
+        grid = fidelity_grid(
+            workloads=("draper_adder",), sizes=(N_BITS,), depths=(2,),
+            policies=("lru",), prefetches=("none",),
+            code_keys=("steane", "bacon_shor"),
+            fidelity_trials=TRIALS, fidelity_seed=SEED,
+        )
+        members = [cell.as_dict() for cell in grid]
+        bad, stacks = corrupted(members)
+        recorder = ResidencyRecorder()
+        price_movement_trace(bad, stacks[0], recorder)
+        assert recorder.mismatches > 0
+        with pytest.raises(RuntimeError, match="residency audit"):
+            accrue_residency(recorder, stacks[0], trials=TRIALS, seed=SEED)
+
+        store = ResultStore(tmp_path / "store")
+        rows = compute_grid(
+            grid, fidelity_cell, FidelityRow, store=store,
+            supervise=Supervision(),
+        )
+        assert rows == [None] * len(grid)
+        keys = sorted(cell.key for cell in grid)
+        assert sorted(store.failure_keys()) == keys
+        for cell in grid:
+            assert not store.has(cell.key)
+            record = store.failure(cell.key)["failure"]
+            assert record["exception_type"] == "RuntimeError"
+            assert sorted(record["group_members"]) == keys
 
 
 class TestPareto:

@@ -149,6 +149,36 @@ class TestCacheRoundTrip:
         assert cache.counters()["extractions"] == 1
         assert cache.get("k") == trace
 
+    def test_version_one_blob_reads_as_miss_and_reextracts(self, tmp_path):
+        # A well-formed, checksummed blob in the identity-free version-1
+        # layout (``miss_evict`` flags, no qubit ids) must never decode
+        # as a current trace: it is a miss, re-extracted and replaced.
+        from repro.perf.tracecache import _header
+
+        trace, stack = _fixture_trace()
+        doc = json.loads(trace.to_bytes().decode("ascii"))
+        doc["miss_evict"] = [1 if v >= 0 else 0 for v in doc.pop("miss_victim")]
+        for name in ("miss_qubit", "cascade_qubit", "touched"):
+            doc.pop(name)
+        payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        cache = TraceCache(tmp_path)
+        key = trace_key("tok", trace.depth, trace.capacities)
+        for version in (1, TRACE_FORMAT_VERSION):
+            # Under its own header and under a forged current one.
+            cache.blob_path(key).write_bytes(_header(version, payload) + payload)
+            assert cache.get(key) is None
+        calls = []
+
+        def extract():
+            calls.append(1)
+            return trace
+
+        assert cache.load_or_extract(key, extract) == trace
+        assert calls == [1]
+        assert cache.get(key) == trace
+        assert price_movement_trace_batch(cache.get(key), [stack]) == \
+            price_movement_trace_batch(trace, [stack])
+
     def test_clear_drops_blobs_only(self, tmp_path):
         trace, _ = _fixture_trace()
         cache = TraceCache(tmp_path)
@@ -259,3 +289,29 @@ class TestResolution:
         assert trace_dir.name == TRACE_SUBDIR
         cache = SweepCache(directory=memo_dir)
         assert cache.directory == memo_dir
+
+
+class TestSharedAcrossKernels:
+    def test_fidelity_run_reuses_engine_traces(self, tmp_path, capsys):
+        # Fidelity cells share the engine grid's traffic groups and
+        # trace-cache blobs: after an engine run fills the cache, the
+        # fidelity grid of the same axes simulates no traffic at all.
+        from repro.sweep.cli import main as sweep_main
+
+        axes = [
+            "--workloads", "draper_adder", "--sizes", "16", "--depths", "2",
+            "--policies", "lru", "belady", "--codes", "steane", "bacon_shor",
+        ]
+        cache_dir = str(tmp_path / "traces")
+        assert sweep_main([
+            "run", "--store", str(tmp_path / "engine"), "--trace-cache",
+            cache_dir, *axes,
+        ]) == 0
+        engine_out = capsys.readouterr().out
+        assert "(0 extractions)" not in engine_out
+        assert sweep_main([
+            "run", "--kernel", "fidelity_cell", "--prefetches", "none",
+            "--store", str(tmp_path / "fidelity"), "--trace-cache",
+            cache_dir, *axes,
+        ]) == 0
+        assert "(0 extractions)" in capsys.readouterr().out
