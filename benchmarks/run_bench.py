@@ -20,6 +20,7 @@ so the numbers reflect cold-path cost, not memoization.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -28,6 +29,16 @@ import sys
 import time
 from datetime import datetime
 from pathlib import Path
+
+
+def _oracle(name: str):
+    """A reference engine module from ``tests/oracles/`` — the
+    executable specifications the speedup kernels time the production
+    paths against."""
+    tests = str(Path(__file__).resolve().parent.parent / "tests")
+    if tests not in sys.path:
+        sys.path.insert(0, tests)
+    return importlib.import_module(f"oracles.{name}")
 
 
 def _bench_fetch(n_bits: int, capacity: int = 243):
@@ -192,8 +203,9 @@ def _bench_engine_replay_speedup(n_bits: int = 512, depth: int = 3,
     """The traffic/price factorization payoff on the reservation-model
     policy cell, as a speedup ratio (reference arithmetic / replay
     engine).  ``simulate_hierarchy_run`` extracts the movement trace
-    and re-prices it; ``simulate_hierarchy_run_audited`` runs the
-    retained per-gate reference the fast path is pinned against.  The
+    and re-prices it; ``simulate_hierarchy_run_audited`` (the oracle in
+    ``tests/oracles/levels.py``) runs the retained per-gate reference
+    the fast path is pinned against.  The
     arms alternate so clock drift hits both equally; machine speed
     cancels out of the ratio, so the baseline gate holds it above an
     absolute floor (``SPEEDUP_FLOORS``) instead of scaling it."""
@@ -203,11 +215,9 @@ def _bench_engine_replay_speedup(n_bits: int = 512, depth: int = 3,
         ENGINE_COMPUTE_QUBITS,
     )
     from repro.sim.cache import simulate_optimized
-    from repro.sim.levels import (
-        simulate_hierarchy_run,
-        simulate_hierarchy_run_audited,
-        standard_stack,
-    )
+    from repro.sim.levels import simulate_hierarchy_run, standard_stack
+
+    simulate_hierarchy_run_audited = _oracle("levels").simulate_hierarchy_run_audited
 
     circuit = build_workload("draper_adder", n_bits)
     stack = standard_stack("steane", depth,
@@ -244,7 +254,8 @@ def _bench_fidelity_replay_speedup(n_bits: int = 512, depth: int = 3,
     group is one reservation-model cell priced over four code
     configurations (both pure stacks and both mixed pairs).  The
     per-cell arm runs the retained event-kernel engine with a residency
-    recorder (``simulate_hierarchy_run_audited``) and accrues each
+    recorder (``simulate_hierarchy_run_audited`` from
+    ``tests/oracles/levels.py``) and accrues each
     configuration; the grouped arm extracts the movement trace once and
     re-prices it per configuration with a recorder attached
     (``price_movement_trace(..., recorder)``), then accrues — what
@@ -257,13 +268,11 @@ def _bench_fidelity_replay_speedup(n_bits: int = 512, depth: int = 3,
         ENGINE_COMPUTE_QUBITS,
     )
     from repro.sim.cache import simulate_optimized
-    from repro.sim.levels import (
-        mixed_stack,
-        simulate_hierarchy_run_audited,
-        standard_stack,
-    )
+    from repro.sim.levels import mixed_stack, standard_stack
     from repro.sim.replay import extract_movement_trace, price_movement_trace
     from repro.sim.residency import ResidencyRecorder, accrue_residency, stack_noise
+
+    simulate_hierarchy_run_audited = _oracle("levels").simulate_hierarchy_run_audited
 
     geometry = dict(compute_qubits=ENGINE_COMPUTE_QUBITS,
                     cache_factor=ENGINE_CACHE_FACTOR)
@@ -462,10 +471,10 @@ def _bench_multi_group_pricing_speedup(alternations: int = 3):
     slice: four traffic groups (one per eviction policy) each priced
     across 32 configurations (eight transfer widths x four code
     stacks).  Both arms price the same prebuilt traces —
-    ``price_movement_trace_batch`` per group vs one
-    ``price_movement_traces_multi`` padded-batch pass over all four —
-    and the multi engine is pinned ``==``-identical elsewhere; this
-    kernel times the padding payoff and gates its floor."""
+    ``price_movement_trace_batch`` per group (a one-group vectorized
+    pass each) vs one ``price_movement_traces_multi`` padded-batch pass
+    over all four — and both are pinned ``==``-identical elsewhere;
+    this kernel times the padding payoff and gates its floor."""
     from repro.circuits.workloads import build_workload
     from repro.core.design_space import (
         ENGINE_CACHE_FACTOR,
@@ -511,7 +520,7 @@ def _bench_multi_group_pricing_speedup(alternations: int = 3):
             elapsed = time.perf_counter() - t0
             grouped = elapsed if grouped is None else min(grouped, elapsed)
             t0 = time.perf_counter()
-            price_movement_traces_multi(groups, engine="numpy")
+            price_movement_traces_multi(groups)
             elapsed = time.perf_counter() - t0
             multi = elapsed if multi is None else min(multi, elapsed)
         return grouped / multi

@@ -15,9 +15,9 @@ of Thaker, Metodi, Cross, Chuang and Chong, built from scratch:
 * :mod:`repro.core` — the CQLA design object, the quantum memory
   hierarchy, fidelity budgeting, the gain-product metrics and the
   design-space grids/sweeps;
-* :mod:`repro.sim` — the N-level policy-pluggable hierarchy engine on
-  its discrete-event kernel (pure and mixed-code stacks, eviction
-  policies, exact prefetchers), plus the block scheduler, cache
+* :mod:`repro.sim` — the N-level policy-pluggable hierarchy engine
+  (pure and mixed-code stacks, eviction policies, exact prefetchers;
+  one engine per transfer model), plus the block scheduler, cache
   simulator and communication accounting;
 * :mod:`repro.perf` — memoization, process-pool fan-out and the
   durable content-addressed result store, with pluggable backends

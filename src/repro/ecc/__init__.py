@@ -33,7 +33,6 @@ from .fault_injection import (
 from .montecarlo import (
     MonteCarloResult,
     logical_error_rate,
-    logical_error_rate_reference,
     pseudo_threshold,
     sample_depolarizing_batch,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "l1_ec_cycles",
     "l1_syndrome_cycles",
     "logical_error_rate",
-    "logical_error_rate_reference",
     "pseudo_threshold",
     "sample_depolarizing_batch",
     "s",

@@ -15,10 +15,11 @@ into one ``(trials, 2n)`` symplectic bit-array and pushed through
 :class:`repro.ecc.stabilizer.BatchDecoder` — one GF(2) matmul for every
 syndrome, one fancy-index for every correction, one reduction against
 the precomputed trivial-span basis for every residual.  The scalar
-:func:`logical_error_rate_reference` loop is retained as the executable
-specification; for any fixed seed both paths produce the *identical*
-failure count, because the batched sampler consumes the NumPy generator
-stream in exactly the per-trial order the scalar sampler established.
+one-trial-at-a-time loop is the executable specification, kept as test
+code (``tests/oracles/montecarlo.py``); for any fixed seed both paths
+produce the *identical* failure count, because the batched sampler
+consumes the NumPy generator stream in exactly the per-trial order the
+scalar sampler (:func:`sample_depolarizing`) established.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .pauli import Pauli
-from .stabilizer import DecodingError, StabilizerCode
+from .stabilizer import StabilizerCode
 
 #: Symplectic (x, z) rows for a depolarizing kind draw of 0, 1, 2 -> X, Y, Z.
 _DEPOLARIZING_LETTERS = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8)
@@ -110,42 +111,12 @@ def logical_error_rate(
     possible beyond the guaranteed correctable weight) count as failures.
 
     Thin wrapper over the batched core: for any fixed ``seed`` the
-    failure count is bit-identical to
-    :func:`logical_error_rate_reference`.
+    failure count is bit-identical to the scalar oracle's.
     """
     _validate(physical_error_rate, trials)
     rng = np.random.default_rng(seed)
     batch = sample_depolarizing_batch(code.n, physical_error_rate, trials, rng)
     failures = code.batch_decoder().failure_count(batch)
-    return MonteCarloResult(
-        physical_error_rate=physical_error_rate,
-        trials=trials,
-        failures=failures,
-    )
-
-
-def logical_error_rate_reference(
-    code: StabilizerCode,
-    physical_error_rate: float,
-    trials: int = 2000,
-    seed: Optional[int] = None,
-) -> MonteCarloResult:
-    """Scalar one-trial-at-a-time estimator (executable specification).
-
-    Retained so the equivalence tests can assert the batched path
-    reproduces its exact seeded failure counts.
-    """
-    _validate(physical_error_rate, trials)
-    rng = np.random.default_rng(seed)
-    failures = 0
-    for _ in range(trials):
-        error = sample_depolarizing(code.n, physical_error_rate, rng)
-        try:
-            _, ok = code.correct(error)
-        except DecodingError:
-            ok = False
-        if not ok:
-            failures += 1
     return MonteCarloResult(
         physical_error_rate=physical_error_rate,
         trials=trials,

@@ -8,10 +8,10 @@ and a makespan:
   :func:`standard_stack`, mixed via :func:`mixed_stack`), exclusive
   residency, cascaded write-backs, and
   :func:`simulate_hierarchy_run` over any registered workload/policy;
-* :mod:`repro.sim.events` — the discrete-event kernel and
-  :class:`PortServer` transfer ports, speaking both time-model
-  dialects (greedy reservations, bit-identical to the retained
-  reference loops, and split transactions that pipeline hops);
+  it dispatches each time-model dialect to its one engine —
+  :mod:`repro.sim.replay` (extract a movement trace, price it) for
+  greedy port reservations, :mod:`repro.sim.fastsplit` for split
+  transactions that pipeline hops;
 * :mod:`repro.sim.policies` / :mod:`repro.sim.prefetch` — the
   eviction-policy and exact-prefetcher registries;
 * :mod:`repro.sim.cache` — the two-level optimized-fetch cache
@@ -22,7 +22,9 @@ and a makespan:
   list scheduling (Figure 2) and communication accounting (Figure 8).
 
 The public surface is re-exported below; ``docs/architecture.md``
-explains how the pieces compose.
+explains how the pieces compose.  The retained reference engines the
+fast paths are pinned against are test code (``tests/oracles/``), not
+part of this package.
 """
 
 from .cache import (
@@ -33,7 +35,6 @@ from .cache import (
     hit_rate_study,
     simulate_in_order,
     simulate_optimized,
-    simulate_optimized_reference,
 )
 from .comm import (
     CommBreakdown,
@@ -42,29 +43,19 @@ from .comm import (
     qft_breakdown,
     superblock_bandwidth_per_period,
 )
-from .events import (
-    EventKernel,
-    PortServer,
-    Reservation,
-    TransferRequest,
-)
 from .hierarchy_sim import (
     DEFAULT_COMPUTE_QUBITS,
     HierarchyRunResult,
     l1_speedup,
     simulate_l1_run,
-    simulate_l1_run_reference,
 )
 from .levels import (
-    EngineAudit,
     HierarchyEngineResult,
     HierarchyStack,
     LevelStat,
     MemoryLevel,
     mixed_stack,
     simulate_hierarchy_run,
-    simulate_hierarchy_run_audited,
-    simulate_hierarchy_run_reference,
     standard_stack,
     three_level_stack,
     two_level_stack,
@@ -98,8 +89,6 @@ __all__ = [
     "CacheStats",
     "CommBreakdown",
     "DEFAULT_COMPUTE_QUBITS",
-    "EngineAudit",
-    "EventKernel",
     "EvictionPolicy",
     "HierarchyEngineResult",
     "HierarchyRunResult",
@@ -110,11 +99,8 @@ __all__ = [
     "MemoryLevel",
     "OptimizedFetchResult",
     "PolicyCache",
-    "PortServer",
     "Prefetcher",
-    "Reservation",
     "ScheduleResult",
-    "TransferRequest",
     "adder_critical_slots",
     "adder_makespan_slots",
     "adder_schedule",
@@ -134,13 +120,9 @@ __all__ = [
     "register_policy",
     "register_prefetcher",
     "simulate_hierarchy_run",
-    "simulate_hierarchy_run_audited",
-    "simulate_hierarchy_run_reference",
     "simulate_in_order",
     "simulate_l1_run",
-    "simulate_l1_run_reference",
     "simulate_optimized",
-    "simulate_optimized_reference",
     "standard_stack",
     "superblock_bandwidth_per_period",
     "three_level_stack",

@@ -16,18 +16,14 @@ Two fetch policies are implemented, exactly as the paper describes:
   instruction with the most operands already resident.  This raises hit
   rates to ~85% "immaterial of adder size and cache size".
 
-The optimized policy has two implementations with bit-identical output:
-
-* :func:`simulate_optimized` — the production incremental scheduler.
-  It maintains a qubit -> pending-ready-gate index and a per-gate
-  resident-operand count, updates scores only for gates touching qubits
-  whose residency actually changed on an access or eviction, and keeps
-  ready gates in score-keyed lazy heaps so each pick is O(1) amortized
-  instead of rescanning the whole ready list;
-* :func:`simulate_optimized_reference` — the original O(ready) rescan
-  per pick, retained verbatim as the executable specification.  The
-  equivalence tests assert both produce the identical ``order`` and
-  :class:`CacheStats`.
+:func:`simulate_optimized` is an incremental scheduler: it maintains a
+qubit -> pending-ready-gate index and a per-gate resident-operand
+count, updates scores only for gates touching qubits whose residency
+actually changed on an access or eviction, and keeps ready gates in
+score-keyed lazy heaps so each pick is O(1) amortized instead of
+rescanning the whole ready list.  The original O(ready) rescan per pick
+is test code (``tests/oracles/cache.py``); the equivalence tests assert
+both produce the identical ``order`` and :class:`CacheStats`.
 """
 
 from __future__ import annotations
@@ -131,61 +127,11 @@ class OptimizedFetchResult:
         return [circuit.gates[i] for i in self.order]
 
 
-def simulate_optimized_reference(
-    circuit: Circuit,
-    capacity: int,
-    window: Optional[int] = None,
-) -> OptimizedFetchResult:
-    """Reference dependency-aware fetch: O(ready) rescan per pick.
-
-    This is the original implementation, kept as the executable
-    specification for :func:`simulate_optimized`.  Selection rule: the
-    first ready instruction (in ready-list order, which is insertion
-    order) whose operands are all resident wins outright; otherwise the
-    highest resident-operand count wins, ties going to the earliest
-    ready-list position.
-    """
-    dag = CircuitDag.build(circuit)
-    gates = circuit.gates
-    indegree = [len(p) for p in dag.preds]
-    ready: List[int] = list(dag.ready_at_start())
-    ready_set = set(ready)
-    cache = LruCache(capacity)
-    order: List[int] = []
-
-    while ready:
-        candidates = ready if window is None else ready[:window]
-        # Most resident operands wins; ties go to program order (the
-        # earliest instruction), which also keeps the schedule stable.
-        best_pos = 0
-        best_score = -1
-        for pos, idx in enumerate(candidates):
-            score = cache.peek_hits(gates[idx].qubits)
-            if score == len(gates[idx].qubits):
-                best_pos = pos
-                break
-            if score > best_score:
-                best_score = score
-                best_pos = pos
-        idx = candidates[best_pos]
-        ready.remove(idx)
-        ready_set.discard(idx)
-        for q in gates[idx].qubits:
-            cache.access(q)
-        order.append(idx)
-        for succ in dag.succs[idx]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0 and succ not in ready_set:
-                ready.append(succ)
-                ready_set.add(succ)
-    return OptimizedFetchResult(stats=cache.stats, order=order)
-
-
 class _IncrementalFetch:
     """Incremental optimized-fetch scheduler state.
 
     Every ready gate carries a monotonically increasing arrival sequence
-    number (its position in the reference implementation's ready list)
+    number (its position in the rescan oracle's ready list)
     and a maintained score — the number of its operand occurrences
     currently resident.  Scores change only when a qubit enters or
     leaves the cache, and only for the ready gates touching that qubit,
@@ -330,10 +276,9 @@ def simulate_optimized(
     order) are examined per pick; ``None`` scans the whole ready set,
     matching the paper's whole-program fetch window.
 
-    Incremental implementation — bit-identical to
-    :func:`simulate_optimized_reference` (same ``order``, same
-    :class:`CacheStats`) but O(1) amortized per pick instead of
-    rescanning the ready list.
+    Incremental implementation — bit-identical to the original rescan
+    oracle (same ``order``, same :class:`CacheStats`) but O(1)
+    amortized per pick instead of rescanning the ready list.
     """
     if capacity < 2:
         raise ValueError(

@@ -1,12 +1,12 @@
-"""Flattened split-transaction engine for every eviction policy.
+"""Flattened split-transaction engine for every policy and prefetcher.
 
-:class:`~repro.sim.levels._SplitTransactionRun` is the retained
-reference for the pipelined transfer model: an event kernel driving
-closure-based continuation chains (``_Trigger``/``_Fetch`` objects, one
-closure per hop and per write-back), ``PolicyCache`` objects per level,
-and a prefetch walk that re-slices the operand trace at every gate.
-This module is the compiled-down replica that
-:func:`~repro.sim.levels.simulate_hierarchy_run` actually runs:
+The split-transaction model's executable specification is an event
+kernel driving closure-based continuation chains, ``PolicyCache``
+objects per level, and a prefetch walk that re-slices the operand trace
+at every gate (test code: ``tests/oracles/levels.py``).  This module is
+the compiled-down replica that
+:func:`~repro.sim.levels.simulate_hierarchy_run` runs for every
+pipelined cell:
 
 * the event heap holds int-coded ``(time, seq, code, request)`` tuples
   — no callback objects — and port lanes are slot-indexed idle counters
@@ -25,42 +25,44 @@ This module is the compiled-down replica that
   :class:`~repro.sim.policies.EvictionPolicy` objects, calling
   ``on_hit``/``on_insert``/``on_remove``/``victim`` exactly where the
   reference's ``PolicyCache`` does;
-* the prefetch walk is slice-free (an epoch-stamped array replaces the
-  per-call ``seen`` set), lazy for ``next_k`` (the reference walk has
-  no side effects, so candidates the budget never reaches are never
-  scanned), and the exactness veto reads next uses from an
-  incrementally-maintained array — a candidate's next use is its own
-  walk position — instead of bisecting a ``TraceIndex``;
+* the shipped prefetch walks (``next_k``, ``distance``) are slice-free
+  (an epoch-stamped array replaces the per-call ``seen`` set) and lazy
+  for ``next_k`` (the reference walk has no side effects, so
+  candidates the budget never reaches are never scanned); every other
+  registered prefetcher drives its real
+  :class:`~repro.sim.prefetch.Prefetcher` object — ``reset`` once,
+  ``candidates`` once per gate over a read-only view of the location
+  array, materialized before the issue loop like the reference's;
+* the exactness veto reads next uses from an incrementally-maintained
+  array instead of bisecting a ``TraceIndex``;
 * the first veto ends a ``next_k`` walk.  This is exact, not a
   heuristic: ``next_k`` candidates arrive in ascending trace position,
   and the peeked victim (with its next use) stays fixed until a
   prefetch is accepted, so once one candidate is vetoed every later
-  one is too.  ``distance`` re-ranks its candidates by depth, so it
-  keeps walking past a veto.
+  one is too.  Every other prefetcher ranks candidates its own way, so
+  it keeps walking past a veto.
 
 Every kernel-schedule and queue-insertion call site mirrors the
 reference one-to-one, so the (time, seq) event order — and therefore
 every float in the result — is bit-identical.  The equivalence suite
 pins this across every (depth, policy, workload, prefetch) cell.
-
-:func:`supports_fast_split` gates dispatch: only user-registered
-prefetchers fall back to the reference engine, which drives the real
-registry objects.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from typing import List, Optional, Sequence, Set, Tuple
 
-from ..circuits.circuit import Circuit
+from ..circuits.circuit import Circuit, TraceIndex
 from .levels import HierarchyEngineResult, HierarchyStack, LevelStat
 from .policies import available_policies, make_policy
+from .prefetch import available_prefetchers, make_prefetcher
 from .replay import _scan_program
 
 __all__ = ["simulate_split_fast", "supports_fast_split"]
 
-#: Dispatch priorities, mirroring ``repro.sim.levels``.
+#: Dispatch priorities among simultaneously-ready transfers.
 _DEMAND, _WRITEBACK, _PREFETCH = 0, 1, 2
 _PIN_MARGIN = 4
 
@@ -68,10 +70,10 @@ _PIN_MARGIN = 4
 _PREFETCH_K = 64
 _PREFETCH_HORIZON = 512
 
-#: Request lifecycle states (``TransferRequest.state`` equivalents).
+#: Request lifecycle states.
 _SCHEDULED, _QUEUED, _ACTIVE, _DONE, _WITHDRAWN = 0, 1, 2, 3, 4
 
-#: Event heap opcodes (``PortServer._enqueue`` / ``_complete``).
+#: Event heap opcodes: a request becomes ready, or a transfer completes.
 _EV_ENQUEUE, _EV_COMPLETE = 0, 1
 
 #: Request kinds: a fetch hop or a paired write-back.
@@ -84,27 +86,50 @@ _K_HOP, _K_WB = 0, 1
 #   wb:      [1, net_k, victim, settle, trigger_time, next_wb]
 # A fetch's arrival "trigger" is the k==0 hop completion; a write-back
 # chain is linked through ``next_wb``, each element firing its
-# successor — the reference's ``_Trigger`` subscriptions, flattened
+# successor — the reference engine's trigger subscriptions, flattened
 # (each trigger ever has at most one subscriber).
 
 #: Policies with hand-flattened replacement state; every other
 #: registered policy runs through its real ``EvictionPolicy`` objects.
 _SPECIALIZED_POLICIES = frozenset({"belady", "fifo", "lru", "score"})
-_FAST_PREFETCHERS = frozenset({"distance", "next_k", "none"})
+#: Prefetchers with a hand-flattened walk; every other registered
+#: prefetcher runs through its real ``Prefetcher`` object.
+_SPECIALIZED_PREFETCHERS = frozenset({"distance", "next_k"})
 
 _SCORE_WINDOW = 256  # ScorePolicy's default lookahead
 
 
 def supports_fast_split(policy: str, prefetch: str) -> bool:
-    """True when the flattened engine covers (policy, prefetch).
+    """True when (policy, prefetch) names a registered pair.
 
-    Every registered policy is covered — the four shipped ones with
-    specialized replacement state, all others through their real policy
-    objects.  Only the prefetch walk is specialized: a user-registered
-    prefetcher falls back to the reference engine, which drives the
-    real registry objects.
+    The flattened engine covers every registered policy and prefetcher
+    — the shipped ones with specialized state, all others through
+    their real registry objects — so this is a registry check.
     """
-    return prefetch in _FAST_PREFETCHERS and policy in available_policies()
+    return policy in available_policies() and prefetch in available_prefetchers()
+
+
+class _LocationView(Mapping):
+    """Read-only ``{qubit: level}`` view over the engine's location
+    array, keyed by the touched qubits (the reference's location dict)."""
+
+    __slots__ = ("_location", "_touched")
+
+    def __init__(self, location: List[int], touched: Sequence[int]) -> None:
+        self._location = location
+        self._touched = touched
+
+    def __getitem__(self, qubit: int) -> int:
+        level = self._location[qubit] if 0 <= qubit < len(self._location) else -1
+        if level < 0:
+            raise KeyError(qubit)
+        return level
+
+    def __iter__(self):
+        return iter(self._touched)
+
+    def __len__(self) -> int:
+        return len(self._touched)
 
 
 def simulate_split_fast(
@@ -117,17 +142,13 @@ def simulate_split_fast(
 ) -> HierarchyEngineResult:
     """One split-transaction engine run, flattened.
 
-    Arguments mirror the reference ``_SplitTransactionRun`` inputs
-    (``order`` already resolved/validated by the caller).  Returns the
-    :class:`~repro.sim.levels.HierarchyEngineResult` only — callers
-    needing the :class:`~repro.sim.levels.EngineAudit` use
-    :func:`~repro.sim.levels.simulate_hierarchy_run_audited`, which
-    always runs the reference.
+    ``order`` is already resolved and validated by the caller;
+    ``policy`` and ``prefetch`` name registered entries.
 
     ``recorder`` (a :class:`~repro.sim.residency.ResidencyRecorder`)
     observes completed hops at their completion events — the same
     ``end - duration`` span arithmetic as the reference engine, so the
-    recorded intervals are bit-identical across the two dialects.
+    recorded intervals are bit-identical to the reference's.
     Recording never touches the engine's floats.
     """
     program = _scan_program(circuit, order)
@@ -286,6 +307,12 @@ def simulate_split_fast(
 
     prefetching = prefetch != "none"
     in_order = prefetch == "next_k"  # candidates ascend in position
+    # A prefetcher without a specialized walk drives its real object.
+    walker = None
+    if prefetching and prefetch not in _SPECIALIZED_PREFETCHERS:
+        walker = make_prefetcher(prefetch)
+        walker.reset(trace, TraceIndex.build(trace), stack.depth)
+        location_view = _LocationView(location, program.touched)
     next_pos: Sequence[int] = ()
     nu_now: List[int] = []
     stamp: List[int] = []
@@ -527,6 +554,13 @@ def simulate_split_fast(
                             return
 
             candidates = _candidates()
+        elif walker is not None:
+            # Materialized before the loop, like the reference; a
+            # candidate's next use comes from the exact nu_now array.
+            candidates = [
+                (cq, nu_now[cq])
+                for cq in walker.candidates(pos - 1, location_view)
+            ]
         else:  # distance: the full walk is ranked before issue
             found_list = []
             for p in range(start, end):

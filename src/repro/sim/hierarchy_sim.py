@@ -5,8 +5,8 @@ returning a :class:`HierarchyRunResult` — but the simulation itself now
 runs on the general engine of :mod:`repro.sim.levels`: the call builds
 the paper's two-level stack (L1 compute+cache over L2 memory, LRU
 replacement, optimized fetch) and maps the engine result back onto the
-legacy fields.  The pre-refactor event loop is retained verbatim as
-:func:`simulate_l1_run_reference`, and the equivalence tests pin the
+legacy fields.  The pre-refactor event loop is test code
+(``tests/oracles/hierarchy_sim.py``), and the equivalence tests pin the
 engine-backed path to it bit for bit — Table 5 is unchanged.
 
 The level-1 speedup of Table 5 is the ratio between executing the same
@@ -15,16 +15,13 @@ instruction stream entirely at level 2 and this simulated level-1 run.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import List, Optional
+from typing import Optional
 
 from ..circuits.circuit import Circuit
 from ..ecc.concatenated import by_key
-from ..ecc.transfer import TransferNetwork
 from ..perf.memo import resolve_cache, stable_key
-from .cache import LruCache, simulate_optimized
 from .levels import (
     DEFAULT_COMPUTE_QUBITS,
     l1_capacity,
@@ -41,7 +38,6 @@ __all__ = [
     "HierarchyRunResult",
     "l1_speedup",
     "simulate_l1_run",
-    "simulate_l1_run_reference",
 ]
 
 
@@ -121,14 +117,13 @@ def simulate_l1_run(
     """Simulate one adder at level 1 behind the transfer network.
 
     The resident set spans the compute region plus the cache
-    (``(1 + cache_factor) * compute_qubits`` logical qubits).  Transfer
-    ports are modeled as servers of the event kernel
-    (:mod:`repro.sim.events`); with the default ``prefetch="none"``
-    they speak the greedy-reservation dialect — a miss occupies a port
-    for the demotion (memory -> cache) and the paired promotion of the
-    evicted qubit, bit-identical to the retained pre-engine simulator —
-    while any real prefetcher switches the run to the split-transaction
-    dialect, where a port is busy only while a transfer is in flight.
+    (``(1 + cache_factor) * compute_qubits`` logical qubits).  With the
+    default ``prefetch="none"`` transfer ports speak the
+    greedy-reservation dialect — a miss occupies a port for the
+    demotion (memory -> cache) and the paired promotion of the evicted
+    qubit, bit-identical to the pre-engine simulator — while any real
+    prefetcher switches the run to the split-transaction dialect, where
+    a port is busy only while a transfer is in flight.
     Either way the instruction waits for its operands' arrivals, and
     computation on already-resident operands continues to overlap.
 
@@ -235,83 +230,6 @@ def _simulate_l1_run_uncached(
         transfer_wait_s=run.transfer_wait_s,
         hit_rate=run.hit_rate,
         transfers=run.level_stats[0].misses,
-    )
-
-
-def simulate_l1_run_reference(
-    code_key: str,
-    n_bits: int,
-    parallel_transfers: int = 10,
-    compute_qubits: int = DEFAULT_COMPUTE_QUBITS,
-    cache_factor: float = 2.0,
-    circuit: Optional[Circuit] = None,
-) -> HierarchyRunResult:
-    """The original two-level event loop, retained verbatim.
-
-    This is the executable specification the engine-backed
-    :func:`simulate_l1_run` is pinned against: same fetch order, same
-    LRU replacement, same port-server timing, field-for-field identical
-    :class:`HierarchyRunResult`.
-    """
-    code = by_key(code_key)
-    network = TransferNetwork(
-        code_key=code_key, parallel_transfers=parallel_transfers
-    )
-    if circuit is None:
-        circuit = _adder_circuit(n_bits, False)
-    capacity = int(round((1.0 + cache_factor) * compute_qubits))
-    fetch = simulate_optimized(circuit, capacity)
-
-    op_l1 = code.logical_op_time_s(1)
-    op_l2 = code.logical_op_time_s(2)
-    t_demote = network.demote_time_s
-    t_promote = network.promote_time_s
-    lanes = max(1, round(network.effective_concurrency))
-
-    # Replay the fetch order against a fresh cache, timing transfers.
-    cache = LruCache(capacity)
-    port_free: List[float] = [0.0] * lanes
-    heapq.heapify(port_free)
-    compute_free = 0.0
-    transfer_wait = 0.0
-    compute_time = 0.0
-    transfers = 0
-    for idx in fetch.order:
-        gate = circuit.gates[idx]
-        arrivals = 0.0
-        for q in gate.qubits:
-            was_full = len(cache) >= cache.capacity
-            hit = cache.access(q)
-            if hit:
-                continue
-            transfers += 1
-            port = heapq.heappop(port_free)
-            start = port
-            arrival = start + t_demote
-            # The paired promotion of the evicted qubit keeps the port
-            # busy after the demotion completes.
-            busy_until = arrival + (t_promote if was_full else 0.0)
-            heapq.heappush(port_free, busy_until)
-            arrivals = max(arrivals, arrival)
-        start = max(compute_free, arrivals)
-        if arrivals > compute_free:
-            transfer_wait += arrivals - compute_free
-        duration = gate.ec_slots * op_l1
-        compute_free = start + duration
-        compute_time += duration
-
-    l1_time = compute_free
-    l2_time = sum(g.ec_slots for g in circuit.gates) * op_l2
-    return HierarchyRunResult(
-        code_key=code_key,
-        n_bits=n_bits,
-        parallel_transfers=parallel_transfers,
-        l1_time_s=l1_time,
-        l2_time_s=l2_time,
-        compute_time_s=compute_time,
-        transfer_wait_s=transfer_wait,
-        hit_rate=fetch.stats.hit_rate,
-        transfers=transfers,
     )
 
 

@@ -20,16 +20,14 @@ module exploits it:
   the reservation engine's; the trace carries qubit identities, so an
   attached :class:`~repro.sim.residency.ResidencyRecorder` receives the
   engine's residency records hop for hop;
-* :func:`price_movement_trace_batch` prices the trace across **many**
-  stacks at once — scalar per config below
-  :data:`BATCH_NUMPY_THRESHOLD` configs, a vectorized numpy pass (one
-  ``(configs, lanes)`` array per network) above it;
 * :func:`price_movement_traces_multi` prices **many traces** — one per
-  traffic group, each against its own stacks — in a single pass: the
-  variable-length miss and gate streams are padded into one numpy
-  batch whose columns are all (group x config) cells of the grid, so
-  the per-step interpreter overhead is paid once for the whole design
-  space instead of once per group;
+  traffic group, each against its own stacks — and
+  :func:`price_movement_trace_batch` one trace across many stacks (a
+  one-group batch).  Below :data:`NUMPY_PRICING_CELLS` cells each runs
+  the scalar loop; from there up the variable-length miss and gate
+  streams are padded into one numpy batch whose columns are all
+  (group x config) cells, so the per-step interpreter overhead is paid
+  once for the whole design space;
 * :func:`trace_key` / :meth:`MovementTrace.from_bytes` round-trip a
   trace through a content-addressed blob (see
   :class:`repro.perf.tracecache.TraceCache`): the key folds the
@@ -43,7 +41,8 @@ incremental score window, and an O(1) Belady next-use scheme over a
 precomputed ``next_pos`` array) and a *generic* fallback that drives
 the real :class:`~repro.sim.policies.PolicyCache` objects for any
 other registered policy.  Both are pinned equal to each other and to
-the retained reference engine by the equivalence tests.
+the reference reservation engines (test code under ``tests/oracles/``)
+by the equivalence tests.
 
 Batching is bypassed — cells fall back to per-cell simulation — for
 split-transaction runs with prefetching (``prefetch != "none"``): port
@@ -74,9 +73,8 @@ from .levels import (
 from .policies import PolicyCache, make_policy, validate_policy
 
 __all__ = [
-    "BATCH_NUMPY_THRESHOLD",
-    "MULTI_NUMPY_THRESHOLD",
     "MovementTrace",
+    "NUMPY_PRICING_CELLS",
     "TRACE_FORMAT_VERSION",
     "extract_movement_trace",
     "price_movement_trace",
@@ -91,16 +89,15 @@ _INF = math.inf
 #: through the generic :class:`~repro.sim.policies.PolicyCache` path.
 _SPECIALIZED_POLICIES = frozenset({"lru", "fifo", "score", "belady"})
 
-#: Config count at which the numpy batch pricer overtakes the scalar
-#: loop (numpy pays a fixed per-event overhead that only amortizes
-#: across enough configurations).
-BATCH_NUMPY_THRESHOLD = 32
-
-#: Total (group x config) cell count at which the one-pass multi-trace
-#: pricer overtakes per-group pricing.  Its per-step masking overhead
-#: is paid once for *all* columns, but it is higher than one group's
-#: per-step cost, so tiny grids stay on the per-group engines.
-MULTI_NUMPY_THRESHOLD = 24
+#: Total (group x config) cell count from which the vectorized pricer
+#: (:func:`_price_multi_numpy`) overtakes the scalar loop: numpy pays a
+#: fixed per-step overhead that only amortizes across enough columns.
+#: Measured on a 2-vCPU machine (draper_adder 64 and 256 bits, depth 3,
+#: four code stacks per transfer width, median of 7 interleaved
+#: best-of-3 pairs): scalar/numpy time is 0.86-0.95 at 24 cells and
+#: 1.09-1.12 at 32 for one group, 0.93-0.94 at 32 and 1.03-1.08 at 40
+#: for four groups.
+NUMPY_PRICING_CELLS = 32
 
 #: Serialization version of :meth:`MovementTrace.to_bytes` blobs.
 #: Folded into every :func:`trace_key`, so a layout change invalidates
@@ -713,7 +710,7 @@ def _trace_from_misses(
 ) -> MovementTrace:
     """Derive every traffic counter from the per-miss records.
 
-    The scan path of ``_run_reservation`` fixes each counter as a pure
+    The reservation model's scan fixes each counter as a pure
     function of the miss stream: a miss from ``src`` passes through
     (and is counted a miss at) every level ``k < src`` above its hop
     path, is found at ``src`` (a ``lookup_remove`` hit below the
@@ -792,9 +789,9 @@ def _extract_generic(
     program: _ScanProgram,
 ) -> MovementTrace:
     """Extraction through the real policy objects (any registered
-    policy).  Identical event stream to ``_run_reservation`` with the
-    port arithmetic deleted; the counters derive from the miss records
-    exactly as in the specialized loop."""
+    policy).  Identical event stream to the reference reservation
+    engine with the port arithmetic deleted; the counters derive from
+    the miss records exactly as in the specialized loop."""
     bottom = stack.depth - 1
     trace = program.trace
     caches = [
@@ -1040,171 +1037,49 @@ def _result_from_trace(
 def price_movement_trace_batch(
     trace: MovementTrace,
     stacks: Sequence[HierarchyStack],
-    engine: str = "auto",
 ) -> List[HierarchyEngineResult]:
-    """Price one movement trace across many stacks in one pass.
+    """Price one movement trace across many stacks.
 
-    ``engine`` selects the arithmetic backend: ``"scalar"`` loops
-    :func:`price_movement_trace` per stack, ``"numpy"`` vectorizes
-    every port reservation across all configurations at once (one
-    ``(configs, max_lanes)`` free-time array per network, inf-padded
-    for narrower configs), ``"auto"`` picks numpy from
-    :data:`BATCH_NUMPY_THRESHOLD` configs up.  All backends are
-    bit-identical: the vector ops are the same IEEE-754 additions and
-    max/argmin selections the scalar heap performs.
+    A one-group :func:`price_movement_traces_multi`: exactly
+    ``[price_movement_trace(trace, s) for s in stacks]``, vectorized
+    from :data:`NUMPY_PRICING_CELLS` stacks up.
     """
-    if engine not in ("auto", "scalar", "numpy"):
-        raise ValueError(
-            f"unknown pricing engine {engine!r}; use 'auto', 'scalar' "
-            "or 'numpy'"
-        )
-    stacks = list(stacks)
-    for stack in stacks:
-        _check_geometry(trace, stack)
-    if engine == "auto":
-        engine = "numpy" if len(stacks) >= BATCH_NUMPY_THRESHOLD else "scalar"
-    if engine == "scalar":
-        return [price_movement_trace(trace, stack) for stack in stacks]
-    return _price_batch_numpy(trace, stacks)
-
-
-def _price_batch_numpy(
-    trace: MovementTrace, stacks: List[HierarchyStack]
-) -> List[HierarchyEngineResult]:
-    import numpy as np
-
-    n_cfg = len(stacks)
-    n_nets = trace.depth - 1
-    demote = np.empty((n_nets, n_cfg))
-    promote = np.empty((n_nets, n_cfg))
-    lanes = [[0] * n_cfg for _ in range(n_nets)]
-    for c, stack in enumerate(stacks):
-        for k, net in enumerate(stack.networks()):
-            demote[k, c] = net.demote_time_s
-            promote[k, c] = net.promote_time_s
-            lanes[k][c] = max(1, round(net.effective_concurrency))
-    # One (configs, lanes) free-time array per network; configs with
-    # fewer lanes are padded with +inf so argmin never selects a lane
-    # that does not exist.
-    free_t = []
-    for k in range(n_nets):
-        width = max(lanes[k])
-        arr = np.full((n_cfg, width), np.inf)
-        for c in range(n_cfg):
-            arr[c, : lanes[k][c]] = 0.0
-        free_t.append(arr)
-    top_op = np.array([stack.levels[0].op_time_s for stack in stacks])
-    rows = np.arange(n_cfg)
-
-    def reserve(k: int, ready, duration, hold=None):
-        """The greedy reservation, vectorized across configs.
-
-        Returns the per-config start times.  ``argmin`` picks each
-        config's earliest-free lane (ties are interchangeable — equal
-        floats), exactly the scalar heap's pop-min.
-        """
-        arr = free_t[k]
-        lane = arr.argmin(axis=1)
-        free = arr[rows, lane]
-        start = np.maximum(free, ready)
-        busy = start + duration
-        if hold is not None:
-            busy = busy + hold
-        arr[rows, lane] = busy
-        return start
-
-    d0 = demote[0]
-    p0 = promote[0]
-    zero = np.zeros(n_cfg)
-    compute_free = np.zeros(n_cfg)
-    transfer_wait = np.zeros(n_cfg)
-    compute_time = np.zeros(n_cfg)
-    msrc = trace.miss_src
-    mvic = trace.miss_victim
-    mcl = trace.miss_clen
-    mi = 0
-    for ec, nmiss in zip(trace.gate_ec, trace.gate_nmiss):
-        arrivals = zero
-        for _ in range(nmiss):
-            src = msrc[mi]
-            ev = mvic[mi] >= 0
-            clen = mcl[mi]
-            mi += 1
-            prev = zero
-            for k in range(src - 1, 0, -1):
-                start = reserve(k, prev, demote[k])
-                prev = start + demote[k]
-            if ev:
-                start = reserve(0, prev, d0, p0)
-                arrival = start + d0
-                available = arrival + p0
-                for lvl in range(1, clen + 1):
-                    start2 = reserve(lvl, available, promote[lvl])
-                    available = start2 + promote[lvl]
-            else:
-                start = reserve(0, prev, d0)
-                arrival = start + d0
-            arrivals = np.maximum(arrivals, arrival)
-        start = np.maximum(compute_free, arrivals)
-        delta = arrivals - compute_free
-        # Adding 0.0 where there was no wait preserves bits (the
-        # accumulators never go negative, so x + 0.0 == x exactly).
-        transfer_wait += np.where(delta > 0.0, delta, 0.0)
-        duration = ec * top_op
-        compute_free = start + duration
-        compute_time = compute_time + duration
-
-    return [
-        _result_from_trace(
-            trace,
-            stack,
-            float(compute_free[c]),
-            float(compute_time[c]),
-            float(transfer_wait[c]),
-        )
-        for c, stack in enumerate(stacks)
-    ]
+    return _price_groups([(trace, stacks)])[0]
 
 
 def price_movement_traces_multi(
     groups: Sequence[Tuple[MovementTrace, Sequence[HierarchyStack]]],
-    engine: str = "auto",
 ) -> List[List[HierarchyEngineResult]]:
     """Price many traffic groups' traces in one pass over the grid.
 
     ``groups`` pairs each movement trace with the stacks it prices
     (every stack must match its trace's geometry); the return value is
     one result list per group, in order — exactly
-    ``[price_movement_trace_batch(t, s) for t, s in groups]``, and
-    pinned bit-identical to it.
+    :func:`price_movement_trace` per (trace, stack) cell, and pinned
+    bit-identical to it.
 
-    ``engine="grouped"`` runs that per-group loop; ``"numpy"`` pads the
-    variable-length miss and gate streams into one structured batch
-    whose columns are *all* (group x config) cells and replays them in
-    a single vectorized pass (see :func:`_price_multi_numpy`), so the
-    whole design space pays the per-step interpreter overhead once
-    instead of once per traffic group; ``"auto"`` picks the one-pass
-    engine from :data:`MULTI_NUMPY_THRESHOLD` total cells (and at
-    least two groups) up.
+    Below :data:`NUMPY_PRICING_CELLS` total cells every cell runs the
+    scalar loop.  From there up the variable-length miss and gate
+    streams are padded into one structured batch whose columns are
+    *all* (group x config) cells and replayed in a single vectorized
+    pass (see :func:`_price_multi_numpy`), so the whole design space
+    pays the per-step interpreter overhead once.
     """
-    if engine not in ("auto", "grouped", "numpy"):
-        raise ValueError(
-            f"unknown pricing engine {engine!r}; use 'auto', 'grouped' "
-            "or 'numpy'"
-        )
+    return _price_groups(groups)
+
+
+def _price_groups(
+    groups: Sequence[Tuple[MovementTrace, Sequence[HierarchyStack]]],
+) -> List[List[HierarchyEngineResult]]:
     prepared: List[Tuple[MovementTrace, List[HierarchyStack]]] = []
     for trace, stacks in groups:
         stacks = list(stacks)
         for stack in stacks:
             _check_geometry(trace, stack)
         prepared.append((trace, stacks))
-    n_cells = sum(len(stacks) for _, stacks in prepared)
-    if engine == "auto":
-        pooled = len(prepared) >= 2 and n_cells >= MULTI_NUMPY_THRESHOLD
-        engine = "numpy" if pooled else "grouped"
-    if engine == "grouped" or n_cells == 0:
+    if sum(len(stacks) for _, stacks in prepared) < NUMPY_PRICING_CELLS:
         return [
-            price_movement_trace_batch(trace, stacks)
+            [price_movement_trace(trace, stack) for stack in stacks]
             for trace, stacks in prepared
         ]
     return _price_multi_numpy(prepared)
@@ -1223,8 +1098,8 @@ def _price_multi_numpy(
     is shared across columns — so executing step ``m`` of every group
     simultaneously preserves each column's exact reservation order, and
     every per-column float op is the same IEEE-754 add/max/argmin the
-    per-group engines perform: results are bit-identical to
-    :func:`price_movement_trace_batch`.
+    scalar heap performs: results are bit-identical to
+    :func:`price_movement_trace` per cell.
 
     The port phase never reads the compute clock (reservations depend
     only on earlier reservations), so the pass factorizes into a
@@ -1325,9 +1200,16 @@ def _price_multi_numpy(
     flatnonzero = np.flatnonzero
     maximum = np.maximum
     rows = np.arange(n_cols)
+    # Flat views of the lane arrays plus per-network row offsets: a
+    # 1-D gather/scatter at ``row * width + lane`` is several times
+    # cheaper than the 2-D ``arr[rows, lane]`` form in the hot loop.
+    flat_t = [arr.reshape(-1) for arr in free_t]
+    row_off = [rows * arr.shape[1] for arr in free_t]
     d0 = demote[0]
     p0 = promote[0]
     arr0 = free_t[0]
+    flat0 = flat_t[0]
+    off0 = row_off[0]
     # Steps below the shortest group's stream have every column active,
     # so they run without index subsetting: masked operands make each
     # op an exact identity on non-participating columns (prev == 0 at a
@@ -1342,31 +1224,31 @@ def _price_multi_numpy(
         for k in range(n_nets - 1, 0, -1):
             if not hop_any[k][m]:
                 continue
-            arr = free_t[k]
-            lane = arr.argmin(axis=1)
-            free = arr[rows, lane]
-            busy = maximum(free, prev) + d_eff[k][m]
-            arr[rows, lane] = busy
+            slot = free_t[k].argmin(axis=1)
+            slot += row_off[k]
+            flat = flat_t[k]
+            busy = maximum(flat[slot], prev) + d_eff[k][m]
+            flat[slot] = busy
             prev = busy * hop_f[k][m]
-        lane = arr0.argmin(axis=1)
-        free = arr0[rows, lane]
-        arrival = maximum(free, prev) + d0
+        slot = arr0.argmin(axis=1)
+        slot += off0
+        arrival = maximum(flat0[slot], prev) + d0
         # The paired write-back holds the arrival port (the reference's
         # left-associated start + demote + promote); a non-evicting
         # miss adds an exact 0.0 instead, which preserves bits.
         busy = arrival + p0_eff[m]
-        arr0[rows, lane] = busy
+        flat0[slot] = busy
         arrival_rows[m] = arrival
         if n_nets > 1 and casc_any[1][m]:
             avail = busy * casc_f[1][m]
             for lvl in range(1, n_nets):
                 if not casc_any[lvl][m]:
                     break
-                arr = free_t[lvl]
-                lane = arr.argmin(axis=1)
-                free = arr[rows, lane]
-                nxt = maximum(free, avail) + p_eff[lvl][m]
-                arr[rows, lane] = nxt
+                slot = free_t[lvl].argmin(axis=1)
+                slot += row_off[lvl]
+                flat = flat_t[lvl]
+                nxt = maximum(flat[slot], avail) + p_eff[lvl][m]
+                flat[slot] = nxt
                 if lvl + 1 < n_nets:
                     avail = nxt * casc_f[lvl + 1][m]
     # The padded tail: shorter groups have run dry (src == 0), so ops

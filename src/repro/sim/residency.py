@@ -26,7 +26,8 @@ Interval semantics per dialect
   recorded intervals are exact and ``clamped == 0``.
 * **Reservation model**: recorded by replaying the identity-carrying
   movement trace (:func:`repro.sim.replay.price_movement_trace` with a
-  recorder emits the event-kernel engine's records hop for hop).  Ports
+  recorder emits the reference event-kernel engine's records hop for
+  hop).  Ports
   are greedily reserved at *scan* time, so a later movement of a qubit
   can be booked at an earlier port slot than its previous arrival.  The
   walk monotonizes by clamp-truncation — the inverted span is charged

@@ -1,25 +1,23 @@
-"""Discrete-event kernel for the memory-hierarchy engine.
+"""Discrete-event kernel of the reference hierarchy engines (test oracle).
 
-The PR 2 engine kept time as ad-hoc per-run accounting: a float heap of
-port free-times per network, advanced inline by the gate loop.  That
-model reserves a port *greedily at scan time* — when a transfer's
-operand is not yet available, the chosen lane is pushed to the far
-future and the idle window between its old free-time and the transfer's
-actual start is lost forever.  On a deep stack that loss compounds: the
-slow bottom network's backlog leaks into every faster network above it.
+The reservation pricer in :mod:`repro.sim.replay` keeps time as a float
+heap of port free-times per network.  That model reserves a port
+*greedily at scan time* — when a transfer's operand is not yet
+available, the chosen lane is pushed to the far future and the idle
+window between its old free-time and the transfer's actual start is
+lost.  The split-transaction model recovers those windows.
 
-This module is the reusable replacement: an :class:`EventKernel` (a
-time-ordered event heap) plus :class:`PortServer`, the transfer ports
-of one network modeled as a resource.  A ``PortServer`` speaks two
-dialects:
+This module is the general-purpose time machinery both reference
+engines of ``tests/oracles/levels.py`` run on: an :class:`EventKernel`
+(a time-ordered event heap) plus :class:`PortServer`, the transfer
+ports of one network modeled as a resource.  A ``PortServer`` speaks
+two dialects:
 
-* **Greedy reservations** (:meth:`PortServer.reserve`) — exactly the
-  PR 2 arithmetic (pop the earliest-free lane, start no earlier than
-  ``ready``, hold through ``duration + hold``), kept so the engine's
-  compatibility path stays bit-identical to the retained reference
-  loop.  Reservations taken through :meth:`PortServer.reserve_handle`
-  are cancellable: :meth:`Reservation.cancel` restores the lane's prior
-  free-time.
+* **Greedy reservations** (:meth:`PortServer.reserve`) — pop the
+  earliest-free lane, start no earlier than ``ready``, hold through
+  ``duration + hold``.  Reservations taken through
+  :meth:`PortServer.reserve_handle` are cancellable:
+  :meth:`Reservation.cancel` restores the lane's prior free-time.
 * **Split-transaction requests** (:meth:`PortServer.request`) — a
   transfer occupies a port only while it is actually in flight.
   Requests queue from their ``ready`` time and a freed port picks the
@@ -146,7 +144,7 @@ class PortServer:
 
     ``lanes`` is the network's effective concurrency (the paper's "Par
     Xfer" divided by the code's channels-per-transfer).  The greedy
-    dialect (:meth:`reserve`) mirrors the PR 2 float-heap arithmetic
+    dialect (:meth:`reserve`) mirrors the sequential float-heap arithmetic
     exactly; the split-transaction dialect (:meth:`request`) needs a
     ``kernel`` and dispatches queued transfers as ports free up.  With
     ``record=True`` every busy interval is kept for occupancy audits.
@@ -167,7 +165,7 @@ class PortServer:
         self.record = record
         self.intervals: List[Tuple[float, float]] = []
         # greedy dialect: a heap of (free-time, lane, version) entries.
-        # The float sequence popped is exactly the PR 2 plain-float
+        # The float sequence popped is exactly the sequential plain-float
         # heap's (the heap always yields the minimum free-time; lane
         # and version only break ties between equal floats, which are
         # interchangeable).  A cancellation bumps the lane's version,
@@ -191,7 +189,7 @@ class PortServer:
         self.completed = 0
 
     # ------------------------------------------------------------------
-    # greedy reservations (PR 2-compatible arithmetic)
+    # greedy reservations (sequential-loop arithmetic)
     # ------------------------------------------------------------------
     def _pop_free(self) -> Tuple[float, int]:
         free, lane, version = heapq.heappop(self._free)
@@ -208,8 +206,8 @@ class PortServer:
 
         The lane is held through ``start + duration + hold`` — ``hold``
         models work that keeps the port busy after the transfer itself
-        (PR 2's paired write-back).  Bit-identical to popping/pushing
-        the PR 2 float heap.
+        (the paired write-back).  Bit-identical to popping/pushing the
+        sequential loop's float heap.
         """
         free, lane = self._pop_free()
         start = free if free > ready else ready

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.cache import simulate_optimized_reference
 from repro.circuits.circuit import Circuit
 from repro.circuits.dag import CircuitDag
 from repro.circuits.gates import cnot_gate, x_gate
@@ -12,7 +13,6 @@ from repro.sim.cache import (
     hit_rate_study,
     simulate_in_order,
     simulate_optimized,
-    simulate_optimized_reference,
 )
 from repro.sim.scheduler import _adder_circuit
 

@@ -1,6 +1,7 @@
 """The discrete-event kernel, port servers, and engine invariants.
 
-Unit tests for :mod:`repro.sim.events` (event ordering, greedy
+Unit tests for the reference engines' event kernel
+(``tests/oracles/events.py``: event ordering, greedy
 reservations with cancellation, split-transaction dispatch) plus the
 engine-level invariants of the split-transaction transfer model:
 qubit conservation across levels, prefetched qubits never evicted
@@ -13,14 +14,11 @@ import heapq
 
 import pytest
 
+from oracles.events import EventKernel, PortServer
+from oracles.levels import simulate_hierarchy_run_audited
 from repro.circuits.workloads import available_workloads, build_workload
 from repro.sim.cache import simulate_optimized
-from repro.sim.events import EventKernel, PortServer
-from repro.sim.levels import (
-    simulate_hierarchy_run,
-    simulate_hierarchy_run_audited,
-    standard_stack,
-)
+from repro.sim.levels import simulate_hierarchy_run, standard_stack
 from repro.sim.policies import available_policies
 from repro.sim.prefetch import (
     available_prefetchers,

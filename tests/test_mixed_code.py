@@ -15,6 +15,10 @@ The tentpole invariants of the multi-backend-codes change:
 
 import pytest
 
+from oracles.levels import (
+    simulate_hierarchy_run_audited,
+    simulate_hierarchy_run_reference,
+)
 from repro.analysis import paper_values, table3_text_from_store
 from repro.core.cqla import CqlaDesign
 from repro.core.design_space import (
@@ -32,8 +36,6 @@ from repro.sim.levels import (
     MemoryLevel,
     mixed_stack,
     simulate_hierarchy_run,
-    simulate_hierarchy_run_audited,
-    simulate_hierarchy_run_reference,
     standard_stack,
 )
 from repro.sim.policies import available_policies

@@ -3,30 +3,30 @@
 The incremental fetch scheduler, the batched Monte Carlo decoder, and
 the N-level hierarchy engine are rewrites of paths whose numbers the
 paper tables depend on — each must produce *bit-identical* output to
-the implementation it replaced.  The references are kept in the tree
-(``simulate_optimized_reference``, ``logical_error_rate_reference``,
-``simulate_l1_run_reference``) as executable specifications, and these
-tests pin the new paths to them.
+the implementation it replaced.  The references are kept as test
+oracles under ``tests/oracles/`` (``simulate_optimized_reference``,
+``logical_error_rate_reference``, ``simulate_l1_run_reference``,
+``simulate_hierarchy_run_reference``) as executable specifications, and
+these tests pin the production paths to them.
 """
 
 import pytest
 
+from oracles.cache import simulate_optimized_reference
+from oracles.hierarchy_sim import simulate_l1_run_reference
+from oracles.levels import simulate_hierarchy_run_reference
+from oracles.montecarlo import logical_error_rate_reference
 from repro.circuits.workloads import build_workload
 from repro.core.design_space import hierarchy_sweep
 from repro.ecc.bacon_shor import bacon_shor_code
 from repro.ecc.montecarlo import (
     logical_error_rate,
-    logical_error_rate_reference,
     sample_depolarizing_batch,
 )
 from repro.ecc.steane import steane_code
-from repro.sim.cache import simulate_optimized, simulate_optimized_reference
-from repro.sim.hierarchy_sim import simulate_l1_run, simulate_l1_run_reference
-from repro.sim.levels import (
-    simulate_hierarchy_run,
-    simulate_hierarchy_run_reference,
-    standard_stack,
-)
+from repro.sim.cache import simulate_optimized
+from repro.sim.hierarchy_sim import simulate_l1_run
+from repro.sim.levels import simulate_hierarchy_run, standard_stack
 from repro.sim.policies import available_policies
 from repro.sim.scheduler import _adder_circuit
 

@@ -11,14 +11,14 @@ Two invariants carry the whole batched-sweep design:
 * **Pricing exactness** — replaying that trace through the re-pricer
   must equal the direct simulator with ``==`` on every row field (the
   floats come out of the same arithmetic, not a tolerance away from
-  it), for both the scalar and the numpy batch engines.
+  it), for both the scalar loop and the vectorized pricer.
 
 Plus the split-transaction pin: the flattened event loop
 (:mod:`repro.sim.fastsplit`) dispatched by ``simulate_hierarchy_run``
-is held bit-identical to the retained reference across a policy ×
-prefetcher × stack matrix, including test-local user-registered
-policies (run on the flattened loop) and prefetchers (run on the
-reference).
+is held bit-identical to the reference engine (``tests/oracles/``)
+across a policy × prefetcher × stack matrix, including test-local
+user-registered policies and prefetchers, which run on the flattened
+loop through their real registry objects.
 """
 
 import random
@@ -27,6 +27,7 @@ from collections import OrderedDict
 import pytest
 
 from repro.circuits.workloads import build_workload
+from oracles.levels import simulate_hierarchy_run_audited
 from repro.sim import fastsplit, policies
 from repro.sim import prefetch as prefetch_mod
 from repro.sim.cache import simulate_optimized
@@ -34,7 +35,6 @@ from repro.sim.fastsplit import supports_fast_split
 from repro.sim.levels import (
     mixed_stack,
     simulate_hierarchy_run,
-    simulate_hierarchy_run_audited,
     standard_stack,
 )
 from repro.sim.policies import EvictionPolicy, available_policies
@@ -44,7 +44,10 @@ from repro.sim.prefetch import (
     available_prefetchers,
 )
 from repro.sim.replay import (
+    NUMPY_PRICING_CELLS,
+    _price_multi_numpy,
     extract_movement_trace,
+    price_movement_trace,
     price_movement_trace_batch,
     price_movement_traces_multi,
 )
@@ -104,22 +107,22 @@ class TestTrafficInvariance:
                                    order=order)
             for stack in stacks
         ]
-        scalar = price_movement_trace_batch(traces[0], stacks,
-                                            engine="scalar")
+        scalar = [price_movement_trace(traces[0], stack) for stack in stacks]
         assert scalar == direct
 
     def test_numpy_engine_exact(self):
-        # One case through the vectorized pricer, above the auto
-        # threshold: replicating the stack list must replicate the rows
-        # exactly — the numpy path is arithmetic-identical, not close.
+        # One case through the vectorized pricer, above the threshold:
+        # replicating the stack list must replicate the rows exactly —
+        # the numpy path is arithmetic-identical, not close.
         circuit = build_workload("draper_adder", 24)
         stacks = _code_variants(3, 12, 1.0, 10) * 16
+        assert len(stacks) >= NUMPY_PRICING_CELLS
         order = simulate_optimized(
             circuit, stacks[0].levels[0].capacity
         ).order
         trace = extract_movement_trace(stacks[0], circuit, "lru",
                                        order=order)
-        batched = price_movement_trace_batch(trace, stacks, engine="numpy")
+        batched = price_movement_trace_batch(trace, stacks)
         direct = [
             simulate_hierarchy_run(stack, circuit, "lru", order=order)
             for stack in stacks
@@ -128,12 +131,13 @@ class TestTrafficInvariance:
 
 
 class TestMultiGroupPricing:
-    """Multi-group one-pass pricing vs per-group batched pricing.
+    """Multi-group one-pass pricing vs the scalar loop.
 
-    ``price_movement_traces_multi`` pads variable-length traces from
-    many traffic groups into one structured batch; every engine must
-    return rows ``==``-identical to ``price_movement_trace_batch`` run
-    per group.  The group set is deliberately ragged — different
+    ``_price_multi_numpy`` pads variable-length traces from many
+    traffic groups into one structured batch; it must return rows
+    ``==``-identical to ``price_movement_trace`` run per cell, and so
+    must the public entry points on either side of the threshold.  The
+    group set is deliberately ragged — different
     workloads, sizes, depths, policies, and *unequal config counts* —
     so the padding tail, and groups whose trailing gates are miss-free
     (the ``reduceat`` fold's boundary case), are all exercised.
@@ -176,21 +180,44 @@ class TestMultiGroupPricing:
             for trace, _ in groups
         )
 
-    @pytest.mark.parametrize("engine", ["auto", "grouped", "numpy"])
-    def test_exact_vs_per_group(self, engine):
-        groups = self._build(self.GROUP_SPECS)
-        expected = [
-            price_movement_trace_batch(trace, stacks)
+    @staticmethod
+    def _scalar(groups):
+        return [
+            [price_movement_trace(trace, stack) for stack in stacks]
             for trace, stacks in groups
         ]
-        assert price_movement_traces_multi(groups, engine=engine) == expected
 
-    @pytest.mark.parametrize("engine", ["auto", "grouped", "numpy"])
-    def test_single_group_and_empty(self, engine):
-        groups = self._build(self.GROUP_SPECS[:1])
-        expected = [price_movement_trace_batch(*groups[0])]
-        assert price_movement_traces_multi(groups, engine=engine) == expected
-        assert price_movement_traces_multi([], engine=engine) == []
+    @staticmethod
+    def _priced(pricer, groups):
+        """(groups, rows) through one pricing path: the public entry
+        below the threshold, the public entry at or above it (every
+        group's stacks replicated), or the vectorized pricer directly."""
+        n_cells = sum(len(stacks) for _, stacks in groups)
+        if pricer == "public":
+            assert n_cells < NUMPY_PRICING_CELLS
+        if pricer == "public_vectorized":
+            reps = -(-NUMPY_PRICING_CELLS // n_cells)
+            groups = [(trace, stacks * reps) for trace, stacks in groups]
+        if pricer == "numpy":
+            return groups, _price_multi_numpy(groups)
+        return groups, price_movement_traces_multi(groups)
+
+    @pytest.mark.parametrize("pricer", ["public", "public_vectorized",
+                                        "numpy"])
+    def test_exact_vs_per_group(self, pricer):
+        groups, priced = self._priced(pricer, self._build(self.GROUP_SPECS))
+        assert priced == self._scalar(groups)
+
+    @pytest.mark.parametrize("pricer", ["public", "public_vectorized",
+                                        "numpy"])
+    def test_single_group_and_empty(self, pricer):
+        groups, priced = self._priced(pricer,
+                                      self._build(self.GROUP_SPECS[:1]))
+        assert priced == self._scalar(groups)
+        assert price_movement_trace_batch(*groups[0]) == priced[0]
+        trace = groups[0][0]
+        assert price_movement_traces_multi([(trace, [])]) == [[]]
+        assert price_movement_traces_multi([]) == []
 
 
 class TestFastSplitEquivalence:
@@ -282,9 +309,9 @@ class _ReversedNextKPrefetcher(Prefetcher):
 
 
 class TestFastSplitUserExtensions:
-    """User-registered policies run on the flattened engine through
-    their real policy objects; user-registered prefetchers still take
-    the reference engine.  Registrations are test-local."""
+    """User-registered policies and prefetchers run on the flattened
+    engine through their real registry objects.  Registrations are
+    test-local."""
 
     @pytest.fixture
     def fast_calls(self, monkeypatch):
@@ -339,10 +366,15 @@ class TestFastSplitUserExtensions:
             if prefetch_name != "none":
                 assert result.prefetches_issued > 0
 
-    @pytest.mark.parametrize("policy", ["lru", "test_mru"])
-    def test_user_prefetcher_takes_reference(self, fast_calls, policy):
+    @pytest.mark.parametrize("policy", ["lru", "belady", "fidelity",
+                                        "test_mru"])
+    def test_user_prefetcher_runs_fastsplit(self, fast_calls, policy):
         name = _ReversedNextKPrefetcher.name
-        assert not supports_fast_split(policy, name)
+        assert supports_fast_split(policy, name)
         results = self._pin(policy, name)
-        assert fast_calls == []
+        assert fast_calls == [(policy, name)] * 2
         assert all(result.prefetches_issued > 0 for result in results)
+
+    def test_unregistered_names_not_supported(self):
+        assert not supports_fast_split("lru", "no_such_prefetcher")
+        assert not supports_fast_split("no_such_policy", "next_k")

@@ -6,7 +6,7 @@ Pins the coupling between the engine dialects and the ECC Monte Carlo:
   three study workloads, each qubit's residency intervals are
   non-overlapping, level/network-tagged, and exactly partition
   ``[0, horizon]`` (no gaps, float-exact telescoping), with the checks
-  also wired through the :class:`~repro.sim.levels.EngineAudit`
+  also wired through the oracle engines' ``EngineAudit``
   ``residency_*`` counters.
 * **Equivalence pins** — a recorder never changes engine arithmetic
   (recorded runs are bit-identical to recorder-less runs in every
@@ -31,6 +31,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
+from oracles.levels import simulate_hierarchy_run_audited
 from repro.circuits.workloads import build_workload
 from repro.core.design_space import (
     ENGINE_FIDELITY_SEED,
@@ -51,7 +52,6 @@ from repro.sim.levels import (
     l1_capacity,
     mixed_stack,
     simulate_hierarchy_run,
-    simulate_hierarchy_run_audited,
     three_level_stack,
 )
 from repro.sim.policies import available_policies
