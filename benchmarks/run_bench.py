@@ -13,8 +13,8 @@ numbers mechanically::
 The kernel set covers the two acceptance-criteria paths (optimized
 fetch on the 1024-bit Draper adder, 4000-trial Monte Carlo decoding)
 plus the Table 4/5 sweeps that sit on top of them.  Each kernel runs in
-a fresh in-process state (module caches are cleared where they exist)
-so the numbers reflect cold-path cost, not memoization.
+a fresh in-process state (module caches are cleared between repeats)
+so the numbers reflect cold-path cost, not cache hits.
 """
 
 from __future__ import annotations
@@ -651,28 +651,13 @@ def _bench_service_table_query_overhead(queries: int = 8):
     return run
 
 
-def _clear_memo_state() -> None:
+def _clear_process_caches() -> None:
     """Reset in-process caches so every kernel times the cold path."""
-    try:
-        from repro.sim import hierarchy_sim
+    from repro.core.design_space import _fetch_order
+    from repro.sim import hierarchy_sim
 
-        hierarchy_sim.l1_speedup.cache_clear()
-    except Exception:
-        pass
-    try:
-        from repro.perf.memo import default_cache
-
-        default_cache().clear_memory()
-    except Exception:
-        # Seed tree (pre repro.perf) — nothing to clear.
-        pass
-    try:
-        from repro.core.design_space import _fetch_order
-
-        _fetch_order.cache_clear()
-    except Exception:
-        # Pre-sharded-sweep tree — nothing to clear.
-        pass
+    hierarchy_sim._adder_l1_run.cache_clear()
+    _fetch_order.cache_clear()
 
 
 def _times(fn, n: int):
@@ -748,7 +733,7 @@ def time_kernels(quick: bool, repeats: int) -> dict:
         ratio = name.endswith(("_overhead", "_speedup"))
         best = None
         for _ in range(repeats):
-            _clear_memo_state()
+            _clear_process_caches()
             t0 = time.perf_counter()
             value = fn()
             if not ratio:
@@ -981,10 +966,10 @@ def main(argv=None) -> int:
         parser.error(f"baseline file not found: {args.baseline}")
 
     # The point of these numbers is the cold-path kernel cost: drop any
-    # ambient persistent-cache directory before the lazily-built default
-    # cache can pick it up (this also propagates to the pytest
-    # subprocess), and _clear_memo_state wipes the memory tier between
-    # repeats.
+    # ambient persistent-cache directory before a trace_cache=True
+    # default can pick it up (this also propagates to the pytest
+    # subprocess), and _clear_process_caches wipes the in-process
+    # lru_cache tables between repeats.
     if os.environ.pop("REPRO_CACHE_DIR", None) is not None:
         print("note: ignoring REPRO_CACHE_DIR — benchmarks time the cold path")
 

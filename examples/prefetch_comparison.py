@@ -44,7 +44,6 @@ def main() -> None:
         sizes=(n_bits,),
         depths=(3,),
         prefetches=available_prefetchers(),
-        cache=False,
     ))
     print()
 

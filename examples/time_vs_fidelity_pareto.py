@@ -40,7 +40,6 @@ def main() -> None:
         prefetches=list(PREFETCHES),
         transfer_options=[10],
         code_pairs=(),
-        cache=False,
         fidelity={"trials": TRIALS, "seed": SEED},
     )
     front = {id(row) for row in pareto_rows(rows)}

@@ -6,7 +6,7 @@ the :class:`Circuit` gate IR and its operand traces
 (:mod:`repro.circuits.dag`), the concrete generators — Draper
 carry-lookahead adder, QFT, Shor modular exponentiation — and the
 workload registry (:mod:`repro.circuits.workloads`) that gives sweeps
-stable names and memoization keys.  :mod:`repro.circuits.isa` is the
+stable names and cell keys.  :mod:`repro.circuits.isa` is the
 cache-control instruction encoding.  Circuits are code-agnostic:
 encoding choices enter only when a circuit meets a
 :class:`repro.sim.levels.HierarchyStack`.

@@ -3,7 +3,7 @@
 The engine (:func:`repro.sim.levels.simulate_hierarchy_run`) accepts
 any :class:`~repro.circuits.circuit.Circuit`; this registry gives the
 sweeps, benchmarks and examples a common vocabulary of named workloads
-so a design-space cell can be keyed (and memoized) by ``(workload
+so a design-space cell can be keyed (and stored) by ``(workload
 name, n_bits)`` instead of by an arbitrary gate list.
 
 Shipped workloads:

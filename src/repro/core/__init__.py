@@ -15,7 +15,8 @@ architectural models and the rendered tables:
 * :mod:`repro.core.design_space` — the canonical sweep grids and
   sweeps (Tables 3/4/5 and the generalized engine design space,
   including the mixed-code ``code_pairs`` axis), all executing through
-  :mod:`repro.sweep` with :mod:`repro.perf` memoization.
+  :mod:`repro.sweep`, reading through an optional :mod:`repro.perf`
+  result store.
 """
 
 from .cqla import CqlaDesign

@@ -8,8 +8,8 @@ verbatim; other sizes fall back to the nearest-square rule.
 Beyond the paper's tables, :func:`engine_sweep` enumerates the
 generalized hierarchy engine over (depth, eviction policy, workload,
 prefetcher) — the design axes the two-level adder-only reproduction
-hard-coded — with the same memoization and process-pool fan-out as the
-published sweeps.
+hard-coded — with the same store read-through and process-pool fan-out
+as the published sweeps.
 
 Every sweep enumerates its cells through one shared abstraction: a
 ``*_grid()`` builder returns the canonical :class:`repro.sweep.grid.Grid`
@@ -27,10 +27,9 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..perf.memo import resolve_cache, stable_key
 from ..sim.residency import FIDELITY_SEED, FIDELITY_TRIALS
-from ..sweep.grid import Cell, Grid
-from ..sweep.runner import compute_grid, kernel_batch_spec, persist_rows
+from ..sweep.grid import Cell, Grid, stable_key
+from ..sweep.runner import compute_grid, kernel_batch_spec
 from .cqla import CqlaDesign
 from .hierarchy import MemoryHierarchy
 
@@ -122,45 +121,23 @@ def specialization_sweep(
     code_keys: Sequence[str] = PAPER_CODE_KEYS,
     *,
     workers: Optional[int] = None,
-    cache=None,
     store=None,
     supervise=None,
 ) -> List[SpecializationRow]:
     """Evaluate every Table 4 cell.
 
     ``workers=N`` fans the independent cells out over a process pool;
-    ``cache`` memoizes the whole sweep (see
-    :func:`repro.perf.memo.resolve_cache` for accepted values); a
-    ``store`` (path or :class:`repro.perf.store.ResultStore`) persists
-    and reads through per-cell records shared with sharded workers;
-    ``supervise`` (a :class:`repro.perf.supervise.Supervision`) runs
-    under the fault-tolerant pool, quarantining terminally failing
-    cells as ``None`` rows (never memoized as a complete sweep).
+    a ``store`` (locator, path or backend) persists and reads through
+    per-cell records shared with sharded workers, so a warm re-run
+    against the same store recomputes nothing; ``supervise`` (a
+    :class:`repro.perf.supervise.Supervision`) runs under the
+    fault-tolerant pool, quarantining terminally failing cells as
+    ``None`` rows.
     """
-    memo = resolve_cache(cache)
-    key = stable_key(
-        "specialization_sweep", sizes=list(sizes), code_keys=list(code_keys)
+    return compute_grid(
+        specialization_grid(sizes, code_keys), specialization_cell,
+        SpecializationRow, store=store, workers=workers, supervise=supervise,
     )
-    grid = specialization_grid(sizes, code_keys)
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            try:
-                rows = [SpecializationRow(**row) for row in hit]
-            except TypeError:
-                pass  # malformed persisted entry: fall through, recompute
-            else:
-                # A memo hit bypasses the store: write through so a
-                # store= caller still ends up with a mergeable record set.
-                persist_rows(grid, rows, store)
-                return rows
-    rows = compute_grid(
-        grid, specialization_cell, SpecializationRow,
-        store=store, workers=workers, supervise=supervise,
-    )
-    if memo is not None and all(row is not None for row in rows):
-        memo.put(key, [asdict(row) for row in rows])
-    return rows
 
 
 @dataclass(frozen=True)
@@ -222,43 +199,18 @@ def hierarchy_sweep(
     transfer_options: Sequence[int] = TABLE5_TRANSFER_OPTIONS,
     *,
     workers: Optional[int] = None,
-    cache=None,
     store=None,
     supervise=None,
 ) -> List[HierarchyRow]:
     """Evaluate every Table 5 cell.
 
-    ``workers=N`` fans the independent cells out over a process pool;
-    ``cache`` memoizes the whole sweep (see
-    :func:`repro.perf.memo.resolve_cache` for accepted values); a
-    ``store`` (path or :class:`repro.perf.store.ResultStore`) persists
-    and reads through per-cell records shared with sharded workers;
-    ``supervise`` runs under the fault-tolerant pool (see
-    :func:`specialization_sweep`).
+    ``workers``, ``store`` and ``supervise`` behave as in
+    :func:`specialization_sweep`.
     """
-    memo = resolve_cache(cache)
-    key = stable_key(
-        "hierarchy_sweep", sizes=list(sizes), code_keys=list(code_keys),
-        transfer_options=list(transfer_options),
+    return compute_grid(
+        hierarchy_grid(sizes, code_keys, transfer_options), hierarchy_cell,
+        HierarchyRow, store=store, workers=workers, supervise=supervise,
     )
-    grid = hierarchy_grid(sizes, code_keys, transfer_options)
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            try:
-                rows = [HierarchyRow(**row) for row in hit]
-            except TypeError:
-                pass  # malformed persisted entry: fall through, recompute
-            else:
-                persist_rows(grid, rows, store)
-                return rows
-    rows = compute_grid(
-        grid, hierarchy_cell, HierarchyRow,
-        store=store, workers=workers, supervise=supervise,
-    )
-    if memo is not None and all(row is not None for row in rows):
-        memo.put(key, [asdict(row) for row in rows])
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +297,6 @@ def transfer_sweep(
     levels: Sequence[int] = TABLE3_LEVELS,
     *,
     workers: Optional[int] = None,
-    cache=None,
     store=None,
     supervise=None,
 ) -> List[TransferRow]:
@@ -356,29 +307,13 @@ def transfer_sweep(
     machinery as every other table: sharded workers can fill a store
     (``python -m repro.sweep run --kernel transfer_cell``) and
     :func:`repro.analysis.tables.table3_from_store` renders from it.
+    ``workers``, ``store`` and ``supervise`` behave as in
+    :func:`specialization_sweep`.
     """
-    memo = resolve_cache(cache)
-    key = stable_key(
-        "transfer_sweep", code_keys=list(code_keys), levels=list(levels)
-    )
-    grid = transfer_grid(code_keys, levels)
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            try:
-                rows = [TransferRow(**row) for row in hit]
-            except TypeError:
-                pass  # malformed persisted entry: fall through, recompute
-            else:
-                persist_rows(grid, rows, store)
-                return rows
-    rows = compute_grid(
-        grid, transfer_cell, TransferRow,
+    return compute_grid(
+        transfer_grid(code_keys, levels), transfer_cell, TransferRow,
         store=store, workers=workers, supervise=supervise,
     )
-    if memo is not None and all(row is not None for row in rows):
-        memo.put(key, [asdict(row) for row in rows])
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -800,7 +735,6 @@ def engine_sweep(
     code_pairs: Sequence[Sequence[str]] = ENGINE_CODE_PAIRS,
     *,
     workers: Optional[int] = None,
-    cache=None,
     store=None,
     supervise=None,
     trace_cache=None,
@@ -814,12 +748,11 @@ def engine_sweep(
     prefetcher); ``code_pairs`` the mixed-code stack axis (each
     (compute code, memory code) pair simulates that compute code over
     that memory code — see :func:`engine_grid`).  ``workers=N`` fans
-    the independent cells out over a process pool; ``cache`` memoizes
-    the whole sweep (see :func:`repro.perf.memo.resolve_cache` for
-    accepted values); a ``store`` (path or
-    :class:`repro.perf.store.ResultStore`) persists and reads through
-    per-cell records, which is how sharded workers
-    (``python -m repro.sweep``) and this function share work.
+    the independent cells out over a process pool; a ``store``
+    (locator, path or backend) persists and reads through per-cell
+    records, which is how sharded workers (``python -m repro.sweep``)
+    and this function share work, and why a warm re-run against the
+    same store recomputes nothing.
 
     Cells differing only in priced axes (codes, transfer width) run as
     one traffic group: simulated once, re-priced per member (see
@@ -833,20 +766,15 @@ def engine_sweep(
     Carlo budget) or a ``{"trials": ..., "seed": ...}`` mapping, and
     every cell runs with a residency recorder attached, returning
     :class:`FidelityRow` rows (``EngineRow`` plus ``logical_error`` and
-    its breakdown) under a distinct memo key and grid kernel
-    (``fidelity_cell``).  ``fidelity=None`` leaves the sweep —
-    including its memo key and store records — byte-identical to a
-    pre-fidelity build.  Fidelity cells group by the same traffic key
-    (see :func:`fidelity_batch_cell`): the movement trace carries qubit
+    its breakdown) under a distinct grid kernel (``fidelity_cell``), so
+    its cell keys never collide with the engine grid's.
+    ``fidelity=None`` leaves the sweep — including its cell keys and
+    store records — byte-identical to a pre-fidelity build.  Fidelity
+    cells group by the same traffic key (see
+    :func:`fidelity_batch_cell`): the movement trace carries qubit
     identities, so one extraction — or one trace-cache load, shared
     with the engine grid — serves every member's residency recording.
     """
-    if policies is None:
-        from ..sim.policies import available_policies
-
-        policies = available_policies()
-    code_pairs = _normalize_code_pairs(code_pairs)
-    memo = resolve_cache(cache)
     if fidelity:
         trials, seed = _fidelity_budget(fidelity)
         budget = dict(fidelity_trials=trials, fidelity_seed=seed)
@@ -854,36 +782,15 @@ def engine_sweep(
     else:
         budget = {}
         build, cell_fn, row_type = engine_grid, engine_cell, EngineRow
-    key = stable_key(
-        "engine_sweep", workloads=list(workloads), sizes=list(sizes),
-        code_keys=list(code_keys), depths=list(depths),
-        policies=list(policies), prefetches=list(prefetches),
-        transfer_options=list(transfer_options),
-        compute_qubits=compute_qubits, cache_factor=cache_factor,
-        code_pairs=[list(pair) for pair in code_pairs], **budget,
-    )
     grid = build(
         workloads, sizes, code_keys, depths, policies, prefetches,
         transfer_options, compute_qubits, cache_factor, code_pairs, **budget,
     )
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            try:
-                rows = [row_type(**row) for row in hit]
-            except TypeError:
-                pass  # malformed persisted entry: fall through, recompute
-            else:
-                persist_rows(grid, rows, store)
-                return rows
-    rows = compute_grid(
+    return compute_grid(
         grid, cell_fn, row_type,
         store=store, workers=workers, supervise=supervise,
         batch=kernel_batch_spec(grid.kernel, trace_cache),
     )
-    if memo is not None and all(row is not None for row in rows):
-        memo.put(key, [asdict(row) for row in rows])
-    return rows
 
 
 # ----------------------------------------------------------------------

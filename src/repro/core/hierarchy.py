@@ -70,8 +70,8 @@ class MemoryHierarchy:
 
     ``eviction_policy`` selects the level-1 replacement policy from the
     :mod:`repro.sim.policies` registry; the default ``"lru"`` is the
-    paper's configuration and runs through the memoized Table 5
-    compatibility path.  ``prefetch`` selects a
+    paper's configuration and runs through the Table 5 compatibility
+    path (:func:`repro.sim.hierarchy_sim.simulate_l1_run`).  ``prefetch`` selects a
     :mod:`repro.sim.prefetch` prefetcher; anything but ``"none"``
     simulates on the split-transaction transfer model with exact
     prefetching down the static fetch order.

@@ -1,19 +1,16 @@
-"""Performance infrastructure: memoization, fan-out, durable results.
+"""Performance infrastructure: fan-out, durable results, trace reuse.
 
 The design-space sweeps (Tables 4 and 5) and the hierarchy simulator
 evaluate many independent, deterministic cells; this subsystem supplies
 the generic accelerators they share:
 
-* :mod:`repro.perf.memo` — a config-hash -> result memoization layer
-  with an in-process LRU in front of an optional JSON file cache, so
-  repeated sweeps (within one process or across runs) pay for each cell
-  once;
 * :mod:`repro.perf.parallel` — an opt-in ``workers=N`` process-pool map
   for the embarrassingly parallel sweep cells;
 * :mod:`repro.perf.store` — a durable, content-addressed result store
   (atomic per-cell JSON records, ``flock``-guarded index) that sharded
   sweep workers on many hosts fill concurrently and ``merge`` reads
-  back; its on-disk layout is :class:`SweepCache`-compatible;
+  back; a sweep given ``store=`` reads through it, so a warm re-run
+  recomputes nothing;
 * :mod:`repro.perf.backends` — the pluggable-store layer: the
   ``fs:DIR`` / ``sqlite:PATH`` locator syntax (:func:`open_store`),
   the backend method/atomicity contract, and the :class:`SqliteStore`
@@ -31,11 +28,13 @@ the generic accelerators they share:
   that proves the supervision semantics (scripted raise/transient/
   hang/exit/corrupt faults, reproducible across processes).
 
-All are policy-free: callers pass ``cache=`` / ``workers=`` / ``store=``
-/ ``supervise=`` / ``trace_cache=`` knobs and get identical numeric
+All are policy-free: callers pass ``workers=`` / ``store=`` /
+``supervise=`` / ``trace_cache=`` knobs and get identical numeric
 results either way.  Under a shared ``REPRO_CACHE_DIR`` root each layer
-owns its own namespace — ``memo/`` for the file cache, ``traces/`` for
-trace blobs, ``store/`` (by convention) for result stores.
+owns its own namespace — ``traces/`` for trace blobs, ``store/`` (by
+convention) for result stores.  Cell identity — the
+:func:`repro.sweep.grid.stable_key` digest every record and trace blob
+is keyed by — lives with the grid in :mod:`repro.sweep.grid`.
 """
 
 from .backends import (
@@ -46,7 +45,6 @@ from .backends import (
     parse_locator,
 )
 from .chaos import ChaosFault, ChaosPlan, ChaosTransientError, Fault
-from .memo import SweepCache, default_cache, resolve_cache, stable_key
 from .parallel import parallel_iter, parallel_map
 from .store import ResultStore, StoreStatus, atomic_write_text, resolve_store
 from .tracecache import TraceCache, default_trace_cache, resolve_trace_cache
@@ -75,21 +73,17 @@ __all__ = [
     "StoreBackendError",
     "StoreStatus",
     "Supervision",
-    "SweepCache",
     "TooManyFailures",
     "TraceCache",
     "WorkerCrash",
     "atomic_write_text",
-    "default_cache",
     "default_trace_cache",
     "locator_path",
     "open_store",
     "parallel_iter",
     "parallel_map",
     "parse_locator",
-    "resolve_cache",
     "resolve_store",
     "resolve_trace_cache",
-    "stable_key",
     "supervised_indexed",
 ]

@@ -3,8 +3,9 @@
 Every design-space cell is pure and independent, so the sweeps can hand
 their cell list to :func:`parallel_map` with ``workers=N`` and fan out
 across processes.  The default (``workers=None``/``0``/``1``) stays
-serial — no pool start-up cost, identical results, and the in-process
-memoization tier keeps working.  Cell functions must be module-level
+serial — no pool start-up cost, identical results, and the
+process-local ``lru_cache`` tables (fetch schedules, workloads) stay
+warm.  Cell functions must be module-level
 (picklable) and their results deterministic, so serial and parallel
 runs are interchangeable.
 

@@ -1,8 +1,8 @@
 """Durable, shareable result store for sharded sweeps.
 
 A :class:`ResultStore` is a directory of content-addressed JSON records,
-one file per sweep cell, keyed by the same configuration hash
-:func:`repro.perf.memo.stable_key` produces.  It is the persistence
+one file per sweep cell, keyed by the cell's content hash
+(:func:`repro.sweep.grid.stable_key`).  It is the persistence
 layer of the sharded sweep subsystem (:mod:`repro.sweep`): any number of
 worker processes — on one host or many sharing a filesystem — write
 cells into the same directory, and a ``merge`` reassembles the exact row
@@ -38,14 +38,12 @@ Design points:
   defines the locator syntax (``fs:DIR`` / ``sqlite:PATH``), the
   method/atomicity contract, and the :class:`SqliteStore` twin proven
   interchangeable by ``tests/test_backends.py``.
-* **``SweepCache``-compatible layout.**  Records are ``<key>.json``
-  files whose top-level ``"value"`` field holds the payload — exactly
-  the layout :class:`repro.perf.memo.SweepCache` persists — so a
-  :class:`SweepCache` pointed at a store directory warm-reads its
-  records, and vice versa.  Within a shared ``REPRO_CACHE_DIR`` root,
-  stores conventionally live under the ``store/`` subdirectory (the
-  memo cache owns ``memo/``, the trace cache ``traces/``), so the
-  three key spaces stay disjoint by construction.
+* **The only persisted sweep results.**  Records are ``<key>.json``
+  files whose top-level ``"value"`` field holds the row; a sweep given
+  ``store=`` reads through them, so a warm re-run recomputes nothing.
+  Within a shared ``REPRO_CACHE_DIR`` root, stores conventionally live
+  under the ``store/`` subdirectory (the trace cache owns
+  ``traces/``), so the two key spaces stay disjoint by construction.
 """
 
 from __future__ import annotations

@@ -33,9 +33,9 @@ Design points, shared with the sibling persistence layers:
   cache-wide tally (surfaced by ``repro-sweep status --trace-cache``).
 
 Within ``REPRO_CACHE_DIR`` the trace cache owns the ``traces/``
-subdirectory (see :func:`default_trace_cache`); the memoization layer
-owns ``memo/`` and result stores conventionally use ``store/`` — three
-disjoint namespaces, documented in ``docs/architecture.md``.
+subdirectory (see :func:`default_trace_cache`) and result stores
+conventionally use ``store/`` — disjoint namespaces, documented in
+``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from typing import Any, Callable, Dict, Optional, Union
 
 from .store import atomic_write_text, flocked
 
-#: Environment variable naming the shared cache root (the same root the
-#: memoization layer uses; each subsystem owns a subdirectory).
+#: Environment variable naming the shared cache root (each subsystem
+#: owns a subdirectory of it).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Subdirectory of ``REPRO_CACHE_DIR`` owned by the trace cache.
@@ -254,10 +254,9 @@ class TraceCache:
 def default_trace_cache() -> Optional[TraceCache]:
     """A cache under ``$REPRO_CACHE_DIR/traces``, or None if unset.
 
-    Unlike the memoization layer (whose memory tier is always useful),
-    a trace cache with no durable home is pointless — the sweep already
-    holds its traces in process — so no environment variable means no
-    cache.
+    A trace cache with no durable home is pointless — the sweep
+    already holds its traces in process — so no environment variable
+    means no cache.
     """
     root = os.environ.get(CACHE_DIR_ENV)
     if not root:

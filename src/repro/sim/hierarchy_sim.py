@@ -15,13 +15,12 @@ instruction stream entirely at level 2 and this simulated level-1 run.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from ..circuits.circuit import Circuit
 from ..ecc.concatenated import by_key
-from ..perf.memo import resolve_cache, stable_key
 from .levels import (
     DEFAULT_COMPUTE_QUBITS,
     l1_capacity,
@@ -77,7 +76,7 @@ def _validate_l1_args(
     """Boundary validation: fail fast with a clear message instead of
     deep inside the event loop."""
     if l1_code_key is not None:
-        by_key(l1_code_key)  # validates the key before any memo lookup
+        by_key(l1_code_key)  # validates the key before any stack is built
     if parallel_transfers < 1:
         raise ValueError(
             f"parallel_transfers must be at least 1, got {parallel_transfers}"
@@ -109,7 +108,6 @@ def simulate_l1_run(
     compute_qubits: int = DEFAULT_COMPUTE_QUBITS,
     cache_factor: float = 2.0,
     circuit: Optional[Circuit] = None,
-    cache=None,
     eviction_policy: str = "lru",
     prefetch: str = "none",
     l1_code_key: Optional[str] = None,
@@ -143,12 +141,9 @@ def simulate_l1_run(
     ``code_key`` remains the memory-side code and the level-2 serial
     baseline.
 
-    Runs with the default adder circuit are memoized through
-    :mod:`repro.perf.memo` (keyed on every parameter that affects the
-    result); pass ``cache=False`` to force a fresh simulation, or an
-    explicit :class:`~repro.perf.memo.SweepCache` / directory to control
-    where results persist.  Caller-supplied circuits bypass the cache —
-    there is no stable key for an arbitrary gate list.
+    ``circuit`` replaces the default ``n_bits`` adder workload.  Runs
+    of the default adder are cached per process, keyed on every
+    parameter (Table 5 re-renders the same few configurations).
     """
     _validate_l1_args(
         parallel_transfers, compute_qubits, cache_factor, circuit,
@@ -156,53 +151,11 @@ def simulate_l1_run(
     )
     if l1_code_key == code_key:
         l1_code_key = None
-    if circuit is not None:
-        return _simulate_l1_run_uncached(
-            code_key, n_bits, parallel_transfers, compute_qubits,
-            cache_factor, circuit, eviction_policy, prefetch, l1_code_key,
-        )
-    memo = resolve_cache(cache)
-    # Same-code runs keep the historical key (no l1_code_key entry), so
-    # persisted caches written before the mixed-code axis stay warm.
-    key_kwargs = dict(
-        code_key=code_key, n_bits=n_bits,
-        parallel_transfers=parallel_transfers,
-        compute_qubits=compute_qubits, cache_factor=cache_factor,
-        eviction_policy=eviction_policy, prefetch=prefetch,
-    )
-    if l1_code_key is not None:
-        key_kwargs["l1_code_key"] = l1_code_key
-    key = stable_key("simulate_l1_run", **key_kwargs)
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            try:
-                return HierarchyRunResult(**hit)
-            except TypeError:
-                pass  # malformed persisted entry: fall through, recompute
-    result = _simulate_l1_run_uncached(
-        code_key, n_bits, parallel_transfers, compute_qubits,
-        cache_factor, None, eviction_policy, prefetch, l1_code_key,
-    )
-    if memo is not None:
-        memo.put(key, asdict(result))
-    return result
-
-
-def _simulate_l1_run_uncached(
-    code_key: str,
-    n_bits: int,
-    parallel_transfers: int,
-    compute_qubits: int,
-    cache_factor: float,
-    circuit: Optional[Circuit],
-    eviction_policy: str = "lru",
-    prefetch: str = "none",
-    l1_code_key: Optional[str] = None,
-) -> HierarchyRunResult:
-    """Engine-backed two-level run mapped onto the legacy result."""
     if circuit is None:
-        circuit = _adder_circuit(n_bits, False)
+        return _adder_l1_run(
+            code_key, n_bits, parallel_transfers, compute_qubits,
+            cache_factor, eviction_policy, prefetch, l1_code_key,
+        )
     if l1_code_key is not None:
         stack = mixed_stack(
             l1_code_key, code_key,
@@ -233,7 +186,25 @@ def _simulate_l1_run_uncached(
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
+def _adder_l1_run(
+    code_key: str,
+    n_bits: int,
+    parallel_transfers: int,
+    compute_qubits: int,
+    cache_factor: float,
+    eviction_policy: str,
+    prefetch: str,
+    l1_code_key: Optional[str],
+) -> HierarchyRunResult:
+    """:func:`simulate_l1_run` on the default adder (a frozen result,
+    safe to share between callers)."""
+    return simulate_l1_run(
+        code_key, n_bits, parallel_transfers, compute_qubits, cache_factor,
+        _adder_circuit(n_bits, False), eviction_policy, prefetch, l1_code_key,
+    )
+
+
 def l1_speedup(
     code_key: str,
     n_bits: int,
@@ -241,12 +212,11 @@ def l1_speedup(
     compute_qubits: int = DEFAULT_COMPUTE_QUBITS,
     cache_factor: float = 2.0,
 ) -> float:
-    """Cached Table 5 "L1 SpeedUp" for one configuration.
+    """Table 5 "L1 SpeedUp" for one configuration.
 
-    Every input that affects the result is an explicit parameter of the
-    cached function — ``compute_qubits`` and ``cache_factor`` included —
-    so callers varying them can never receive a stale entry keyed only
-    on the first three arguments.
+    The default-adder run underneath is cached per process by
+    :func:`simulate_l1_run`, keyed on every parameter here —
+    ``compute_qubits`` and ``cache_factor`` included.
     """
     return simulate_l1_run(
         code_key, n_bits, parallel_transfers=parallel_transfers,

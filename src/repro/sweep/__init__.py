@@ -8,7 +8,8 @@ lands as a content-addressed record in a durable
 exact row list a single-process sweep produces — bit-identically.
 
 Library surface: :func:`compute_grid` / :func:`rows_from_store`
-(:mod:`repro.sweep.runner`).  Operational surface::
+(:mod:`repro.sweep.runner`), and :func:`stable_key`, the cell-identity
+digest (:mod:`repro.sweep.grid`).  Operational surface::
 
     python -m repro.sweep run --shard 0/4 --store URL   # one worker
     python -m repro.sweep status --store URL --shards 4
@@ -24,12 +25,11 @@ service (:mod:`repro.service`) over either.  (The CLI lives in
 stays import-light for the sweeps.)
 """
 
-from .grid import Cell, Grid, parse_shard_spec, shard_index
+from .grid import Cell, Grid, parse_shard_spec, shard_index, stable_key
 from .runner import (
     MissingCells,
     compute_grid,
     kernel_registry,
-    persist_rows,
     rows_from_store,
 )
 
@@ -40,7 +40,7 @@ __all__ = [
     "compute_grid",
     "kernel_registry",
     "parse_shard_spec",
-    "persist_rows",
     "rows_from_store",
     "shard_index",
+    "stable_key",
 ]

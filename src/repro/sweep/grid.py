@@ -4,10 +4,10 @@ Every design-space sweep is an enumeration of independent *cells* — one
 kernel name plus one JSON-able parameter mapping per cell.  This module
 gives all of them one shared abstraction:
 
-* a :class:`Cell` knows its content hash (:attr:`Cell.key`, the same
-  :func:`repro.perf.memo.stable_key` digest the memo layer uses), so a
-  cell computed anywhere — serial sweep, pool worker, another host —
-  lands under the same identity in a :class:`repro.perf.store.ResultStore`;
+* a :class:`Cell` knows its content hash (:attr:`Cell.key`, the
+  :func:`stable_key` digest of its kernel and parameters), so a cell
+  computed anywhere — serial sweep, pool worker, another host — lands
+  under the same identity in a :class:`repro.perf.store.ResultStore`;
 * a :class:`Grid` is the *canonical enumeration order* of a sweep.
   Reassembling rows in grid order is what makes a sharded run's merge
   bit-identical to the single-process sweep;
@@ -21,11 +21,51 @@ gives all of them one shared abstraction:
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..perf.memo import stable_key
+#: Bump to re-key every cell (and so orphan every persisted record and
+#: trace blob) after a change to the key payload's format.
+KEY_FORMAT_VERSION = 1
+
+
+def _code_version() -> str:
+    """The package version, folded into every key.
+
+    A release bump therefore re-keys all persisted records; edits that
+    change numeric results without a version bump still require bumping
+    :data:`KEY_FORMAT_VERSION` (or clearing the store).
+    """
+    try:
+        from .. import __version__
+
+        return __version__
+    except Exception:  # pragma: no cover - partially initialized package
+        return "unknown"
+
+
+def stable_key(kernel: str, /, **params: Any) -> str:
+    """Deterministic hex key for one kernel configuration.
+
+    Parameters are JSON-encoded with sorted keys; non-JSON values fall
+    back to ``repr``, so callers should stick to primitives, tuples and
+    lists to keep keys stable across processes.  The key format version
+    and the package version are folded into every key, so both format
+    changes and releases orphan stale persisted entries.
+    """
+    payload = json.dumps(
+        {
+            "v": KEY_FORMAT_VERSION,
+            "code": _code_version(),
+            "kernel": kernel,
+            "params": params,
+        },
+        sort_keys=True,
+        default=repr,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:40]
 
 
 def shard_index(key: str, count: int) -> int:

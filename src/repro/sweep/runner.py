@@ -170,7 +170,7 @@ def compute_grid(
     supervised attempt (a transient fault retries only its group,
     charged once), one per-group deadline scaled by member count —
     while the store still receives one record per member cell,
-    byte-identical to the per-cell path, so memo keys, resume,
+    byte-identical to the per-cell path, so cell keys, resume,
     quarantine and ``merge --verify`` are unaffected.  A terminal group
     failure quarantines every member, each failure record naming the
     full membership under ``"group_members"``.  Singleton groups and
@@ -317,25 +317,6 @@ def _persist(store, cell: Cell, row: Any) -> Dict[str, Any]:
         # the backend's own tear hook.
         store.chaos_tear(plan, cell.key, cell.as_dict())
     return meta
-
-
-def persist_rows(grid: Grid, rows: List[Any], store) -> None:
-    """Write already-computed rows through to a store.
-
-    Used when a sweep obtains its rows without touching the store —
-    e.g. a whole-sweep memoization hit — so that ``store=`` always
-    leaves a complete, mergeable record set behind.  Cells whose record
-    already exists are left untouched.
-    """
-    resolved = resolve_store(store)
-    if resolved is None:
-        return
-    written: Dict[str, Any] = {}
-    for cell, row in zip(grid, rows):
-        if not resolved.has(cell.key):
-            written[cell.key] = _persist(resolved, cell, row)
-    if written:
-        resolved.index_add(written)
 
 
 def rows_from_store(

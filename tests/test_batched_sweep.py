@@ -152,7 +152,7 @@ class TestAutomaticGrouping:
     def test_engine_sweep_extracts_once_per_group(self, kernel_calls):
         grid = engine_grid(**GRID_KWARGS)
         groups = _groups(grid)
-        rows = engine_sweep(cache=False, **GRID_KWARGS)
+        rows = engine_sweep(**GRID_KWARGS)
         assert kernel_calls["extract"] == len(groups) > 0
         assert kernel_calls["groups"] == [3] * len(groups)
         assert rows == compute_grid(grid, engine_cell, EngineRow, batch=None)
@@ -194,7 +194,7 @@ class TestAutomaticGrouping:
         # their own group kernel, not engine_batch_cell).
         rows = engine_sweep(
             workloads=("qft",), sizes=(16,), depths=(2,), policies=("lru",),
-            prefetches=("none",), code_pairs=PAIRS, cache=False,
+            prefetches=("none",), code_pairs=PAIRS,
             fidelity={"trials": 300, "seed": 7},
         )
         assert len(rows) == 3
@@ -264,14 +264,14 @@ class TestTraceCacheSweep:
         cold_store = ResultStore(tmp_path / "cold")
         warm_store = ResultStore(tmp_path / "warm")
         cold = engine_sweep(store=cold_store, trace_cache=cache_dir,
-                            cache=False, **GRID_KWARGS)
+                            **GRID_KWARGS)
         after_cold = TraceCache(cache_dir).read_stats()
         assert after_cold["extractions"] == len(
             _groups(engine_grid(**GRID_KWARGS))
         )
         assert len(TraceCache(cache_dir)) == after_cold["extractions"]
         warm = engine_sweep(store=warm_store, trace_cache=cache_dir,
-                            cache=False, **GRID_KWARGS)
+                            **GRID_KWARGS)
         after_warm = TraceCache(cache_dir).read_stats()
         # The warm run simulated nothing and loaded every group.
         assert after_warm["extractions"] == after_cold["extractions"]

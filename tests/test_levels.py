@@ -176,9 +176,8 @@ class TestEngineRuns:
     def test_simulate_l1_run_policy_kwarg(self):
         from repro.sim.hierarchy_sim import simulate_l1_run
 
-        base = simulate_l1_run("steane", 64, cache=False)
-        fifo = simulate_l1_run("steane", 64, cache=False,
-                               eviction_policy="fifo")
+        base = simulate_l1_run("steane", 64)
+        fifo = simulate_l1_run("steane", 64, eviction_policy="fifo")
         assert fifo.l1_time_s > 0
         assert base.transfers <= fifo.transfers  # LRU wins on this trace
         with pytest.raises(ValueError, match="unknown eviction policy"):
@@ -221,7 +220,7 @@ class TestEngineRuns:
         from repro.core.hierarchy import MemoryHierarchy
         from repro.sim.hierarchy_sim import simulate_l1_run
 
-        run = simulate_l1_run("steane", 32, cache=False, prefetch="next_k")
+        run = simulate_l1_run("steane", 32, prefetch="next_k")
         assert run.l1_time_s > 0
         with pytest.raises(ValueError, match="unknown prefetcher"):
             simulate_l1_run("steane", 32, prefetch="oracle")
@@ -235,7 +234,6 @@ class TestEngineRuns:
         rows = engine_sweep(
             workloads=("draper_adder",), sizes=(16,), depths=(3,),
             policies=("lru",), prefetches=("none", "next_k"),
-            cache=False,
         )
         by_prefetch = {row.prefetch: row for row in rows}
         assert set(by_prefetch) == {"none", "next_k"}

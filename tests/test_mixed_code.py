@@ -211,10 +211,9 @@ class TestMixedSweepAxis:
     )
 
     def test_pure_rows_unchanged_by_the_axis(self):
-        base = engine_sweep(**self.GRID_KWARGS, cache=False)
+        base = engine_sweep(**self.GRID_KWARGS)
         with_pairs = engine_sweep(
             **self.GRID_KWARGS, code_pairs=[("bacon_shor", "steane")],
-            cache=False,
         )
         pure = [row for row in with_pairs
                 if row.memory_code_key == row.code_key]
@@ -228,7 +227,6 @@ class TestMixedSweepAxis:
         (row,) = [
             r for r in engine_sweep(
                 **self.GRID_KWARGS, code_pairs=[("bacon_shor", "steane")],
-                cache=False,
             )
             if r.memory_code_key != r.code_key
         ]
@@ -290,7 +288,7 @@ class TestTransferKernel:
         from repro.analysis.tables import table3
 
         matrix = table3()
-        rows = transfer_sweep(cache=False)
+        rows = transfer_sweep()
         assert len(rows) == 16
         for row in rows:
             assert row.transfer_s == matrix[(row.source, row.dest)]
@@ -343,7 +341,7 @@ class TestMixedHierarchyObject:
         design = CqlaDesign("steane", 256, 49)
         with pytest.raises(ValueError, match="unknown code key"):
             MemoryHierarchy(design, l1_code_key="shor_code")
-        # ... and before any memo lookup on the simulate path too.
+        # ... and before any stack is built on the simulate path too.
         with pytest.raises(ValueError, match="unknown code key"):
             simulate_l1_run("steane", 256, l1_code_key="shor_code")
 

@@ -1,18 +1,23 @@
 """Tests for the repro.perf subsystem and its sweep wiring."""
 
-import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from repro.core.design_space import hierarchy_sweep, specialization_sweep
-from repro.perf.memo import (
-    SweepCache,
-    default_cache,
-    resolve_cache,
-    stable_key,
+from repro.core.design_space import (
+    hierarchy_sweep,
+    specialization_grid,
+    specialization_sweep,
 )
+from repro.perf.store import ResultStore
 from repro.perf.parallel import parallel_indexed, parallel_iter, parallel_map
-from repro.sim.hierarchy_sim import l1_speedup, simulate_l1_run
+from repro.sim.hierarchy_sim import (
+    _adder_circuit,
+    _adder_l1_run,
+    l1_speedup,
+    simulate_l1_run,
+)
+from repro.sweep.grid import stable_key
 
 
 class TestStableKey:
@@ -24,68 +29,6 @@ class TestStableKey:
         assert stable_key("other", a=1) != base
         assert stable_key("k", a=2) != base
         assert stable_key("k", a=1, b=0) != base
-
-
-class TestSweepCache:
-    def test_memory_roundtrip(self):
-        cache = SweepCache()
-        assert cache.get("x") is None
-        cache.put("x", {"v": 1})
-        assert cache.get("x") == {"v": 1}
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_lru_bound(self):
-        cache = SweepCache(max_memory_entries=2)
-        for i in range(4):
-            cache.put(f"k{i}", i)
-        assert len(cache) == 2
-        assert cache.get("k0") is None
-        assert cache.get("k3") == 3
-
-    def test_disk_tier_survives_memory_clear(self, tmp_path):
-        cache = SweepCache(directory=tmp_path)
-        cache.put("k", [1, 2, 3])
-        cache.clear_memory()
-        assert cache.get("k") == [1, 2, 3]
-        files = list(tmp_path.glob("*.json"))
-        assert len(files) == 1
-        assert json.loads(files[0].read_text()) == {"value": [1, 2, 3]}
-
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        cache = SweepCache(directory=tmp_path)
-        (tmp_path / "bad.json").write_text("{not json")
-        assert cache.get("bad") is None
-
-    def test_clear_removes_files(self, tmp_path):
-        cache = SweepCache(directory=tmp_path)
-        cache.put("k", 1)
-        cache.clear()
-        assert cache.get("k") is None
-        assert not list(tmp_path.glob("*.json"))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SweepCache(max_memory_entries=0)
-
-
-class TestResolveCache:
-    def test_none_gives_process_default(self):
-        assert resolve_cache(None) is default_cache()
-        assert resolve_cache(True) is default_cache()
-
-    def test_false_disables(self):
-        assert resolve_cache(False) is None
-
-    def test_path_builds_disk_cache(self, tmp_path):
-        cache = resolve_cache(tmp_path)
-        assert isinstance(cache, SweepCache)
-        assert cache.directory == tmp_path
-
-    def test_passthrough_and_rejection(self):
-        cache = SweepCache()
-        assert resolve_cache(cache) is cache
-        with pytest.raises(TypeError):
-            resolve_cache(3.14)
 
 
 class TestParallelMap:
@@ -198,38 +141,67 @@ class TestParallelIndexed:
 
 
 class TestSweepWiring:
-    def test_specialization_sweep_cache_and_workers_agree(self, tmp_path):
-        plain = specialization_sweep(sizes=(32, 64), cache=False)
-        cache = SweepCache(directory=tmp_path)
-        first = specialization_sweep(sizes=(32, 64), cache=cache)
-        cache.clear_memory()
-        from_disk = specialization_sweep(sizes=(32, 64), cache=cache)
-        fanned = specialization_sweep(sizes=(32, 64), cache=False, workers=2)
-        assert plain == first == from_disk == fanned
+    def test_specialization_sweep_store_and_workers_agree(self, tmp_path):
+        plain = specialization_sweep(sizes=(32, 64))
+        first = specialization_sweep(sizes=(32, 64), store=tmp_path)
+        warm = specialization_sweep(sizes=(32, 64), store=tmp_path)
+        fanned = specialization_sweep(sizes=(32, 64), workers=2)
+        assert plain == first == warm == fanned
 
-    def test_hierarchy_sweep_cached_identical(self):
-        cache = SweepCache()
-        a = hierarchy_sweep(sizes=(256,), cache=cache)
-        b = hierarchy_sweep(sizes=(256,), cache=cache)
-        assert a == b
-        assert cache.hits >= 1
-
-    def test_malformed_persisted_entry_recomputes(self, tmp_path):
-        cache = SweepCache(directory=tmp_path)
-        good = specialization_sweep(sizes=(32,), cache=cache)
-        for entry in tmp_path.glob("*.json"):
-            entry.write_text('{"value": "garbage"}')
-        cache.clear_memory()
-        again = specialization_sweep(sizes=(32,), cache=cache)
+    def test_malformed_stored_record_recomputes(self, tmp_path):
+        good = specialization_sweep(sizes=(32,), store=tmp_path)
+        store = ResultStore(tmp_path)
+        for key in specialization_grid(sizes=(32,)).keys():
+            store.record_path(key).write_text('{"value": "garbage"}')
+        again = specialization_sweep(sizes=(32,), store=tmp_path)
         assert again == good
 
+
+class TestAdderL1RunCache:
+    """Default-adder ``simulate_l1_run`` results are cached per process:
+    the cached result equals a fresh run on the same adder circuit."""
+
     def test_simulate_l1_run_memo_identical(self):
-        cache = SweepCache()
-        a = simulate_l1_run("steane", 64, cache=cache)
-        b = simulate_l1_run("steane", 64, cache=cache)
-        fresh = simulate_l1_run("steane", 64, cache=False)
+        a = simulate_l1_run("steane", 64)
+        b = simulate_l1_run("steane", 64)
+        fresh = simulate_l1_run("steane", 64, circuit=_adder_circuit(64, False))
         assert a == b == fresh
-        assert cache.hits >= 1
+        assert a is b  # one shared entry ...
+        with pytest.raises(FrozenInstanceError):
+            a.l1_time_s = 0.0  # ... that no caller can mutate
+
+    def test_hierarchy_sweep_cached_identical(self):
+        a = hierarchy_sweep(sizes=(256,))
+        hits = _adder_l1_run.cache_info().hits
+        b = hierarchy_sweep(sizes=(256,))
+        assert a == b
+        assert _adder_l1_run.cache_info().hits > hits
+
+    def test_same_code_l1_key_shares_the_same_code_entry(self):
+        assert simulate_l1_run("steane", 64, l1_code_key="steane") is (
+            simulate_l1_run("steane", 64)
+        )
+
+    def test_explicit_circuit_bypasses_cache(self):
+        circuit = _adder_circuit(32, False)
+        size = _adder_l1_run.cache_info().currsize
+        a = simulate_l1_run("bacon_shor", 32, circuit=circuit)
+        b = simulate_l1_run("bacon_shor", 32, circuit=circuit)
+        assert a == b and a is not b
+        assert _adder_l1_run.cache_info().currsize == size
+
+    @pytest.mark.parametrize("policy, prefetch", [
+        ("lru", "none"), ("belady", "none"), ("lru", "next_k"),
+    ])
+    def test_policy_and_prefetch_are_part_of_the_key(self, policy, prefetch):
+        cached = simulate_l1_run(
+            "steane", 64, eviction_policy=policy, prefetch=prefetch,
+        )
+        fresh = simulate_l1_run(
+            "steane", 64, circuit=_adder_circuit(64, False),
+            eviction_policy=policy, prefetch=prefetch,
+        )
+        assert cached == fresh
 
 
 class TestL1SpeedupKeying:

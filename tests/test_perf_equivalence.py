@@ -61,9 +61,7 @@ class TestHierarchyEngineEquivalence:
     @pytest.mark.parametrize("n_bits", [32, 64])
     @pytest.mark.parametrize("par", [5, 10])
     def test_two_level_lru_bit_identical(self, code_key, n_bits, par):
-        engine = simulate_l1_run(
-            code_key, n_bits, parallel_transfers=par, cache=False
-        )
+        engine = simulate_l1_run(code_key, n_bits, parallel_transfers=par)
         ref = simulate_l1_run_reference(
             code_key, n_bits, parallel_transfers=par
         )
@@ -79,7 +77,7 @@ class TestHierarchyEngineEquivalence:
     ):
         engine = simulate_l1_run(
             "steane", 64, compute_qubits=compute_qubits,
-            cache_factor=cache_factor, cache=False,
+            cache_factor=cache_factor,
         )
         ref = simulate_l1_run_reference(
             "steane", 64, compute_qubits=compute_qubits,
@@ -95,7 +93,7 @@ class TestHierarchyEngineEquivalence:
 
     def test_table5_speedups_unchanged(self):
         """Every Table 5 cell's L1 speedup survives the refactor exactly."""
-        rows = hierarchy_sweep(cache=False)
+        rows = hierarchy_sweep()
         assert rows
         for row in rows:
             ref = simulate_l1_run_reference(

@@ -13,8 +13,8 @@ Pins the coupling between the engine dialects and the ECC Monte Carlo:
   dialect); the split-transaction reference and the flattened fastsplit
   engine record bit-identical interval lists; every dialect agrees on
   each qubit's untimed hop sequence for ``prefetch="none"``; and with
-  fidelity off, engine cells, memo keys and store records are pinned
-  byte-identical to the pre-fidelity layout.
+  fidelity off, engine cells, traffic keys and store records are
+  pinned byte-identical to the pre-fidelity layout.
 * **Seed determinism** — fidelity accrual is reproducible across the
   process-pool fan-out (4 workers vs serial, byte-compared) and
   consistent with the traffic-grouped replay engine's pricing.
@@ -39,13 +39,14 @@ from repro.core.design_space import (
     EngineRow,
     FidelityRow,
     engine_cell,
+    engine_grid,
     engine_sweep,
+    engine_traffic_key,
     fidelity_cell,
     fidelity_grid,
     pareto_rows,
 )
 from repro.ecc.concatenated import by_key
-from repro.perf.memo import SweepCache, stable_key
 from repro.sim.cache import simulate_optimized
 from repro.sim.fastsplit import supports_fast_split
 from repro.sim.levels import (
@@ -74,13 +75,16 @@ N_BITS = 16
 COMPUTE_QUBITS = 12
 CACHE_FACTOR = 1.0
 
-#: Content hash of the canonical lru/none engine cell and the memo key
-#: of its one-cell fidelity-off sweep.  These literals pin the
-#: fidelity-off design space to the pre-fidelity layout: adding the
-#: fidelity axis must not perturb existing cell identity, store
-#: records, or memoized sweeps.
+#: Content hash of the canonical lru/none engine cell.  This literal
+#: pins the fidelity-off design space to the pre-fidelity layout:
+#: adding the fidelity axis must not perturb existing cell identity or
+#: store records.
 PINNED_CELL_KEY = "d3355bf582b62096c3127457047b96867454ee06"
-PINNED_SWEEP_KEY = "320ac717401318287d72bf3802591240824c1fa1"
+
+#: :func:`engine_traffic_key` of that same cell — the identity every
+#: trace-cache blob of its traffic group is stored under.  A drift here
+#: would silently orphan every persisted movement trace.
+PINNED_TRAFFIC_KEY = "016b56781a4bb4f9d0fba5d5a00ece0c9864f1b2"
 
 #: Small Monte Carlo budget for tests that only need determinism, not
 #: the calibration default.
@@ -414,26 +418,27 @@ class TestAccrual:
 class TestFidelityOffPins:
     """Satellite 2 (cont.): fidelity off == pre-fidelity bytes."""
 
-    def test_pinned_cell_hash(self):
-        cell = Cell.make(
-            "engine_cell", workload="draper_adder", n_bits=N_BITS,
-            code_key="steane", depth=2, policy="lru", prefetch="none",
-            parallel_transfers=10, compute_qubits=COMPUTE_QUBITS,
-            cache_factor=CACHE_FACTOR,
-        )
-        assert cell.key == PINNED_CELL_KEY
+    CANONICAL_CELL = Cell.make(
+        "engine_cell", workload="draper_adder", n_bits=N_BITS,
+        code_key="steane", depth=2, policy="lru", prefetch="none",
+        parallel_transfers=10, compute_qubits=COMPUTE_QUBITS,
+        cache_factor=CACHE_FACTOR,
+    )
 
-    def test_fidelity_off_memo_key_and_store_records(self, tmp_path):
-        memo = SweepCache(directory=tmp_path / "memo")
+    def test_pinned_cell_hash(self):
+        assert self.CANONICAL_CELL.key == PINNED_CELL_KEY
+
+    def test_pinned_traffic_key(self):
+        params = self.CANONICAL_CELL.as_dict()
+        assert engine_traffic_key(params) == PINNED_TRAFFIC_KEY
+
+    def test_fidelity_off_store_records(self, tmp_path):
         store = tmp_path / "store"
         rows = engine_sweep(
             workloads=("draper_adder",), sizes=(N_BITS,), depths=(2,),
-            policies=("lru",), prefetches=("none",),
-            cache=memo, store=str(store),
+            policies=("lru",), prefetches=("none",), store=str(store),
         )
         assert len(rows) == 1 and type(rows[0]) is EngineRow
-        # The memoized sweep landed under the exact pre-fidelity key.
-        assert memo.get(PINNED_SWEEP_KEY) is not None
         # The store record holds exactly the EngineRow fields — no
         # fidelity leakage into fidelity-off record bytes.
         from repro.perf.store import ResultStore
@@ -518,7 +523,7 @@ class TestSeedDeterminism:
     def test_repeat_sweep_bit_identical(self):
         kwargs = dict(
             workloads=("qft",), sizes=(N_BITS,), depths=(2,),
-            policies=("lru",), prefetches=("none",), cache=False,
+            policies=("lru",), prefetches=("none",),
             fidelity={"trials": TRIALS, "seed": SEED},
         )
         first = engine_sweep(**kwargs)
@@ -533,7 +538,7 @@ class TestSeedDeterminism:
         # shared engine field.
         kwargs = dict(
             workloads=("draper_adder",), sizes=(N_BITS,), depths=(2, 3),
-            policies=("lru", "fidelity"), prefetches=("none",), cache=False,
+            policies=("lru", "fidelity"), prefetches=("none",),
             code_keys=("steane", "bacon_shor"),
         )
         grouped = engine_sweep(**kwargs)
@@ -663,7 +668,7 @@ class TestGroupedReplay:
             policies=("lru", "fidelity"), prefetches=("none",),
             code_keys=("steane", "bacon_shor"), transfer_options=(10, 20),
         )
-        rows = engine_sweep(cache=False, fidelity=True, **kwargs)
+        rows = engine_sweep(fidelity=True, **kwargs)
         grid = fidelity_grid(**kwargs)
         groups = {engine_traffic_key(cell.as_dict()) for cell in grid}
         assert len(rows) == len(grid) == 4 * len(groups)
@@ -825,19 +830,19 @@ class TestSurfaces:
                 "--kernel", "engine_cell", "--fidelity-trials", "10",
             ])
 
-    def test_memo_key_distinct_with_fidelity(self):
+    def test_fidelity_cell_key_distinct_from_engine_cell(self):
         axes = dict(
-            workloads=["draper_adder"], sizes=[N_BITS], code_keys=["steane"],
-            depths=[2], policies=["lru"], prefetches=["none"],
-            transfer_options=[10], compute_qubits=COMPUTE_QUBITS,
-            cache_factor=CACHE_FACTOR, code_pairs=[],
+            workloads=("draper_adder",), sizes=(N_BITS,), depths=(2,),
+            policies=("lru",), prefetches=("none",),
+            compute_qubits=COMPUTE_QUBITS, cache_factor=CACHE_FACTOR,
         )
-        off = stable_key("engine_sweep", **axes)
-        on = stable_key(
-            "engine_sweep",
+        (engine,) = engine_grid(**axes).cells
+        (fidelity,) = fidelity_grid(**axes).cells
+        assert engine.key == PINNED_CELL_KEY
+        budget = dict(
             fidelity_trials=ENGINE_FIDELITY_TRIALS,
             fidelity_seed=ENGINE_FIDELITY_SEED,
-            **axes,
         )
-        assert off == PINNED_SWEEP_KEY
-        assert on != off
+        # Same engine parameters plus the budget, under its own key.
+        assert fidelity.as_dict() == {**engine.as_dict(), **budget}
+        assert fidelity.key != engine.key

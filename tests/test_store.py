@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from repro.perf.memo import SweepCache
 from repro.perf.store import (
     INDEX_NAME,
     ResultStore,
@@ -49,6 +48,8 @@ class TestResultStore:
         # is still found: the scan, not the index, is the truth.
         (tmp_path / "c.json").write_text(json.dumps({"value": 3}))
         assert store.keys() == ["a", "b", "c"]
+        # Meta is optional: a bare {"value": ...} record counts.
+        assert store.get("c") == 3 and store.has("c")
 
     def test_corrupt_record_counts_as_missing(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -196,20 +197,6 @@ class TestFailureRecords:
         assert set(store.rebuild_index()) == {"result"}
 
 
-class TestSweepCacheLayoutCompat:
-    """The store layout is REPRO_CACHE_DIR-compatible in both directions."""
-
-    def test_sweep_cache_reads_store_records(self, tmp_path):
-        ResultStore(tmp_path).put("k", [1, 2, 3], kernel="engine_cell")
-        assert SweepCache(directory=tmp_path).get("k") == [1, 2, 3]
-
-    def test_store_reads_sweep_cache_entries(self, tmp_path):
-        SweepCache(directory=tmp_path).put("k", {"rows": [1]})
-        store = ResultStore(tmp_path)
-        assert store.get("k") == {"rows": [1]}
-        assert store.has("k")  # meta is optional: a bare cache entry counts
-
-
 def _race_same_cell(args):
     directory, key, rounds = args
     store = ResultStore(directory)
@@ -254,21 +241,6 @@ class TestConcurrentWriters:
         # the index even under interleaving.
         assert set(store.read_index()) == expected
         assert set(store.keys()) == expected
-
-    def test_memo_cache_concurrent_writers_never_torn(self, tmp_path):
-        """The memo file cache shares the store's atomic write path."""
-        with multiprocessing.Pool(2) as pool:
-            pool.map(_memo_hammer, [(str(tmp_path), 40)] * 2)
-        cache = SweepCache(directory=tmp_path)
-        assert cache.get("memo-key") == {"rows": list(range(50))}
-
-
-def _memo_hammer(args):
-    directory, rounds = args
-    cache = SweepCache(directory=directory)
-    for _ in range(rounds):
-        cache.put("memo-key", {"rows": list(range(50))})
-    return True
 
 
 class TestIndexFileIsolation:

@@ -1,6 +1,7 @@
 """Tests for the sharded sweep subsystem (repro.sweep)."""
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -10,6 +11,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.core import design_space
 from repro.core.design_space import (
     EngineRow,
     HierarchyRow,
@@ -21,19 +23,25 @@ from repro.core.design_space import (
     hierarchy_sweep,
     specialization_grid,
     specialization_sweep,
+    transfer_grid,
+    transfer_sweep,
 )
 from repro.perf import chaos
-from repro.perf.memo import stable_key
 from repro.perf.store import ResultStore
 from repro.perf.supervise import RetryPolicy, Supervision
 from repro.sweep.cli import main as sweep_main
-from repro.sweep.grid import Cell, Grid, parse_shard_spec, shard_index
+from repro.sweep.grid import (
+    Cell,
+    Grid,
+    parse_shard_spec,
+    shard_index,
+    stable_key,
+)
 from repro.sweep.runner import (
     CellFailed,
     MissingCells,
     compute_grid,
     missing_report,
-    persist_rows,
     rows_from_store,
 )
 
@@ -88,7 +96,7 @@ class TestShardPlanner:
 
 
 class TestGridAndCells:
-    def test_cell_key_matches_memo_hash(self):
+    def test_cell_key_matches_stable_key(self):
         cell = Cell.make("engine_cell", n_bits=16, workload="qft")
         assert cell.key == stable_key("engine_cell", n_bits=16, workload="qft")
 
@@ -108,11 +116,11 @@ class TestGridAndCells:
 
         grid = specialization_grid(sizes=(32, 64))
         computed = [specialization_cell(cell.as_dict()) for cell in grid]
-        assert computed == specialization_sweep(sizes=(32, 64), cache=False)
+        assert computed == specialization_sweep(sizes=(32, 64))
 
         hgrid = hierarchy_grid(sizes=(256,))
         computed = [hierarchy_cell(cell.as_dict()) for cell in hgrid]
-        assert computed == hierarchy_sweep(sizes=(256,), cache=False)
+        assert computed == hierarchy_sweep(sizes=(256,))
 
 
 class TestComputeGrid:
@@ -178,61 +186,154 @@ class TestComputeGrid:
             assert store.record_path(key).stat().st_mtime_ns == mtime
         assert rows_from_store(grid, EngineRow, store) == full
 
-    def test_memo_hit_writes_through_to_store(self, tmp_path):
-        """A whole-sweep memoization hit must still populate store=."""
-        from repro.perf.memo import SweepCache
-
-        memo = SweepCache()
-        warm = engine_sweep(**GRID_KWARGS, cache=memo)  # populates the memo
-        hit = engine_sweep(**GRID_KWARGS, cache=memo, store=tmp_path)
-        assert hit == warm
-        grid = engine_grid(**GRID_KWARGS)
-        store = ResultStore(tmp_path)
-        assert store.status(grid.keys()).complete
-        assert set(store.read_index()) == set(grid.keys())
-        assert rows_from_store(grid, EngineRow, store) == warm
-
-    def test_persist_rows_skips_existing_records(self, tmp_path):
-        grid = engine_grid(**GRID_KWARGS)
-        store = ResultStore(tmp_path)
-        rows = compute_grid(grid, engine_cell, EngineRow, store=store)
-        mtimes = {
-            key: store.record_path(key).stat().st_mtime_ns
-            for key in grid.keys()
-        }
-        persist_rows(grid, rows, store)
-        for key, mtime in mtimes.items():
-            assert store.record_path(key).stat().st_mtime_ns == mtime
-
 
 def _explodes(params):
     raise AssertionError(f"cell recomputed despite stored record: {params}")
 
 
 class TestSweepStoreWiring:
-    """All three public sweeps read through a store= before computing."""
+    """Every public sweep reads through a store= before computing: a
+    warm re-run against the same store returns the same rows without
+    calling a single cell function."""
 
-    def test_specialization_sweep_store(self, tmp_path):
-        plain = specialization_sweep(sizes=(32, 64), cache=False)
-        first = specialization_sweep(sizes=(32, 64), cache=False,
-                                     store=tmp_path)
-        warm = specialization_sweep(sizes=(32, 64), cache=False,
-                                    store=tmp_path)
+    def test_specialization_sweep_store(self, tmp_path, monkeypatch):
+        plain = specialization_sweep(sizes=(32, 64))
+        first = specialization_sweep(sizes=(32, 64), store=tmp_path)
+        monkeypatch.setattr(design_space, "specialization_cell", _explodes)
+        warm = specialization_sweep(sizes=(32, 64), store=tmp_path)
         assert plain == first == warm
         grid = specialization_grid(sizes=(32, 64))
         assert ResultStore(tmp_path).status(grid.keys()).complete
 
-    def test_hierarchy_sweep_store(self, tmp_path):
-        plain = hierarchy_sweep(sizes=(256,), cache=False)
-        stored = hierarchy_sweep(sizes=(256,), cache=False, store=tmp_path)
-        warm = hierarchy_sweep(sizes=(256,), cache=False, store=tmp_path)
+    def test_hierarchy_sweep_store(self, tmp_path, monkeypatch):
+        plain = hierarchy_sweep(sizes=(256,))
+        stored = hierarchy_sweep(sizes=(256,), store=tmp_path)
+        monkeypatch.setattr(design_space, "hierarchy_cell", _explodes)
+        warm = hierarchy_sweep(sizes=(256,), store=tmp_path)
         assert plain == stored == warm
 
-    def test_engine_sweep_store(self, tmp_path):
-        plain = engine_sweep(**GRID_KWARGS, cache=False)
-        stored = engine_sweep(**GRID_KWARGS, cache=False, store=tmp_path)
-        warm = engine_sweep(**GRID_KWARGS, cache=False, store=tmp_path)
+    def test_transfer_sweep_store(self, tmp_path, monkeypatch):
+        plain = transfer_sweep()
+        stored = transfer_sweep(store=tmp_path)
+        monkeypatch.setattr(design_space, "transfer_cell", _explodes)
+        warm = transfer_sweep(store=tmp_path)
         assert plain == stored == warm
+        assert ResultStore(tmp_path).status(transfer_grid().keys()).complete
+
+    def test_engine_sweep_store(self, tmp_path, monkeypatch):
+        plain = engine_sweep(**GRID_KWARGS)
+        stored = engine_sweep(**GRID_KWARGS, store=tmp_path)
+        # Traffic groups run through the batch kernel, single cells
+        # through the cell function: a warm pass may call neither.
+        monkeypatch.setattr(design_space, "engine_cell", _explodes)
+        monkeypatch.setattr(design_space, "engine_batch_cell", _explodes)
+        warm = engine_sweep(**GRID_KWARGS, store=tmp_path)
+        assert plain == stored == warm
+
+
+#: name -> (sweep call, its grid, the design_space functions that
+#: compute its cells).  Engine grids run traffic groups through the
+#: batch kernel and singleton groups through the cell function.
+READ_THROUGH_SWEEPS = {
+    "specialization": (
+        lambda **kw: specialization_sweep(sizes=(32, 64), **kw),
+        lambda: specialization_grid(sizes=(32, 64)),
+        ("specialization_cell",),
+    ),
+    "hierarchy": (
+        lambda **kw: hierarchy_sweep(sizes=(256,), **kw),
+        lambda: hierarchy_grid(sizes=(256,)),
+        ("hierarchy_cell",),
+    ),
+    "transfer": (
+        lambda **kw: transfer_sweep(**kw),
+        transfer_grid,
+        ("transfer_cell",),
+    ),
+    "engine": (
+        lambda **kw: engine_sweep(**GRID_KWARGS, **kw),
+        lambda: engine_grid(**GRID_KWARGS),
+        ("engine_cell", "engine_batch_cell"),
+    ),
+}
+
+
+def _spy_cells(monkeypatch, names):
+    """Wrap each named design_space cell function; return the list of
+    cell parameter dicts they recompute."""
+    recomputed = []
+    for name in names:
+        original = getattr(design_space, name)
+
+        def spy(arg, *rest, _original=original, **kw):
+            recomputed.extend(arg if isinstance(arg, list) else [arg])
+            return _original(arg, *rest, **kw)
+
+        monkeypatch.setattr(design_space, name, spy)
+    return recomputed
+
+
+class TestSweepStoreReadThrough:
+    """A store left partial or damaged recomputes exactly the cells it
+    cannot serve, and the re-run heals it."""
+
+    @pytest.mark.parametrize("name", sorted(READ_THROUGH_SWEEPS))
+    def test_lost_record_recomputes_only_that_cell(
+        self, tmp_path, monkeypatch, name,
+    ):
+        sweep, build, cell_fns = READ_THROUGH_SWEEPS[name]
+        first = sweep(store=tmp_path)
+        grid = build()
+        victim = grid.cells[len(grid) // 2]
+        ResultStore(tmp_path).record_path(victim.key).unlink()
+        recomputed = _spy_cells(monkeypatch, cell_fns)
+        again = sweep(store=tmp_path)
+        assert again == first
+        assert [dict(params) for params in recomputed] == [victim.as_dict()]
+        assert ResultStore(tmp_path).status(grid.keys()).complete
+
+    @pytest.mark.parametrize("name", sorted(READ_THROUGH_SWEEPS))
+    def test_torn_record_is_recomputed_and_healed(
+        self, tmp_path, monkeypatch, name,
+    ):
+        sweep, build, cell_fns = READ_THROUGH_SWEEPS[name]
+        plain = sweep()
+        sweep(store=tmp_path)
+        victim = build().cells[0]
+        record = ResultStore(tmp_path).record_path(victim.key)
+        record.write_text(record.read_text()[:20])
+        assert sweep(store=tmp_path) == plain
+        for fn in cell_fns:
+            monkeypatch.setattr(design_space, fn, _explodes)
+        assert sweep(store=tmp_path) == plain
+
+    @pytest.mark.parametrize("form", ["fs", "sqlite", "backend"])
+    def test_warm_rerun_is_free_on_every_store_form(
+        self, tmp_path, monkeypatch, form,
+    ):
+        store = {
+            "fs": f"fs:{tmp_path / 'records'}",
+            "sqlite": f"sqlite:{tmp_path / 'records.db'}",
+            "backend": ResultStore(tmp_path / "records"),
+        }[form]
+        plain = specialization_sweep(sizes=(32, 64))
+        assert specialization_sweep(sizes=(32, 64), store=store) == plain
+        monkeypatch.setattr(design_space, "specialization_cell", _explodes)
+        assert specialization_sweep(sizes=(32, 64), store=store) == plain
+
+    def test_concurrent_sweeps_share_one_store(self, tmp_path, monkeypatch):
+        """Two processes filling one store race on every record; both
+        return the serial rows and leave no torn record behind."""
+        plain = specialization_sweep(sizes=(32, 64))
+        with multiprocessing.Pool(2) as pool:
+            results = pool.map(_specialization_into, [str(tmp_path)] * 2)
+        assert results == [plain, plain]
+        monkeypatch.setattr(design_space, "specialization_cell", _explodes)
+        assert specialization_sweep(sizes=(32, 64), store=tmp_path) == plain
+
+
+def _specialization_into(store_dir):
+    return specialization_sweep(sizes=(32, 64), store=store_dir)
 
 
 class TestCliShardedEquivalence:
@@ -250,7 +351,7 @@ class TestCliShardedEquivalence:
                            str(out), *GRID_ARGS])
         assert code == 0
         merged = [EngineRow(**row) for row in json.loads(out.read_text())]
-        single = engine_sweep(**GRID_KWARGS, cache=False)
+        single = engine_sweep(**GRID_KWARGS)
         assert merged == single  # bit-identical: frozen dataclass equality
 
     def test_merge_verify_gate(self, tmp_path):
@@ -296,7 +397,7 @@ class TestCliShardedEquivalence:
         merged = [
             SpecializationRow(**row) for row in json.loads(out.read_text())
         ]
-        assert merged == specialization_sweep(sizes=(32, 64), cache=False)
+        assert merged == specialization_sweep(sizes=(32, 64))
 
         store_dir = str(tmp_path / "store5")
         args = ["--kernel", "hierarchy_cell", "--sizes", "256",
@@ -307,8 +408,7 @@ class TestCliShardedEquivalence:
         assert sweep_main(["merge", "--store", store_dir, "--verify",
                            "--output", str(out), *args]) == 0
         merged = [HierarchyRow(**row) for row in json.loads(out.read_text())]
-        assert merged == hierarchy_sweep(sizes=(256,), transfer_options=(10,),
-                                         cache=False)
+        assert merged == hierarchy_sweep(sizes=(256,), transfer_options=(10,))
 
     def test_engine_only_options_rejected_for_table_kernels(self, tmp_path):
         with pytest.raises(SystemExit, match="engine-grid options"):
@@ -360,7 +460,7 @@ class TestResume:
             assert store.record_path(key).stat().st_mtime_ns == mtime
         # ...and the completed store merges bit-identically.
         assert rows_from_store(grid, EngineRow, store) == engine_sweep(
-            **GRID_KWARGS, cache=False
+            **GRID_KWARGS
         )
 
     def test_resume_after_real_kill(self, tmp_path):
@@ -407,7 +507,7 @@ class TestResume:
         for key, mtime in survivors.items():
             assert store.record_path(key).stat().st_mtime_ns == mtime
         assert rows_from_store(grid, EngineRow, store) == engine_sweep(
-            **kwargs, cache=False
+            **kwargs
         )
 
 
@@ -419,17 +519,17 @@ class TestTablesFromStore:
             engine_table_text_from_store,
         )
 
-        rows = engine_sweep(**GRID_KWARGS, cache=False, store=tmp_path)
+        rows = engine_sweep(**GRID_KWARGS, store=tmp_path)
         assert engine_table_from_store(tmp_path, **GRID_KWARGS) == rows
         assert engine_table_text_from_store(
             tmp_path, **GRID_KWARGS
-        ) == engine_table_text(**GRID_KWARGS, cache=False)
+        ) == engine_table_text(**GRID_KWARGS)
         with pytest.raises(MissingCells):
             engine_table_from_store(tmp_path)  # default grid is larger
 
     def test_row_json_roundtrip_is_exact(self, tmp_path):
         """Floats survive the record JSON bit-for-bit (repr round-trip)."""
-        rows = engine_sweep(**GRID_KWARGS, cache=False)
+        rows = engine_sweep(**GRID_KWARGS)
         for row in rows:
             rebuilt = EngineRow(**json.loads(json.dumps(asdict(row))))
             assert rebuilt == row
@@ -441,7 +541,7 @@ class TestHierarchySweepRowTypes:
             (specialization_sweep, SpecializationRow, dict(sizes=(32,))),
             (hierarchy_sweep, HierarchyRow, dict(sizes=(256,))),
         ]:
-            rows = sweep(cache=False, **kwargs)
+            rows = sweep(**kwargs)
             for row in rows:
                 assert row_type(**json.loads(json.dumps(asdict(row)))) == row
 
@@ -542,25 +642,22 @@ class TestSupervisedComputeGrid:
         assert store.failure(poison.key) is None
         assert store.status(grid.keys()).complete
 
-    def test_partial_sweep_never_memoized(self, tmp_path):
-        """A quarantined sweep (None rows) must not poison the memo —
-        and must not crash trying to serialize None."""
-        from repro.perf.memo import SweepCache
-
-        memo = SweepCache()
+    def test_quarantined_sweep_heals_through_store(self, tmp_path):
+        """A quarantined cell surfaces as a None row, never as a stored
+        result: a later fault-free sweep over the same store recomputes
+        it and comes back complete."""
         plan = chaos.ChaosPlan.scripted(
             [{"fault": "raise",
               "match": {"policy": "fifo", "prefetch": "next_k"}}]
         )
         with chaos.active(plan):
             rows = engine_sweep(
-                **CHAOS_KWARGS, cache=memo, supervise=Supervision()
+                **CHAOS_KWARGS, store=tmp_path, supervise=Supervision()
             )
         assert sum(1 for row in rows if row is None) == 1
-        # A later fault-free sweep through the same memo is complete.
-        clean = engine_sweep(**CHAOS_KWARGS, cache=memo)
+        clean = engine_sweep(**CHAOS_KWARGS, store=tmp_path)
         assert all(row is not None for row in clean)
-        assert clean == engine_sweep(**CHAOS_KWARGS, cache=False)
+        assert clean == engine_sweep(**CHAOS_KWARGS)
 
     def test_rows_from_store_allow_missing_placeholders(self, tmp_path):
         grid = engine_grid(**CHAOS_KWARGS)

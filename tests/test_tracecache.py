@@ -278,17 +278,15 @@ class TestResolution:
         assert resolve_trace_cache(True).directory == cache.directory
 
     def test_namespaces_are_disjoint(self, tmp_path, monkeypatch):
-        # memo/, traces/, and (by convention) store/ never collide
-        # under one REPRO_CACHE_DIR root.
-        from repro.perf.memo import MEMO_SUBDIR, SweepCache
+        # traces/ and (by convention) store/ never collide under one
+        # REPRO_CACHE_DIR root.
+        from repro.perf.store import ResultStore
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         trace_dir = default_trace_cache().directory
-        memo_dir = (tmp_path / MEMO_SUBDIR)
-        assert trace_dir != memo_dir
+        store = ResultStore(tmp_path / "store")
+        assert trace_dir != store.directory
         assert trace_dir.name == TRACE_SUBDIR
-        cache = SweepCache(directory=memo_dir)
-        assert cache.directory == memo_dir
 
 
 class TestSharedAcrossKernels:
