@@ -537,15 +537,16 @@ def _bench_specialization_sweep():
     return run
 
 
-def _bench_sweep_store(loops: int = 3):
+def _bench_sweep_store(loops: int = 3, backend: str = "fs"):
     """The sharded-sweep store round trip: compute a small engine grid
-    into a fresh result store (cold, one atomic record + index update
-    per cell), then reassemble the rows read-only (warm merge path)."""
+    into a fresh ``backend`` store (cold, one write per traffic group
+    plus one index update), then reassemble the rows read-only (warm
+    merge path, one bulk read)."""
     import shutil
     import tempfile
 
     from repro.core.design_space import EngineRow, engine_cell, engine_grid
-    from repro.perf.store import ResultStore
+    from repro.perf.backends import open_store
     from repro.sweep.runner import compute_grid, rows_from_store
 
     grid = engine_grid(workloads=("draper_adder",), sizes=(16,), depths=(2,),
@@ -556,7 +557,9 @@ def _bench_sweep_store(loops: int = 3):
         for _ in range(loops):
             tmp = tempfile.mkdtemp(prefix="bench-sweep-store-")
             try:
-                store = ResultStore(tmp)
+                store = open_store(
+                    f"fs:{tmp}" if backend == "fs" else f"sqlite:{tmp}/store.db"
+                )
                 compute_grid(grid, engine_cell, EngineRow, store=store)
                 rows = rows_from_store(grid, EngineRow, store)
             finally:
@@ -685,6 +688,8 @@ def kernel_set(quick: bool):
             "prefetch_3level_fidelity_next_k_512":
                 _bench_prefetch(512, policy="fidelity"),
             "sweep_store_roundtrip_x20": _bench_sweep_store(20),
+            "sweep_store_roundtrip_sqlite_x20":
+                _bench_sweep_store(20, "sqlite"),
             "supervised_runner_overhead": _bench_supervised_overhead(),
             "residency_accrual_overhead": _bench_residency_accrual_overhead(),
             "engine_replay_speedup": _bench_engine_replay_speedup(512),
@@ -711,6 +716,7 @@ def kernel_set(quick: bool):
         "prefetch_3level_fidelity_next_k_512":
             _bench_prefetch(512, policy="fidelity"),
         "sweep_store_roundtrip_x20": _bench_sweep_store(20),
+        "sweep_store_roundtrip_sqlite_x20": _bench_sweep_store(20, "sqlite"),
         "supervised_runner_overhead": _bench_supervised_overhead(),
         "residency_accrual_overhead": _bench_residency_accrual_overhead(),
         "engine_replay_speedup": _bench_engine_replay_speedup(512),

@@ -25,9 +25,17 @@ backend must satisfy):
   never a torn one; two writers racing one key both leave a complete
   record (cells are deterministic, so last-writer-wins is
   value-identical).
+* ``put_many(items) -> {key: meta}`` — ``(key, value, kernel, params)``
+  items written as ``put`` writes them, each dropping the key's stale
+  failure record; the advisory index is left alone.  One transaction
+  on ``sqlite``; per-file atomic writes on ``fs``.  ``put`` is a
+  one-item ``put_many`` plus the index upsert.
 * ``record(key)`` / ``get(key)`` / ``has(key)`` — corruption-tolerant:
   an unreadable, truncated, or wrong-shape record reads as *missing*
   (``None``/``False``), never as an error or a wrong value.
+* ``records(keys) -> {key: record}`` — the bulk read: readable records
+  only, corrupt and missing keys omitted exactly as ``record`` treats
+  them.
 * ``keys()`` — sorted keys of every *readable* record.
 * ``status(keys) -> StoreStatus`` — done/missing/failed split, where
   ``failed`` is the subset of missing keys holding a failure record.
@@ -61,12 +69,14 @@ import os
 import re
 import sqlite3
 import tempfile
+import threading
 import time
-from contextlib import closing
+import weakref
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .store import STORE_VERSION, ResultStore, StoreStatus, flocked
+from .store import ResultStore, StoreStatus, flocked, record_meta
 
 #: Locator schemes with a registered backend.
 STORE_SCHEMES = ("fs", "sqlite")
@@ -168,6 +178,93 @@ _SCHEMA = (
 )
 
 
+#: Keys per ``WHERE key IN (...)`` query: well under SQLite's bound
+#: variable limit (999 before 3.32), so any build runs a bulk read.
+_IN_CHUNK = 500
+
+_UPSERT_RECORD = (
+    "INSERT INTO records(key, record) VALUES(?, ?) "
+    "ON CONFLICT(key) DO UPDATE SET record=excluded.record"
+)
+
+
+def _file_identity(path: Path) -> Optional[Tuple[int, int]]:
+    """``(st_dev, st_ino)`` of ``path``, or None when it does not exist."""
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return stat.st_dev, stat.st_ino
+
+
+class _ForkGate:
+    """Lets store operations run concurrently and a fork wait them out.
+
+    SQLite keeps per-file lock state process-wide, and a forked child
+    inherits it: a connection the parent holds open across ``fork()``
+    makes the child's *new* connections skip real file locks, and the
+    parent closing its connection later checkpoints and deletes the WAL
+    under the child's writes, losing them.  So before any fork, every
+    in-flight operation finishes and every connection of this process
+    is closed; operations wait until the fork is over and then reopen.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._active = 0
+        self._forking = 0
+
+    @contextmanager
+    def operation(self) -> Iterator[None]:
+        with self._cond:
+            self._cond.wait_for(lambda: not self._forking)
+            self._active += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._active -= 1
+                self._cond.notify_all()
+
+    def before_fork(self) -> None:
+        with self._cond:
+            self._forking += 1
+            self._cond.wait_for(lambda: not self._active)
+        for store in list(_LIVE_STORES):
+            _close_connections(store._conns)
+
+    def after_fork_in_parent(self) -> None:
+        with self._cond:
+            self._forking -= 1
+            self._cond.notify_all()
+
+    def after_fork_in_child(self) -> None:
+        # The forking thread is the child's only one, and a thread of
+        # the parent may have held the condition's lock mid-fork.
+        self._cond = threading.Condition()
+        self._forking = 0
+
+
+_FORK_GATE = _ForkGate()
+
+#: Every live :class:`SqliteStore`, for the fork gate to close.
+_LIVE_STORES: "weakref.WeakSet[SqliteStore]" = weakref.WeakSet()
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_FORK_GATE.before_fork,
+        after_in_parent=_FORK_GATE.after_fork_in_parent,
+        after_in_child=_FORK_GATE.after_fork_in_child,
+    )
+
+
+def _close_connections(conns: Dict) -> None:
+    """Close and forget every connection in a store's pool."""
+    for conn, _ in list(conns.values()):
+        conn.close()
+    conns.clear()
+
+
 class SqliteStore:
     """Content-addressed result store in a single SQLite database.
 
@@ -183,10 +280,13 @@ class SqliteStore:
     timeout lets any number of worker processes upsert cells while
     readers (the service, ``status``, ``merge``) stay unblocked, the
     same many-writers/many-readers regime the filesystem backend
-    handles with atomic renames and ``flock``.  The one-time WAL switch
-    and schema creation run under an ``flock``'d sidecar, and an
-    operation that still finds the database busy retries with bounded
-    backoff and then raises.
+    handles with atomic renames and ``flock``.  The store keeps one
+    connection per process and thread, reused by every operation; it
+    reopens after a fork (see :class:`_ForkGate`) or when the database
+    file is replaced, and closes its connections when it is dropped.
+    The WAL switch and schema creation of a new connection run under an
+    ``flock``'d sidecar, and an operation that still finds the database
+    busy retries with bounded backoff and then raises.
     """
 
     #: How long a writer waits on a locked database before erroring.
@@ -211,38 +311,56 @@ class SqliteStore:
             raise StoreBackendError(
                 f"sqlite store path {self.path} is not a SQLite database"
             )
-        self._initialized = False
+        #: (pid, thread id) -> (connection, file identity it opened).
+        self._conns: Dict[Tuple[int, int], Tuple[sqlite3.Connection, Any]] = {}
+        weakref.finalize(self, _close_connections, self._conns)
+        _LIVE_STORES.add(self)
 
     # -- connections -----------------------------------------------------
-    def _connect(self) -> sqlite3.Connection:
-        """A fresh connection to an initialized database.
+    def _connection(self) -> sqlite3.Connection:
+        """This process and thread's connection to the current file.
 
-        Short-lived connections per operation keep the store safe to
-        use from any thread or process without shared handles — the
-        sweep workload is records-per-cell, not a hot OLTP loop.
+        Opened on first use and reused after; reopened when the file's
+        ``(st_dev, st_ino)`` changed (deleted and re-created), so a
+        store never reads through a handle to a replaced database.
+        Connections are opened with ``check_same_thread=False`` only so
+        that the finalizer may close them from any thread; each is used
+        by its own thread alone.
         """
-        if not self._initialized:
-            self._initialize()
-        conn = sqlite3.connect(str(self.path), timeout=self.BUSY_TIMEOUT_S)
-        conn.execute("PRAGMA synchronous=NORMAL")
+        slot = (os.getpid(), threading.get_ident())
+        identity = _file_identity(self.path)
+        held = self._conns.get(slot)
+        if held is not None and held[1] == identity:
+            return held[0]
+        if held is not None:
+            del self._conns[slot]
+            held[0].close()
+        conn = self._open()
+        self._conns[slot] = (conn, _file_identity(self.path))
         return conn
 
-    def _initialize(self) -> None:
-        """Switch the database to WAL and create the schema, once.
+    def _open(self) -> sqlite3.Connection:
+        """A new connection to a WAL-journaled, schema-ready database.
 
         The journal-mode switch takes an exclusive lock that does not
         wait out the busy timeout, so two processes racing it on a
-        fresh database fail at once.  Initializers therefore serialize
-        on an ``flock``'d sidecar (``<db>.lock``), as the filesystem
-        backend does for its index; once on, WAL persists in the file.
+        fresh database fail at once.  Openers therefore serialize on an
+        ``flock``'d sidecar (``<db>.lock``), as the filesystem backend
+        does for its index; once on, WAL persists in the file.
         """
-        with flocked(self.path.with_name(self.path.name + ".lock")):
-            conn = sqlite3.connect(str(self.path), timeout=self.BUSY_TIMEOUT_S)
-            with closing(conn):
+        conn = sqlite3.connect(
+            str(self.path), timeout=self.BUSY_TIMEOUT_S, check_same_thread=False
+        )
+        try:
+            with flocked(self.path.with_name(self.path.name + ".lock")):
                 conn.execute("PRAGMA journal_mode=WAL")
                 for statement in _SCHEMA:
                     conn.execute(statement)
-        self._initialized = True
+            conn.execute("PRAGMA synchronous=NORMAL")
+        except BaseException:
+            conn.close()
+            raise
+        return conn
 
     def _run(self, operation: Callable[[sqlite3.Connection], Any]) -> Any:
         """``operation(conn)`` in one transaction, retrying when busy.
@@ -254,8 +372,10 @@ class SqliteStore:
         """
         for attempt in range(self.BUSY_RETRIES + 1):
             try:
-                with closing(self._connect()) as conn, conn:
-                    return operation(conn)
+                with _FORK_GATE.operation():
+                    conn = self._connection()
+                    with conn:
+                        return operation(conn)
             except sqlite3.OperationalError as exc:
                 busy = "locked" in str(exc) or "busy" in str(exc)
                 if not busy or attempt == self.BUSY_RETRIES:
@@ -281,6 +401,21 @@ class SqliteStore:
                 raise
             return []
 
+    def _select(self, table: str, keys: Iterable[str]) -> Dict[str, str]:
+        """Raw ``key -> text`` rows of ``table`` for ``keys``, in chunks."""
+        wanted = list(dict.fromkeys(keys))
+        found: Dict[str, str] = {}
+        for start in range(0, len(wanted), _IN_CHUNK):
+            chunk = tuple(wanted[start : start + _IN_CHUNK])
+            marks = ",".join("?" * len(chunk))
+            found.update(
+                self._read(
+                    f"SELECT key, record FROM {table} WHERE key IN ({marks})",
+                    chunk,
+                )
+            )
+        return found
+
     # -- records ---------------------------------------------------------
     def put(
         self,
@@ -293,34 +428,38 @@ class SqliteStore:
     ) -> Dict[str, Any]:
         """Persist one cell result atomically; returns the record meta.
 
-        The record text is exactly what :class:`ResultStore.put` writes
-        (sorted-key JSON), upserted in one transaction — a reader sees
-        the old row or the new, never a torn one.  ``index=False``
-        skips the advisory-index upsert for bulk writers.
+        A one-item :meth:`put_many` (so it also drops a stale failure
+        record), then the advisory-index upsert unless ``index=False``.
         """
-        meta: Dict[str, Any] = {"store_version": STORE_VERSION}
-        if kernel is not None:
-            meta["kernel"] = kernel
-        if params is not None:
-            meta["params"] = params
-        record = {"value": value, "meta": meta}
-        text = json.dumps(record, sort_keys=True)
-
-        def upsert(conn: sqlite3.Connection) -> None:
-            conn.execute(
-                "INSERT INTO records(key, record) VALUES(?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET record=excluded.record",
-                (key, text),
-            )
-            if index:
-                conn.execute(
-                    "INSERT INTO index_meta(key, meta) VALUES(?, ?) "
-                    "ON CONFLICT(key) DO UPDATE SET meta=excluded.meta",
-                    (key, json.dumps(meta, sort_keys=True)),
-                )
-
-        self._run(upsert)
+        meta = self.put_many([(key, value, kernel, params)])[key]
+        if index:
+            self.index_add({key: meta})
         return meta
+
+    def put_many(self, items: Iterable[Tuple]) -> Dict[str, Dict[str, Any]]:
+        """Persist ``(key, value, kernel, params)`` items; key -> meta.
+
+        One transaction upserts every record — the exact text
+        :meth:`ResultStore.put_many` writes (sorted-key JSON) — and
+        deletes the keys' failure records, so a reader sees each record
+        old or new, never torn.  The advisory index is left alone.
+        """
+        metas: Dict[str, Dict[str, Any]] = {}
+        rows = []
+        for key, value, kernel, params in items:
+            meta = metas[key] = record_meta(kernel, params)
+            record = {"value": value, "meta": meta}
+            rows.append((key, json.dumps(record, sort_keys=True)))
+
+        def write(conn: sqlite3.Connection) -> None:
+            conn.executemany(_UPSERT_RECORD, rows)
+            conn.executemany(
+                "DELETE FROM failures WHERE key=?", [(key,) for key, _ in rows]
+            )
+
+        if rows:
+            self._run(write)
+        return metas
 
     @staticmethod
     def _parse_record(text: str) -> Optional[Dict[str, Any]]:
@@ -332,10 +471,18 @@ class SqliteStore:
             return None
         return record
 
+    def records(self, keys: Iterable[str]) -> Dict[str, Dict[str, Any]]:
+        """Readable records of ``keys`` (missing/corrupt ones omitted)."""
+        found = {}
+        for key, text in self._select("records", keys).items():
+            record = self._parse_record(text)
+            if record is not None:
+                found[key] = record
+        return found
+
     def record(self, key: str) -> Optional[Dict[str, Any]]:
         """The full record dict for ``key``, or None if missing/corrupt."""
-        rows = self._read("SELECT record FROM records WHERE key=?", (key,))
-        return self._parse_record(rows[0][0]) if rows else None
+        return self.records([key]).get(key)
 
     def get(self, key: str) -> Optional[Any]:
         """The stored value for ``key``, or None if missing/corrupt."""
@@ -357,11 +504,19 @@ class SqliteStore:
         ]
 
     def status(self, keys: Iterable[str]) -> StoreStatus:
-        """Done/missing/failed split of ``keys`` against the records."""
+        """Done/missing/failed split of ``keys`` against the records.
+
+        Two bulk reads of the asked-for keys at most: the records, then
+        the failure records of the missing ones.
+        """
         wanted = list(keys)
-        have = set(self.keys())
+        have = self.records(wanted)
         missing = tuple(key for key in wanted if key not in have)
-        quarantined = set(self.failure_keys()) if missing else set()
+        quarantined = {
+            key
+            for key, text in self._select("failures", missing).items()
+            if self._parse_failure(text) is not None
+        }
         failed = tuple(key for key in missing if key in quarantined)
         return StoreStatus(
             total=len(wanted),
@@ -385,12 +540,7 @@ class SqliteStore:
         never shadowing them — exactly like the filesystem backend's
         ``failures/`` subdirectory.
         """
-        meta: Dict[str, Any] = {"store_version": STORE_VERSION}
-        if kernel is not None:
-            meta["kernel"] = kernel
-        if params is not None:
-            meta["params"] = params
-        record = {"failure": dict(failure), "meta": meta}
+        record = {"failure": dict(failure), "meta": record_meta(kernel, params)}
         self._run(
             lambda conn: conn.execute(
                 "INSERT INTO failures(key, record) VALUES(?, ?) "
@@ -415,8 +565,8 @@ class SqliteStore:
 
     def failure(self, key: str) -> Optional[Dict[str, Any]]:
         """The failure record for ``key``, or None (corrupt = none)."""
-        rows = self._read("SELECT record FROM failures WHERE key=?", (key,))
-        return self._parse_failure(rows[0][0]) if rows else None
+        text = self._select("failures", [key]).get(key)
+        return None if text is None else self._parse_failure(text)
 
     def failure_keys(self) -> List[str]:
         """Keys of every readable failure record, sorted."""
@@ -497,13 +647,13 @@ class SqliteStore:
         stored back, after which the record reads as missing exactly
         like a torn filesystem record.
         """
-        rows = self._read("SELECT record FROM records WHERE key=?", (key,))
-        if not rows:
+        text = self._select("records", [key]).get(key)
+        if text is None:
             return False
         fd, tmp = tempfile.mkstemp(prefix=".chaos-", suffix=".json")
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(rows[0][0])
+                handle.write(text)
             if not plan.corrupt_after_write(tmp, params):
                 return False
             torn_text = Path(tmp).read_text()

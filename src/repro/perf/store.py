@@ -54,7 +54,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 try:  # POSIX only; the store degrades to lock-free index updates elsewhere.
     import fcntl
@@ -128,6 +128,21 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def record_meta(
+    kernel: Optional[str], params: Optional[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """The ``meta`` of a record: store version, then kernel and params.
+
+    Shared by every backend so records stay byte-identical across them.
+    """
+    meta: Dict[str, Any] = {"store_version": STORE_VERSION}
+    if kernel is not None:
+        meta["kernel"] = kernel
+    if params is not None:
+        meta["params"] = params
+    return meta
+
+
 @dataclass(frozen=True)
 class StoreStatus:
     """Completion summary of one key set against a store.
@@ -197,18 +212,29 @@ class ResultStore:
         stored alongside so records are self-describing — ``status``
         and debugging never need to re-derive what a hash meant.
         ``index=False`` skips the per-put index update; bulk writers
-        use it and batch one :meth:`index_add` for the whole run.
+        use it and batch one :meth:`index_add` for the whole run.  A
+        one-item :meth:`put_many`, so it also drops a stale failure.
         """
-        meta: Dict[str, Any] = {"store_version": STORE_VERSION}
-        if kernel is not None:
-            meta["kernel"] = kernel
-        if params is not None:
-            meta["params"] = params
-        record = {"value": value, "meta": meta}
-        atomic_write_text(self.record_path(key), json.dumps(record, sort_keys=True))
+        meta = self.put_many([(key, value, kernel, params)])[key]
         if index:
             self.index_add({key: meta})
         return meta
+
+    def put_many(self, items: Iterable[Tuple]) -> Dict[str, Dict[str, Any]]:
+        """Persist ``(key, value, kernel, params)`` items; key -> meta.
+
+        One atomic file write per record, each followed by dropping
+        the key's failure record (a success supersedes a quarantine).
+        The advisory index is left alone: callers batch
+        :meth:`index_add`.
+        """
+        metas: Dict[str, Dict[str, Any]] = {}
+        for key, value, kernel, params in items:
+            meta = metas[key] = record_meta(kernel, params)
+            record = {"value": value, "meta": meta}
+            atomic_write_text(self.record_path(key), json.dumps(record, sort_keys=True))
+            self.clear_failure(key)
+        return metas
 
     def record(self, key: str) -> Optional[Dict[str, Any]]:
         """The full record dict for ``key``, or None if missing/corrupt."""
@@ -219,6 +245,15 @@ class ResultStore:
         if not isinstance(record, dict) or "value" not in record:
             return None
         return record
+
+    def records(self, keys: Iterable[str]) -> Dict[str, Dict[str, Any]]:
+        """Readable records of ``keys`` (missing/corrupt ones omitted)."""
+        found = {}
+        for key in keys:
+            record = self.record(key)
+            if record is not None:
+                found[key] = record
+        return found
 
     def get(self, key: str) -> Optional[Any]:
         """The stored value for ``key``, or None if missing/corrupt."""
@@ -274,12 +309,7 @@ class ResultStore:
         shadowing them — so ``status`` can report quarantined cells and
         a later ``resume`` can still recompute them.
         """
-        meta: Dict[str, Any] = {"store_version": STORE_VERSION}
-        if kernel is not None:
-            meta["kernel"] = kernel
-        if params is not None:
-            meta["params"] = params
-        record = {"failure": dict(failure), "meta": meta}
+        record = {"failure": dict(failure), "meta": record_meta(kernel, params)}
         atomic_write_text(self.failure_path(key), json.dumps(record, sort_keys=True))
         return record
 
@@ -379,8 +409,10 @@ class ResultStore:
 #: the full protocol contract, including atomicity semantics).
 BACKEND_SURFACE = (
     "put",
+    "put_many",
     "get",
     "record",
+    "records",
     "has",
     "keys",
     "status",

@@ -211,11 +211,19 @@ class SweepService:
             await self._respond_json(writer, 200, payload)
             return
         if path == "/v1/table":
+            from ..sweep.runner import MissingCells
+
             allow = query.get("allow_missing") in ("1", "true", "yes")
-            status = await loop.run_in_executor(
-                None, lambda: self.store.status(self._keys)
-            )
-            if not status.complete and not allow:
+            try:
+                # One bulk read both renders and decides completeness;
+                # the status split is computed only for the 409 body.
+                text = await loop.run_in_executor(
+                    None, lambda: self.table_text(allow_missing=allow)
+                )
+            except MissingCells:
+                status = await loop.run_in_executor(
+                    None, lambda: self.store.status(self._keys)
+                )
                 await self._respond_json(
                     writer,
                     409,
@@ -228,9 +236,6 @@ class SweepService:
                     },
                 )
                 return
-            text = await loop.run_in_executor(
-                None, lambda: self.table_text(allow_missing=allow)
-            )
             await self._respond_text(writer, 200, text)
             return
         if path == "/v1/cells":

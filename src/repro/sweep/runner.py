@@ -5,8 +5,8 @@ single-process :func:`repro.core.design_space.engine_sweep` call, a
 ``python -m repro.sweep run --shard i/K`` worker, and a ``resume`` after
 a crash are all the same loop: skip cells whose record is already in
 the store, fan the rest over :func:`repro.perf.parallel.parallel_indexed`,
-persist each result as it completes, return rows in canonical grid
-order.  Cells that share work run as one group, by the grid kernel's
+persist each finished group with one write, return rows in canonical
+grid order.  Cells that share work run as one group, by the grid kernel's
 own :func:`kernel_batch_spec` (the engine grid's traffic groups), with
 one record per cell either way.
 
@@ -141,11 +141,12 @@ def compute_grid(
     """Rows for every grid cell, reading through ``store`` when given.
 
     ``fn`` maps one cell's parameter dict to one ``row_type`` row (it
-    must be module-level so pool workers can pickle it).  Cells already
-    in the store are not recomputed; freshly computed cells are
-    persisted *as each result completes* (completion order, so a slow
-    cell never delays the durability of faster ones — a worker killed
-    mid-grid loses only its in-flight cells) with one batched
+    must be module-level so pool workers can pickle it).  One bulk
+    read finds the cells already in the store, which are not
+    recomputed; freshly computed cells are persisted *as each group
+    completes*, one ``put_many`` per group (completion order, so a slow
+    group never delays the durability of faster ones — a worker killed
+    mid-grid loses only its in-flight groups) with one batched
     index update at the end (the index is advisory; records are the
     truth and ``merge`` rebuilds it).  The returned list is always in
     canonical grid order, so a warm, cold, sharded, or mixed run yields
@@ -181,15 +182,12 @@ def compute_grid(
         batch = kernel_batch_spec(grid.kernel) if cell_fn is fn else None
     resolved: Optional[ResultStore] = resolve_store(store)
     cells = list(grid)
-    rows: List[Any] = [None] * len(cells)
-    todo: List[int] = []
-    for position, cell in enumerate(cells):
-        if resolved is not None:
-            row = _row_from_record(row_type, resolved.get(cell.key))
-            if row is not None:
-                rows[position] = row
-                continue
-        todo.append(position)
+    rows: List[Any] = (
+        [None] * len(cells)
+        if resolved is None
+        else _stored_rows(cells, row_type, resolved)
+    )
+    todo = [position for position, row in enumerate(rows) if row is None]
     written: Dict[str, Any] = {}
     try:
         _run(
@@ -231,7 +229,7 @@ def _run(
     ``batch`` at all) is a ``("cell", params)`` item through the same
     pipeline, so one sweep can mix both kinds.  Items persist in
     completion order, not input order: each finished item is persisted
-    immediately, never queued behind a slower one.
+    immediately, in one write, never queued behind a slower one.
     """
     members: List[List[int]] = []
     groups: Dict[str, List[int]] = {}
@@ -259,8 +257,24 @@ def _run(
             )
         for position, row in zip(positions, group_rows):
             rows[position] = row
-            if resolved is not None:
-                written[cells[position].key] = _persist(resolved, cells[position], row)
+        if resolved is None:
+            return
+        # One write per group; it also drops the members' stale failure
+        # records — a healed cell must stop reporting as failed.
+        written.update(
+            resolved.put_many(
+                (cells[p].key, asdict(row), cells[p].kernel, cells[p].as_dict())
+                for p, row in zip(positions, group_rows)
+            )
+        )
+        plan = chaos.active_plan()
+        if plan is not None:
+            # The "corrupt" chaos fault models a torn write surviving
+            # persistence: it fires per member, after the group's
+            # write landed, through the backend's own tear hook.
+            for position in positions:
+                cell = cells[position]
+                resolved.chaos_tear(plan, cell.key, cell.as_dict())
 
     if supervise is None:
         for offset, group_rows in parallel_indexed(kernel, items, workers=workers):
@@ -297,26 +311,13 @@ def _run(
             )
 
 
-def _persist(store, cell: Cell, row: Any) -> Dict[str, Any]:
-    """Write one row's record (indexing deferred to the caller's batch).
-
-    ``store`` is any backend of the pluggable-store protocol
-    (:mod:`repro.perf.backends`), not just the filesystem
-    :class:`ResultStore`.
-    """
-    meta = store.put(
-        cell.key, asdict(row), kernel=cell.kernel, params=cell.as_dict(), index=False
-    )
-    # A success supersedes any quarantine left by an earlier run —
-    # supervised or not, a healed cell must stop reporting as failed.
-    store.clear_failure(cell.key)
-    plan = chaos.active_plan()
-    if plan is not None:
-        # The "corrupt" chaos fault models a torn write surviving
-        # persistence: it fires here, after the record landed, through
-        # the backend's own tear hook.
-        store.chaos_tear(plan, cell.key, cell.as_dict())
-    return meta
+def _stored_rows(cells: Sequence[Cell], row_type: Type, store) -> List[Any]:
+    """Each cell's stored row, or None, from one bulk read."""
+    found = store.records([cell.key for cell in cells])
+    return [
+        _row_from_record(row_type, found.get(cell.key, {}).get("value"))
+        for cell in cells
+    ]
 
 
 def rows_from_store(
@@ -335,15 +336,11 @@ def rows_from_store(
     resolved = resolve_store(store)
     if resolved is None:
         raise ValueError("rows_from_store requires a store")
-    rows: List[Any] = []
-    missing: List[str] = []
-    for cell in grid:
-        row = _row_from_record(row_type, resolved.get(cell.key))
-        if row is None:
-            missing.append(cell.key)
-        rows.append(row)
+    cells = list(grid)
+    rows = _stored_rows(cells, row_type, resolved)
+    missing = tuple(cell.key for cell, row in zip(cells, rows) if row is None)
     if missing and not allow_missing:
-        raise MissingCells(grid, tuple(missing))
+        raise MissingCells(grid, missing)
     return rows
 
 
@@ -359,11 +356,10 @@ def missing_report(grid: Grid, store) -> List[Tuple[Cell, Optional[Dict[str, Any
     resolved = resolve_store(store)
     if resolved is None:
         raise ValueError("missing_report requires a store")
-    report = []
-    for cell in grid:
-        if not resolved.has(cell.key):
-            report.append((cell, resolved.failure(cell.key)))
-    return report
+    found = resolved.records(grid.keys())
+    return [
+        (cell, resolved.failure(cell.key)) for cell in grid if cell.key not in found
+    ]
 
 
 def kernel_registry() -> Dict[str, Tuple[Callable[[Dict[str, Any]], Any], Type]]:

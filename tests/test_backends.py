@@ -9,10 +9,16 @@ claim: the *same grid* swept into either backend persists byte-identical
 record text and merges ``--verify``-clean into byte-identical outputs.
 """
 
+import gc
 import json
 import multiprocessing
 import sqlite3
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +258,47 @@ class TestBackendConformance:
         assert store.read_index() == {}
         assert set(store.rebuild_index()) == {"k"}
 
+    def test_records_omits_corrupt_and_missing(self, store):
+        store.put("good", 1, kernel="engine_cell")
+        store.put("torn", 2)
+        store.put("wrongshape", 3)
+        corrupt_record(store, "torn")
+        corrupt_record(store, "wrongshape", json.dumps([1, 2]))
+        found = store.records(["good", "torn", "wrongshape", "absent"])
+        assert found == {"good": store.record("good")}
+        assert store.records([]) == {}
+
+    def test_records_longer_than_one_sqlite_chunk(self, store):
+        keys = [f"k{i:04d}" for i in range(1200)]
+        store.put_many((key, {"i": key}, None, None) for key in keys)
+        found = store.records(keys + ["absent"])
+        assert sorted(found) == keys
+        assert all(found[key]["value"] == {"i": key} for key in keys)
+        assert store.status(keys).complete
+
+    def test_put_many_clears_failures_and_leaves_the_index(self, store):
+        store.put("indexed", 0, kernel="engine_cell")
+        index = store.read_index()
+        store.put_failure("healed", FAILURE)
+        metas = store.put_many(
+            [
+                ("healed", {"v": 1}, "engine_cell", {"n_bits": 16}),
+                ("fresh", {"v": 2}, None, None),
+            ]
+        )
+        assert metas["healed"] == store.record("healed")["meta"]
+        assert metas["fresh"] == {"store_version": 1}
+        assert store.failure("healed") is None
+        assert store.failure_keys() == []
+        assert store.status(["healed", "fresh"]).complete
+        assert store.read_index() == index
+        assert store.put_many([]) == {}
+
+    def test_put_clears_a_stale_failure(self, store):
+        store.put_failure("k", FAILURE)
+        store.put("k", 1)
+        assert store.failure("k") is None
+
     def test_empty_store_reads_empty(self, store):
         assert store.get("k") is None
         assert store.keys() == []
@@ -362,6 +409,130 @@ class TestConcurrentWriters:
         assert set(store.read_index()) == expected
 
 
+    def test_live_reader_never_blocks_a_writer_process(self, backend, tmp_path):
+        locator = make_locator(backend, tmp_path)
+        # Pool workers fork first, so the reader's connection is open in
+        # the parent alone while they write.
+        with multiprocessing.Pool(2) as pool:
+            reader = open_store(locator)
+            reader.put("seed", 0)
+            assert reader.get("seed") == 0
+            pending = pool.map_async(_hammer_many_cells, [(locator, 40)] * 2)
+            deadline = time.monotonic() + 60
+            while not pending.ready() and time.monotonic() < deadline:
+                assert reader.get("seed") == 0
+                reader.status([f"cell{i}" for i in range(8)])
+            assert pending.get(timeout=60) == [True, True]
+            expected = sorted(["seed"] + [f"cell{i}" for i in range(8)])
+            assert reader.keys() == expected
+
+
+def _fork_child_writes(holder, halfway, parent_closed, rounds):
+    """Child side of the fork test: read and write through the store
+    object the parent used, while the parent drops its own copy."""
+    store = holder[0]
+    assert store.get("parent") == {"by": "parent"}
+    for i in range(rounds):
+        if i == rounds // 2:
+            halfway.set()
+            assert parent_closed.wait(60)
+        store.put(f"child{i}", {"by": "child"})
+        assert store.get(f"child{i}") == {"by": "child"}
+
+
+class TestSqliteConnections:
+    """One connection per process and thread, owned by the store."""
+
+    def test_store_used_in_parent_and_fork_child(self, tmp_path):
+        path = tmp_path / "store.db"
+        holder = [SqliteStore(path)]
+        holder[0].put("parent", {"by": "parent"})
+        assert holder[0].get("parent") == {"by": "parent"}
+        ctx = multiprocessing.get_context("fork")
+        halfway, parent_closed = ctx.Event(), ctx.Event()
+        child = ctx.Process(
+            target=_fork_child_writes, args=(holder, halfway, parent_closed, 20)
+        )
+        child.start()
+        assert halfway.wait(60)
+        holder[0].put("parent2", {"by": "parent"})
+        assert holder[0].get("child0") == {"by": "child"}
+        # Dropping the parent's store closes its connection while the
+        # child is mid-write: that must not checkpoint the child's WAL
+        # away (it does if a connection was open across the fork).
+        holder.clear()
+        gc.collect()
+        parent_closed.set()
+        child.join(60)
+        assert child.exitcode == 0
+        expected = ["parent", "parent2"] + [f"child{i}" for i in range(20)]
+        assert SqliteStore(path).keys() == sorted(expected)
+
+    def test_eight_threads_read_one_store(self, tmp_path):
+        # The service executor's pattern: many threads, one store object.
+        store = SqliteStore(tmp_path / "store.db")
+        keys = [f"k{i:02d}" for i in range(64)]
+        store.put_many((key, {"k": key}, None, None) for key in keys)
+        expected = store.records(keys)
+        start = threading.Barrier(8)
+
+        def read(i):
+            start.wait(30)
+            for _ in range(20):
+                assert store.records(keys) == expected
+                assert store.get(keys[i]) == {"k": keys[i]}
+                assert store.status(keys).complete
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                done = pool.map(read, range(8), timeout=60)
+                assert list(done) == [True] * 8
+        finally:
+            sys.setswitchinterval(interval)
+        # One connection per thread: the main thread's plus eight.
+        assert len({id(conn) for conn, _ in store._conns.values()}) == 9
+
+    def test_recreated_database_reads_new_contents(self, tmp_path):
+        path = tmp_path / "store.db"
+        store = SqliteStore(path)
+        store.put("old", 1)
+        assert store.get("old") == 1
+        for suffix in ("", "-wal", "-shm"):
+            Path(f"{path}{suffix}").unlink(missing_ok=True)
+        other = SqliteStore(path)
+        other.put("new", 2)
+        assert store.get("old") is None
+        assert store.get("new") == 2
+        store.put("newer", 3)
+        assert store.keys() == ["new", "newer"]
+        # Closing the handle to the deleted file must leave the new
+        # database's WAL alone.
+        del store
+        gc.collect()
+        assert SqliteStore(path).keys() == ["new", "newer"]
+        assert other.keys() == ["new", "newer"]
+
+    def test_dropping_the_store_closes_every_connection(self, tmp_path):
+        store = SqliteStore(tmp_path / "store.db")
+        store.put("k", 1)
+        workers = [threading.Thread(target=store.get, args=("k",)) for _ in range(2)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(30)
+            assert not worker.is_alive()
+        conns = [conn for conn, _ in store._conns.values()]
+        assert len(conns) == 3
+        del store, workers, worker
+        gc.collect()
+        for conn in conns:
+            with pytest.raises(sqlite3.ProgrammingError):
+                conn.execute("SELECT 1")
+
+
 class TestCrossBackendIdentity:
     """One grid, two backends, zero observable difference."""
 
@@ -379,6 +550,27 @@ class TestCrossBackendIdentity:
         for key in fs.keys():
             # The *persisted bytes*, not just the parsed values, match.
             assert fs.record_path(key).read_text() == sq_text[key]
+
+    def test_put_many_writes_the_bytes_put_writes(self, tmp_path):
+        item = ("k", {"speedup": 2.5}, "engine_cell", {"n_bits": 16})
+        texts = []
+        for backend in BACKENDS:
+            for write in ("put", "put_many"):
+                store = open_store(
+                    make_locator(backend, tmp_path, f"{backend}-{write}")
+                )
+                if write == "put":
+                    key, value, kernel, params = item
+                    store.put(key, value, kernel=kernel, params=params)
+                else:
+                    store.put_many([item])
+                if backend == "fs":
+                    texts.append(store.record_path("k").read_text())
+                else:
+                    with closing(sqlite3.connect(str(store.path))) as conn:
+                        rows = conn.execute("SELECT record FROM records")
+                        texts.extend(text for (text,) in rows)
+        assert len(texts) == 4 and len(set(texts)) == 1
 
     def test_cli_merge_verify_identical_across_backends(self, tmp_path):
         outputs = {}

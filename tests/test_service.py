@@ -15,9 +15,13 @@ from urllib.request import urlopen
 import pytest
 
 from repro.core.design_space import engine_grid, transfer_grid
-from repro.analysis.tables import engine_table_text_from_store
+from repro.analysis.tables import (
+    engine_table_text_from_store,
+    render_table_from_store,
+)
 from repro.perf.backends import open_store
 from repro.service import BackgroundService, ServiceClient, ServiceError
+from repro.sweep.grid import Grid
 from repro.sweep.runner import compute_grid, kernel_registry
 
 GRID_KWARGS = dict(workloads=("draper_adder",), sizes=(16,), depths=(2,))
@@ -152,6 +156,50 @@ class TestEndpoints:
             fill(grid, store)
             assert client.status()["complete"] is True
             assert "Table 3" in client.table()
+
+    @pytest.mark.parametrize("backend", ("fs", "sqlite"))
+    def test_table_sees_a_record_written_between_calls(self, backend, tmp_path):
+        grid = transfer_grid()
+        if backend == "fs":
+            store = open_store(f"fs:{tmp_path / 'store'}")
+        else:
+            store = open_store(f"sqlite:{tmp_path / 'store.db'}")
+        fn, row_type = kernel_registry()[grid.kernel]
+        last, *rest = grid.cells
+        compute_grid(Grid(grid.kernel, tuple(rest)), fn, row_type, store=store)
+        with BackgroundService(store, grid) as svc:
+            client = ServiceClient(svc.url)
+            with pytest.raises(ServiceError) as exc_info:
+                client.table()
+            assert exc_info.value.code == 409
+            assert exc_info.value.payload["done"] == 15
+            assert "1 cell(s) missing" in client.table(allow_missing=True)
+            store.put(
+                last.key,
+                asdict(fn(last.as_dict())),
+                kernel=grid.kernel,
+                params=last.as_dict(),
+            )
+            table = client.table()
+        assert table == render_table_from_store(grid, store)
+
+    def test_table_query_reads_each_record_once(self, tmp_path, monkeypatch):
+        from repro.perf.store import ResultStore
+
+        grid = transfer_grid()
+        store = open_store(f"fs:{tmp_path / 'store'}")
+        fill(grid, store)
+        reads = []
+        original = ResultStore.record
+
+        def counted(self, key):
+            reads.append(key)
+            return original(self, key)
+
+        monkeypatch.setattr(ResultStore, "record", counted)
+        with BackgroundService(store, grid) as svc:
+            ServiceClient(svc.url).table()
+        assert sorted(reads) == sorted(grid.keys())
 
     def test_unknown_route_is_404(self, warm):
         store, grid, _ = warm
