@@ -79,14 +79,16 @@ def _bench_hierarchy_sweep():
 #: The policy set the engine kernels time — pinned so the kernels keep
 #: measuring the same workload as the committed baseline when the
 #: policy registry grows (a new policy changes the *registry*, not what
-#: these numbers mean; the ``fidelity`` policy's own cost is covered by
-#: the fidelity-sweep surface, not a drift gate).
+#: these numbers mean).  ``engine_3level_generic_512`` gates the
+#: ``fidelity`` policy, which runs through its real policy objects.
 BENCH_POLICIES = ("belady", "fifo", "lru", "score")
 
 
-def _bench_engine(n_bits: int, depth: int = 3):
+def _bench_engine(n_bits: int, depth: int = 3, policies=BENCH_POLICIES):
     """The generalized hierarchy engine: a 3-level stack under the
-    pinned ``BENCH_POLICIES`` set on one adder workload."""
+    pinned ``BENCH_POLICIES`` set on one adder workload.
+    ``policies=("fidelity",)`` times the replacement kernel's real
+    policy-object path instead of its flattened state."""
     from repro.circuits.workloads import build_workload
     from repro.core.design_space import (
         ENGINE_CACHE_FACTOR,
@@ -100,7 +102,6 @@ def _bench_engine(n_bits: int, depth: int = 3):
     stack = standard_stack("steane", depth,
                            compute_qubits=ENGINE_COMPUTE_QUBITS,
                            cache_factor=ENGINE_CACHE_FACTOR)
-    policies = BENCH_POLICIES
     # The fetch schedule is policy-independent one-time setup; without
     # it the kernel would mostly time the scheduler, not the engine.
     order = simulate_optimized(circuit, stack.levels[0].capacity).order
@@ -684,6 +685,8 @@ def kernel_set(quick: bool):
             "fetch_optimized_1024_x4": _times(_bench_fetch(1024), 4),
             "mc_steane_2000_x8": _times(_bench_mc("steane", 2000), 8),
             "engine_3level_policies_512": _bench_engine(512),
+            "engine_3level_generic_512":
+                _bench_engine(512, policies=("fidelity",)),
             "prefetch_3level_next_k_512": _bench_prefetch(512),
             "prefetch_3level_fidelity_next_k_512":
                 _bench_prefetch(512, policy="fidelity"),
@@ -712,6 +715,8 @@ def kernel_set(quick: bool):
         "specialization_sweep": _bench_specialization_sweep(),
         "hierarchy_sweep": _bench_hierarchy_sweep(),
         "engine_3level_policies_256": _bench_engine(256),
+        "engine_3level_generic_512":
+            _bench_engine(512, policies=("fidelity",)),
         "prefetch_3level_next_k_512": _bench_prefetch(512),
         "prefetch_3level_fidelity_next_k_512":
             _bench_prefetch(512, policy="fidelity"),

@@ -14,6 +14,8 @@ and a makespan:
   transactions that pipeline hops;
 * :mod:`repro.sim.policies` / :mod:`repro.sim.prefetch` — the
   eviction-policy and exact-prefetcher registries;
+  :mod:`repro.sim.flatpolicy` is the replacement kernel both engines
+  run over the policy registry;
 * :mod:`repro.sim.cache` — the two-level optimized-fetch cache
   simulator of Figure 7 (the fetch scheduler every engine run reuses);
 * :mod:`repro.sim.hierarchy_sim` — the legacy Table 5 surface
@@ -62,7 +64,6 @@ from .levels import (
 )
 from .policies import (
     EvictionPolicy,
-    PolicyCache,
     available_policies,
     make_policy,
     register_policy,
@@ -98,7 +99,6 @@ __all__ = [
     "LruCache",
     "MemoryLevel",
     "OptimizedFetchResult",
-    "PolicyCache",
     "Prefetcher",
     "ScheduleResult",
     "adder_critical_slots",

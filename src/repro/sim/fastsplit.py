@@ -1,10 +1,10 @@
 """Flattened split-transaction engine for every policy and prefetcher.
 
 The split-transaction model's executable specification is an event
-kernel driving closure-based continuation chains, ``PolicyCache``
-objects per level, and a prefetch walk that re-slices the operand trace
-at every gate (test code: ``tests/oracles/levels.py``).  This module is
-the compiled-down replica that
+kernel driving closure-based continuation chains, a policy-driven
+resident set per level, and a prefetch walk that re-slices the operand
+trace at every gate (test code: ``tests/oracles/levels.py``).  This
+module is the compiled-down replica that
 :func:`~repro.sim.levels.simulate_hierarchy_run` runs for every
 pipelined cell:
 
@@ -15,16 +15,15 @@ pipelined cell:
   the per-qubit movement queues hold those records directly, so a
   completed movement launches its successor without allocating a
   closure;
-* replacement state for the four policies with a specialized loop
-  (``lru``, ``fifo``, ``score``, ``belady``) is the dict-per-level
-  machinery of :mod:`repro.sim.replay` (insertion-ordered dicts, a
-  shared incremental score window, int-keyed lazy Belady heaps)
-  extended with the exclusion sets and non-destructive victim peeks
-  prefetching needs; every other registered policy (``fidelity``, and
-  any user-registered one) drives its real
-  :class:`~repro.sim.policies.EvictionPolicy` objects, calling
-  ``on_hit``/``on_insert``/``on_remove``/``victim`` exactly where the
-  reference's ``PolicyCache`` does;
+* replacement decisions come from :mod:`repro.sim.flatpolicy`, the
+  kernel movement-trace extraction runs too: flattened state for
+  ``lru``, ``fifo``, ``score`` and ``belady``, whose victim queries
+  are non-destructive peeks (a prefetch veto may leave the victim
+  resident), and the real :class:`~repro.sim.policies.EvictionPolicy`
+  objects for every other registered policy (``fidelity``, and any
+  user-registered one), whose ``on_hit``/``on_insert``/``on_remove``
+  hooks the engine calls exactly where the reference's resident sets
+  do;
 * the shipped prefetch walks (``next_k``, ``distance``) are slice-free
   (an epoch-stamped array replaces the per-call ``seen`` set) and lazy
   for ``next_k`` (the reference walk has no side effects, so
@@ -52,11 +51,12 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Mapping
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from ..circuits.circuit import Circuit, TraceIndex
 from .levels import HierarchyEngineResult, HierarchyStack, LevelStat
-from .policies import available_policies, make_policy
+from .flatpolicy import flat_policy
+from .policies import available_policies
 from .prefetch import available_prefetchers, make_prefetcher
 from .replay import _scan_program
 
@@ -89,14 +89,9 @@ _K_HOP, _K_WB = 0, 1
 # successor — the reference engine's trigger subscriptions, flattened
 # (each trigger ever has at most one subscriber).
 
-#: Policies with hand-flattened replacement state; every other
-#: registered policy runs through its real ``EvictionPolicy`` objects.
-_SPECIALIZED_POLICIES = frozenset({"belady", "fifo", "lru", "score"})
 #: Prefetchers with a hand-flattened walk; every other registered
 #: prefetcher runs through its real ``Prefetcher`` object.
 _SPECIALIZED_PREFETCHERS = frozenset({"distance", "next_k"})
-
-_SCORE_WINDOW = 256  # ScorePolicy's default lookahead
 
 
 def supports_fast_split(policy: str, prefetch: str) -> bool:
@@ -157,12 +152,6 @@ def simulate_split_fast(
     n_qubits = circuit.n_qubits
     bottom = stack.depth - 1
     caps = [level.capacity for level in stack.levels[:-1]]
-    for cap in caps:
-        if cap < 2:
-            raise ValueError(
-                "cache capacity must be at least 2 (a two-operand gate "
-                "needs both operands resident at once)"
-            )
     n_finite = len(caps)
     networks = stack.networks()
     n_nets = len(networks)
@@ -171,7 +160,6 @@ def simulate_split_fast(
 
     heappush = heapq.heappush
     heappop = heapq.heappop
-    heapify = heapq.heapify
 
     # --- event kernel + port servers ---------------------------------
     events: List[tuple] = []
@@ -181,107 +169,26 @@ def simulate_split_fast(
     port_queues: List[List[tuple]] = [[] for _ in range(n_nets)]
     qseq = [0] * n_nets
 
-    # --- replacement state (as in repro.sim.replay) ------------------
-    orders_: List[dict] = [{} for _ in range(n_finite)]
+    # --- replacement state (repro.sim.flatpolicy) ---------------------
+    flat = flat_policy(policy, caps, program, n_qubits)
+    orders_ = flat.orders
+    select_victim = flat.victim
     d0 = orders_[0]
     cap0 = caps[0]
-    # Any policy without a specialized loop drives its real policy
+    # Any policy without flattened state drives its real policy
     # objects; ``orders_`` then only tracks residency.
-    generic = policy not in _SPECIALIZED_POLICIES
-    pols: list = []
-    pol0 = None
-    if generic:
-        pols = [make_policy(policy) for _ in range(n_finite)]
-        for pol, cap in zip(pols, caps):
-            pol.reset(cap, trace)
-        pol0 = pols[0]
-    refresh_on_hit = not generic and policy != "fifo"
-    track_nu = policy == "belady"
-    keybase: Sequence[int] = ()
-    qkb: List[int] = []
-    cur_key: List[int] = []
-    bheaps: List[List[Tuple[int, int]]] = [[] for _ in range(n_finite)]
+    pols = flat.pols
+    generic = bool(pols)
+    pol0 = pols[0] if generic else None
+    refresh_on_hit = flat.refresh_on_hit
+    track_nu = flat.track_nu
+    keybase = flat.keybase
+    qkb = flat.qkb
+    cur_key = flat.cur_key
+    bheaps = flat.bheaps
     bh0 = bheaps[0]
     bseq = 0
-    span = n * max(stack.depth, 64) + 1
-    if track_nu:
-        keybase = program.belady_keys(span)
-        qkb = [0] * n_qubits
-        cur_key = [0] * n_qubits
-    wpos = -1
-    counts: List[int] = []
-    if policy == "score":
-        counts = [0] * n_qubits
-        for q in trace[:_SCORE_WINDOW]:
-            counts[q] += 1
-
-    def victim_recency(i, vpos, excl):
-        d = orders_[i]
-        for q in d:
-            if q not in excl:
-                return q
-        return next(iter(d))  # unsatisfiable pin: fall back
-
-    def victim_score(i, vpos, excl):
-        nonlocal wpos
-        while wpos < vpos:
-            wpos += 1
-            counts[trace[wpos]] -= 1
-            entering = wpos + _SCORE_WINDOW
-            if entering < n:
-                counts[trace[entering]] += 1
-        best = None
-        best_score = None
-        for q in orders_[i]:  # LRU-first iteration breaks ties
-            if q in excl:
-                continue
-            score = counts[q]
-            if best_score is None or score < best_score:
-                best, best_score = q, score
-                if score == 0:
-                    break
-        if best is None:
-            return next(iter(orders_[i]))
-        return best
-
-    def victim_belady(i, vpos, excl):
-        # Non-destructive peek over the lazy heap: the winning entry is
-        # pushed back (prefetch vetoes may leave the victim resident);
-        # an actual eviction stales it through the residency check.
-        h = bheaps[i]
-        d = orders_[i]
-        if len(h) > (len(d) << 2) + 64:
-            h[:] = [e for e in h if cur_key[e[1]] == e[0] and e[1] in d]
-            heapify(h)
-        stash = None
-        while h:
-            key, q = heappop(h)
-            if q not in d or cur_key[q] != key:
-                continue  # stale: the qubit moved since this push
-            if q in excl:
-                if stash is None:
-                    stash = []
-                stash.append((key, q))
-                continue
-            heappush(h, (key, q))
-            if stash:
-                for e in stash:
-                    heappush(h, e)
-            return q
-        if stash:  # unsatisfiable pin: fall back like the reference
-            for e in stash:
-                heappush(h, e)
-        return next(iter(d))
-
-    def victim_generic(i, vpos, excl):
-        return pols[i].victim(vpos, excl)
-
-    select_victim = {
-        "lru": victim_recency,
-        "fifo": victim_recency,
-        "score": victim_score,
-        "belady": victim_belady,
-    }.get(policy, victim_generic)
+    span = flat.span
 
     # --- run state ----------------------------------------------------
     location = [-1] * n_qubits
@@ -608,7 +515,7 @@ def simulate_split_fast(
             evicted = victim
             if evicted is not None:
                 if generic:
-                    # PolicyCache.insert asks the policy again.
+                    # The reference's insertion asks the policy again.
                     evicted = pol0.victim(pos, exclusions)
                     pol0.on_remove(evicted)
                 del d0[evicted]

@@ -496,7 +496,7 @@ def simulate_hierarchy_run(
         return simulate_split_fast(
             stack, circuit, order, policy, prefetch, recorder=recorder
         )
-    from .replay import _extract, _scan_program, price_movement_trace
+    from .replay import _extract_program, _scan_program, price_movement_trace
 
-    movement = _extract(stack, circuit, policy, _scan_program(circuit, order))
+    movement = _extract_program(stack, circuit, policy, _scan_program(circuit, order))
     return price_movement_trace(movement, stack, recorder)

@@ -35,14 +35,12 @@ module exploits it:
   :data:`TRACE_FORMAT_VERSION`, so a layout change can only ever miss,
   never decode stale bytes wrongly.
 
-The extraction has two implementations: a *specialized* flattened loop
-for the four shipped eviction policies (dict-as-recency-order, an
-incremental score window, and an O(1) Belady next-use scheme over a
-precomputed ``next_pos`` array) and a *generic* fallback that drives
-the real :class:`~repro.sim.policies.PolicyCache` objects for any
-other registered policy.  Both are pinned equal to each other and to
-the reference reservation engines (test code under ``tests/oracles/``)
-by the equivalence tests.
+The extraction is one loop for every registered eviction policy: its
+replacement decisions come from :mod:`repro.sim.flatpolicy`, the
+kernel :mod:`repro.sim.fastsplit` runs too (flattened state for
+``lru``, ``fifo``, ``score`` and ``belady``, the real policy objects
+for any other).  The equivalence tests pin it to the reference
+reservation engines (test code under ``tests/oracles/``).
 
 Batching is bypassed — cells fall back to per-cell simulation — for
 split-transaction runs with prefetching (``prefetch != "none"``): port
@@ -60,7 +58,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..circuits.circuit import Circuit
 from .levels import (
@@ -70,7 +68,8 @@ from .levels import (
     _resolve_order,
     _resolve_workload,
 )
-from .policies import PolicyCache, make_policy, validate_policy
+from .flatpolicy import flat_policy
+from .policies import validate_policy
 
 __all__ = [
     "MovementTrace",
@@ -84,10 +83,6 @@ __all__ = [
 ]
 
 _INF = math.inf
-
-#: Policies with a hand-flattened extraction loop; anything else goes
-#: through the generic :class:`~repro.sim.policies.PolicyCache` path.
-_SPECIALIZED_POLICIES = frozenset({"lru", "fifo", "score", "belady"})
 
 #: Total (group x config) cell count from which the vectorized pricer
 #: (:func:`_price_multi_numpy`) overtakes the scalar loop: numpy pays a
@@ -382,39 +377,28 @@ def extract_movement_trace(
         raise ValueError("cannot simulate an empty circuit")
     validate_policy(policy)
     order = _resolve_order(circuit, stack.levels[0].capacity, window, fetch, order)
-    return _extract(stack, circuit, policy, _scan_program(circuit, order))
+    return _extract_program(stack, circuit, policy, _scan_program(circuit, order))
 
 
-def _extract(
+def _extract_program(
     stack: HierarchyStack,
     circuit: Circuit,
     policy: str,
     program: _ScanProgram,
 ) -> MovementTrace:
-    """Dispatch to the flattened or the generic extraction loop."""
-    if policy in _SPECIALIZED_POLICIES:
-        return _extract_specialized(stack, circuit, policy, program)
-    return _extract_generic(stack, circuit, policy, program)
+    """The extraction loop: scan ``program`` through the replacement
+    kernel of :mod:`repro.sim.flatpolicy` for any registered policy.
 
-
-def _extract_specialized(
-    stack: HierarchyStack,
-    circuit: Circuit,
-    policy: str,
-    program: _ScanProgram,
-) -> MovementTrace:
-    """The flattened extraction loop for the four shipped policies.
-
-    Replicates :class:`~repro.sim.policies.PolicyCache` plus the
-    shipped policy classes exactly — one insertion-ordered dict per
-    level doubles as resident set and recency order (hits reinsert,
-    matching ``OrderedDict.move_to_end``), the score window slides
-    incrementally, and Belady reads next uses from the scan program's
+    Identical event stream to the reference reservation engine with
+    the port arithmetic deleted.  The four shipped policies run as
+    flattened state; Belady reads next uses from the scan program's
     ``next_pos`` array instead of bisecting (a demand access at
     position ``p`` *is* an occurrence of its qubit, and a cascaded
     victim cannot have recurred since its last touch — the occurrence
     would have been a demand access pulling it up — so cached next
-    uses stay exact all the way down the stack).
+    uses stay exact all the way down the stack).  Every other policy
+    drives its real objects through the same hooks the reference's
+    per-level resident sets call.
 
     The loop records only the per-miss ``(src, qubit, victim,
     cascade)`` records; every access/hit/traffic counter is derived
@@ -423,130 +407,20 @@ def _extract_specialized(
     """
     bottom = stack.depth - 1
     caps = [level.capacity for level in stack.levels[:-1]]
-    n_finite = len(caps)
-    trace = program.trace
-    n = len(trace)
-    orders: List[Dict[int, None]] = [{} for _ in range(n_finite)]
-    refresh_on_hit = policy != "fifo"
-    track_nu = policy == "belady"
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    heapify = heapq.heapify
-
-    # --- per-policy victim state -------------------------------------
-    # Belady: one lazily-pruned max-heap per level over int-keyed
-    # 2-tuples ``(seq - dist * span, q)`` where ``dist`` is the next
-    # use cached at the qubit's last compute-level access, ``seq`` a
-    # monotone push counter and ``span`` exceeds every seq — the
-    # min-heap then pops by descending next use, oldest push first,
-    # which is the reference scan's LRU-first tie-break (every recency
-    # refresh is accompanied by a push; finite next uses are globally
-    # unique, so real ties only arise among never-used-again qubits,
-    # where push order *is* recency order).  An entry is current iff
-    # ``q`` is resident at the level it was pushed for and the entry
-    # *is* the latest push for ``q`` (``cur_key[q]`` matches; seq makes
-    # keys globally unique): a next use can only change at a
-    # compute-level access of ``q`` — where it strictly increases and a
-    # fresh entry is pushed — and every inter-level move pushes into
-    # the destination heap, so the latest push always lives in the heap
-    # of the qubit's current level.  ``keybase`` precomputes the
-    # ``-dist * span`` part per trace position (a cascaded victim's
-    # next use carries down unchanged — it cannot have recurred since
-    # its last touch, the occurrence would have been a demand access
-    # pulling it up — so ``qkb[q]`` simply remembers the base from the
-    # last compute-level access).
-    keybase: Sequence[int] = ()
-    qkb: List[int] = []
-    cur_key: List[int] = []
-    bheaps: List[List[Tuple[int, int]]] = [[] for _ in range(n_finite)]
+    flat = flat_policy(policy, caps, program, circuit.n_qubits)
+    orders = flat.orders
+    select_victim = flat.victim
+    refresh_on_hit = flat.refresh_on_hit
+    pols = flat.pols
+    generic = bool(pols)
+    pol0 = pols[0] if generic else None
+    keybase = flat.keybase
+    qkb = flat.qkb
+    cur_key = flat.cur_key
+    bheaps = flat.bheaps
     bseq = 0
-    # span must exceed the total push count (≤ depth pushes per trace
-    # position); a depth-independent value keeps the precomputed key
-    # bases shared across stacks of different depths.
-    span = n * max(stack.depth, 64) + 1
-    if track_nu:
-        keybase = program.belady_keys(span)
-        qkb = [0] * circuit.n_qubits
-        cur_key = [0] * circuit.n_qubits
-    # Score: the reference keeps one sliding window per level, but the
-    # window content is a pure function of the sync position and every
-    # victim call syncs its level to the current operand position — so
-    # all levels always observe identical counts, and one shared
-    # window suffices.
-    window = 256  # ScorePolicy's default lookahead
-    wpos = -1
-    counts: List[int] = []
-    if policy == "score":
-        counts = [0] * circuit.n_qubits
-        for q in trace[:window]:
-            counts[q] += 1
+    heappush = heapq.heappush
 
-    def victim_recency(i, pos, pinned):
-        d = orders[i]
-        if not pinned:
-            return next(iter(d))
-        for q in d:
-            if q not in pinned:
-                return q
-        return next(iter(d))  # unsatisfiable pin: fall back
-
-    def victim_score(i, pos, pinned):
-        nonlocal wpos
-        while wpos < pos:  # slide the window to cover pos+1..pos+window
-            wpos += 1
-            counts[trace[wpos]] -= 1
-            entering = wpos + window
-            if entering < n:
-                counts[trace[entering]] += 1
-        best = None
-        best_score = None
-        for q in orders[i]:  # LRU-first iteration breaks ties
-            if q in pinned:
-                continue
-            score = counts[q]
-            if best_score is None or score < best_score:
-                best, best_score = q, score
-                if score == 0:
-                    break
-        if best is None:
-            return next(iter(orders[i]))
-        return best
-
-    def victim_belady(i, pos, pinned):
-        h = bheaps[i]
-        d = orders[i]
-        if len(h) > (len(d) << 2) + 64:
-            # Compact: stale entries otherwise accumulate and deepen
-            # every subsequent sift (the heap is lazily pruned).
-            h[:] = [e for e in h if cur_key[e[1]] == e[0] and e[1] in d]
-            heapify(h)
-        stash = None
-        while h:
-            key, q = heappop(h)
-            if q not in d or cur_key[q] != key:
-                continue  # stale: the qubit moved since this push
-            if q in pinned:
-                if stash is None:
-                    stash = []
-                stash.append((key, q))
-                continue
-            if stash:
-                for e in stash:
-                    heappush(h, e)
-            return q
-        if stash:  # unsatisfiable pin: fall back like the scan
-            for e in stash:
-                heappush(h, e)
-        return next(iter(d))
-
-    select_victim = {
-        "lru": victim_recency,
-        "fifo": victim_recency,
-        "score": victim_score,
-        "belady": victim_belady,
-    }[policy]
-
-    # --- the scan ----------------------------------------------------
     location = [-1] * circuit.n_qubits
     for q in program.touched:
         location[q] = bottom
@@ -568,8 +442,9 @@ def _extract_specialized(
     pos = 0
     # Two copies of the scan so the per-access policy checks stay out
     # of the inner loop: the Belady variant threads the heap pushes,
-    # the recency/score variant only maintains the ordered dicts.
-    if track_nu:
+    # the other one maintains the ordered dicts and calls the real
+    # policy objects' hooks when there are any.
+    if flat.track_nu:
         for qubits in program.gate_qubits:
             nmiss = 0
             j = 0
@@ -617,7 +492,7 @@ def _extract_specialized(
                             del d[bumped]
                         d[victim] = None
                         # The victim's cached next use carries down
-                        # unchanged (see the invariant above).
+                        # unchanged.
                         key = bseq + qkb[victim]
                         cur_key[victim] = key
                         heappush(bheaps[lvl], (key, victim))
@@ -648,18 +523,26 @@ def _extract_specialized(
                     if refresh_on_hit:
                         del d0[q]
                         d0[q] = None
+                    elif generic:
+                        pol0.on_hit(q, pos)
                     j += 1
                     pos += 1
                     continue
                 if src != bottom:
                     del orders[src][q]
+                    if generic:
+                        pols[src].on_remove(q)
                 evicted = -1
                 if len(d0) >= cap0:
                     # The operands already issued for this gate are
                     # pinned (they cannot be teleported away mid-gate).
                     evicted = select_victim(0, pos, qubits[:j])
                     del d0[evicted]
+                    if generic:
+                        pol0.on_remove(evicted)
                 d0[q] = None
+                if generic:
+                    pol0.on_insert(q, pos)
                 location[q] = 0
                 clen = 0
                 if evicted >= 0:
@@ -672,7 +555,11 @@ def _extract_specialized(
                         if len(d) >= caps[lvl]:
                             bumped = select_victim(lvl, pos, ())
                             del d[bumped]
+                            if generic:
+                                pols[lvl].on_remove(bumped)
                         d[victim] = None
+                        if generic:
+                            pols[lvl].on_insert(victim, pos)
                         if bumped is None:
                             break
                         location[bumped] = lvl + 1
@@ -779,73 +666,6 @@ def _trace_from_misses(
         level_evictions=tuple(evictions),
         final_occupancy=tuple(occupancy),
         total_ec=program.total_ec,
-    )
-
-
-def _extract_generic(
-    stack: HierarchyStack,
-    circuit: Circuit,
-    policy: str,
-    program: _ScanProgram,
-) -> MovementTrace:
-    """Extraction through the real policy objects (any registered
-    policy).  Identical event stream to the reference reservation
-    engine with the port arithmetic deleted; the counters derive from
-    the miss records exactly as in the specialized loop."""
-    bottom = stack.depth - 1
-    trace = program.trace
-    caches = [
-        PolicyCache(level.capacity, make_policy(policy), trace)
-        for level in stack.levels[:-1]
-    ]
-    location = {q: bottom for q in program.touched}
-    gate_nmiss: List[int] = []
-    miss_src: List[int] = []
-    miss_qubit: List[int] = []
-    miss_victim: List[int] = []
-    miss_clen: List[int] = []
-    cascade_qubit: List[int] = []
-    pos = 0
-    for qubits in program.gate_qubits:
-        nmiss = 0
-        issued: Set[int] = set()
-        for q in qubits:
-            src = location[q]
-            if src == 0:
-                caches[0].access_evicting(q, pos)  # guaranteed hit
-                issued.add(q)
-                pos += 1
-                continue
-            if src != bottom:
-                caches[src].lookup_remove(q, pos)
-            _, evicted = caches[0].access_evicting(q, pos, issued)
-            location[q] = 0
-            issued.add(q)
-            clen = 0
-            if evicted is not None:
-                location[evicted] = 1
-                victim = evicted
-                lvl = 1
-                while lvl < bottom:
-                    bumped = caches[lvl].insert(victim, pos)
-                    if bumped is None:
-                        break
-                    location[bumped] = lvl + 1
-                    cascade_qubit.append(bumped)
-                    victim = bumped
-                    lvl += 1
-                    clen += 1
-            miss_src.append(src)
-            miss_qubit.append(q)
-            miss_victim.append(-1 if evicted is None else evicted)
-            miss_clen.append(clen)
-            nmiss += 1
-            pos += 1
-        gate_nmiss.append(nmiss)
-
-    return _trace_from_misses(
-        stack, circuit, policy, program, gate_nmiss, miss_src, miss_qubit,
-        miss_victim, miss_clen, cascade_qubit, location,
     )
 
 

@@ -10,6 +10,9 @@ path in ``src/``; the equivalence tests compare the two with ``==``:
   ``repro.sim.fastsplit``);
 * ``events`` — the discrete-event kernel and port servers those
   engines run on;
+* ``policycache`` — ``PolicyCache``, the policy-driven resident set
+  each of those engines keeps per finite level (the production engines
+  flatten it through ``repro.sim.flatpolicy``);
 * ``cache`` — the O(ready) rescan fetch scheduler (oracle for
   ``repro.sim.cache.simulate_optimized``);
 * ``hierarchy_sim`` — the original two-level Table 5 loop (oracle for

@@ -38,10 +38,11 @@ from repro.sim.levels import (
     _resolve_order,
     _resolve_workload,
 )
-from repro.sim.policies import PolicyCache, make_policy
+from repro.sim.policies import make_policy
 from repro.sim.prefetch import make_prefetcher, validate_prefetcher
 
 from .events import EventKernel, PortServer
+from .policycache import PolicyCache
 
 __all__ = [
     "EngineAudit",

@@ -97,6 +97,7 @@ class TestCheckBaseline:
             (REPO / "benchmarks" / "quick_baseline.json").read_text()
         )
         assert "engine_3level_policies_512" in data["kernels"]
+        assert "engine_3level_generic_512" in data["kernels"]
         assert "prefetch_3level_next_k_512" in data["kernels"]
         assert "prefetch_3level_fidelity_next_k_512" in data["kernels"]
         assert "supervised_runner_overhead" in data["kernels"]

@@ -16,9 +16,9 @@ from repro.sim.levels import (
     standard_stack,
     two_level_stack,
 )
+from oracles.policycache import PolicyCache
 from repro.sim.policies import (
     EvictionPolicy,
-    PolicyCache,
     available_policies,
     make_policy,
     register_policy,

@@ -18,9 +18,13 @@ Plus the split-transaction pin: the flattened event loop
 is held bit-identical to the reference engine (``tests/oracles/``)
 across a policy × prefetcher × stack matrix, including test-local
 user-registered policies and prefetchers, which run on the flattened
-loop through their real registry objects.
+loop (and, for the policies, on replay extraction) through their real
+registry objects.  The shared replacement kernel's two paths
+(:mod:`repro.sim.flatpolicy`: flattened state, real policy objects)
+are pinned equal to each other in both engines.
 """
 
+import dataclasses
 import random
 from collections import OrderedDict
 
@@ -37,7 +41,15 @@ from repro.sim.levels import (
     simulate_hierarchy_run,
     standard_stack,
 )
-from repro.sim.policies import EvictionPolicy, available_policies
+from repro.sim.flatpolicy import flat_policy
+from repro.sim.policies import (
+    BeladyPolicy,
+    EvictionPolicy,
+    FifoPolicy,
+    LruPolicy,
+    ScorePolicy,
+    available_policies,
+)
 from repro.sim.prefetch import (
     NextKPrefetcher,
     Prefetcher,
@@ -46,6 +58,7 @@ from repro.sim.prefetch import (
 from repro.sim.replay import (
     NUMPY_PRICING_CELLS,
     _price_multi_numpy,
+    _scan_program,
     extract_movement_trace,
     price_movement_trace,
     price_movement_trace_batch,
@@ -310,8 +323,9 @@ class _ReversedNextKPrefetcher(Prefetcher):
 
 class TestFastSplitUserExtensions:
     """User-registered policies and prefetchers run on the flattened
-    engine through their real registry objects.  Registrations are
-    test-local."""
+    engine through their real registry objects, and the policies on
+    replay extraction too (the reservation case, ``pipeline=False``).
+    Registrations are test-local."""
 
     @pytest.fixture
     def fast_calls(self, monkeypatch):
@@ -332,7 +346,7 @@ class TestFastSplitUserExtensions:
         return calls
 
     @staticmethod
-    def _pin(policy, prefetch_name):
+    def _pin(policy, prefetch_name, pipeline=True):
         circuit = build_workload("draper_adder", 48)
         results = []
         for stack in (
@@ -344,23 +358,27 @@ class TestFastSplitUserExtensions:
             ).order
             fast = simulate_hierarchy_run(
                 stack, circuit, policy, order=order,
-                prefetch=prefetch_name, pipeline=True,
+                prefetch=prefetch_name, pipeline=pipeline,
             )
             reference, _ = simulate_hierarchy_run_audited(
                 stack, circuit, policy, order=order,
-                prefetch=prefetch_name, pipeline=True,
+                prefetch=prefetch_name, pipeline=pipeline,
             )
             assert fast == reference
             results.append(reference)
         return results
 
     @pytest.mark.parametrize("policy", ["test_mru", "test_random"])
-    @pytest.mark.parametrize("prefetch_name", ["none", "next_k", "distance"])
+    @pytest.mark.parametrize("prefetch_name,pipeline", [
+        ("none", True), ("next_k", True), ("distance", True),
+        ("none", False),
+    ])
     def test_user_policy_runs_fastsplit(self, fast_calls, policy,
-                                        prefetch_name):
+                                        prefetch_name, pipeline):
         assert supports_fast_split(policy, prefetch_name)
-        results = self._pin(policy, prefetch_name)
-        assert fast_calls == [(policy, prefetch_name)] * 2
+        results = self._pin(policy, prefetch_name, pipeline)
+        # The reservation model runs on replay extraction instead.
+        assert fast_calls == [(policy, prefetch_name)] * (2 if pipeline else 0)
         for result in results:
             assert result.level_stats[0].evictions > 0
             if prefetch_name != "none":
@@ -378,3 +396,54 @@ class TestFastSplitUserExtensions:
     def test_unregistered_names_not_supported(self):
         assert not supports_fast_split("lru", "no_such_prefetcher")
         assert not supports_fast_split("no_such_policy", "next_k")
+
+
+#: Each shipped policy with flattened state, re-registered under a new
+#: name so that it runs through its real objects instead.
+_ADAPTER_TWINS = {
+    shipped: type(f"_Adapter{cls.__name__}", (cls,),
+                  {"name": f"test_adapter_{shipped}"})
+    for shipped, cls in (("lru", LruPolicy), ("fifo", FifoPolicy),
+                         ("score", ScorePolicy), ("belady", BeladyPolicy))
+}
+
+
+class TestGenericAdapterExactness:
+    """The replacement kernel's real-object path decides exactly like
+    its flattened state, in both engines: each shipped policy's twin
+    reproduces the shipped policy's movement trace (reservation model)
+    and its ``next_k`` split-transaction result."""
+
+    @pytest.fixture(autouse=True)
+    def _twins(self, monkeypatch):
+        for cls in _ADAPTER_TWINS.values():
+            monkeypatch.setitem(policies._REGISTRY, cls.name, cls)
+
+    @pytest.mark.parametrize("shipped", sorted(_ADAPTER_TWINS))
+    @pytest.mark.parametrize("workload,n_bits,depth", [
+        ("draper_adder", 48, 3), ("draper_adder", 64, 4),
+    ])
+    def test_twin_matches_flattened(self, shipped, workload, n_bits, depth):
+        twin = _ADAPTER_TWINS[shipped].name
+        circuit = build_workload(workload, n_bits)
+        stack = standard_stack("steane", depth, compute_qubits=12)
+        order = simulate_optimized(circuit, stack.levels[0].capacity).order
+        caps = [level.capacity for level in stack.levels[:-1]]
+        program = _scan_program(circuit, order)
+        assert not flat_policy(shipped, caps, program, circuit.n_qubits).pols
+        assert flat_policy(twin, caps, program, circuit.n_qubits).pols
+
+        flat = extract_movement_trace(stack, circuit, shipped, order=order)
+        adapter = extract_movement_trace(stack, circuit, twin, order=order)
+        # The cascade reaches the last finite level.
+        assert flat.level_evictions[-1] > 0
+        assert (dataclasses.replace(adapter, policy=shipped).to_bytes()
+                == flat.to_bytes())
+
+        flat_run, adapter_run = (
+            simulate_hierarchy_run(stack, circuit, name, order=order,
+                                   prefetch="next_k")
+            for name in (shipped, twin)
+        )
+        assert flat_run.prefetches_issued > 0
+        assert dataclasses.replace(adapter_run, policy=shipped) == flat_run
