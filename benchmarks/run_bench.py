@@ -422,6 +422,7 @@ def _bench_trace_cache_warm_speedup(alternations: int = 2):
 
     from repro.core.design_space import (
         EngineRow,
+        _engine_circuit,
         _fetch_order,
         engine_batch_spec,
         engine_cell,
@@ -443,10 +444,12 @@ def _bench_trace_cache_warm_speedup(alternations: int = 2):
             for _ in range(alternations):
                 cold_dir = tempfile.mkdtemp(prefix="bench-trace-cold-")
                 try:
-                    # A fresh sweep pays for scheduling too, so the
-                    # cold arm must not inherit the fetch-order cache
-                    # the warm-up pass just filled.
+                    # A fresh sweep pays for scheduling and for
+                    # building its circuit too, so the cold arm must
+                    # not inherit the fetch-order cache or the shared
+                    # circuit the warm-up pass just filled.
                     _fetch_order.cache_clear()
+                    _engine_circuit.cache_clear()
                     t0 = time.perf_counter()
                     compute_grid(grid, engine_cell, EngineRow,
                                  batch=engine_batch_spec(
@@ -657,11 +660,12 @@ def _bench_service_table_query_overhead(queries: int = 8):
 
 def _clear_process_caches() -> None:
     """Reset in-process caches so every kernel times the cold path."""
-    from repro.core.design_space import _fetch_order
+    from repro.core.design_space import _engine_circuit, _fetch_order
     from repro.sim import hierarchy_sim
 
     hierarchy_sim._adder_l1_run.cache_clear()
     _fetch_order.cache_clear()
+    _engine_circuit.cache_clear()
 
 
 def _times(fn, n: int):

@@ -390,6 +390,22 @@ ENGINE_COMPUTE_QUBITS = 12
 ENGINE_CACHE_FACTOR = 1.0
 
 
+@lru_cache(maxsize=1)
+def _engine_circuit(workload: str, n_bits: int):
+    """The circuit every cell of one (workload, size) pair runs on.
+
+    Grids enumerate workload and size outermost, so a one-entry memo
+    builds each circuit once per sweep while holding only one in
+    memory; the cells then share its cached scan program, next-use
+    array and Belady keys.  Engines treat circuits as immutable.
+    ``build_workload`` is looked up at call time, so patching the
+    module attribute still intercepts every build.
+    """
+    from ..circuits.workloads import build_workload
+
+    return build_workload(workload, n_bits)
+
+
 @lru_cache(maxsize=None)
 def _fetch_order(
     workload: str, n_bits: int, compute_qubits: int, cache_factor: float
@@ -401,14 +417,13 @@ def _fetch_order(
     policy, or transfer count — so it is computed once per process and
     reused; sharded workers on other hosts recompute it deterministically.
     """
-    from ..circuits.workloads import build_workload
     from ..sim.cache import simulate_optimized
     from ..sim.levels import l1_capacity
 
     capacity = l1_capacity(compute_qubits, cache_factor)
     # A tuple, not the scheduler's list: the lru_cache shares one object
     # with every cell in the process, so it must be immutable.
-    return tuple(simulate_optimized(build_workload(workload, n_bits), capacity).order)
+    return tuple(simulate_optimized(_engine_circuit(workload, n_bits), capacity).order)
 
 
 def _engine_stack(params: Mapping[str, Any]):
@@ -459,10 +474,9 @@ def _engine_row(params: Mapping[str, Any], run) -> EngineRow:
 
 def engine_cell(params: Mapping[str, Any]) -> EngineRow:
     """One engine cell; module-level so worker processes can pickle it."""
-    from ..circuits.workloads import build_workload
     from ..sim.levels import simulate_hierarchy_run
 
-    circuit = build_workload(params["workload"], params["n_bits"])
+    circuit = _engine_circuit(params["workload"], params["n_bits"])
     stack = _engine_stack(params)
     order = _fetch_order(
         params["workload"], params["n_bits"],
@@ -524,7 +538,6 @@ def _group_trace(group: Sequence[Mapping[str, Any]], trace_cache=None):
     simulation otherwise (persisting the result for every later shard,
     resume, and run).
     """
-    from ..circuits.workloads import build_workload
     from ..sim.replay import extract_movement_trace, trace_key
 
     first = group[0]
@@ -543,7 +556,7 @@ def _group_trace(group: Sequence[Mapping[str, Any]], trace_cache=None):
     stacks = [_engine_stack(params) for params in group]
 
     def extract():
-        circuit = build_workload(first["workload"], first["n_bits"])
+        circuit = _engine_circuit(first["workload"], first["n_bits"])
         order = _fetch_order(
             first["workload"], first["n_bits"],
             first["compute_qubits"], first["cache_factor"],
@@ -841,10 +854,9 @@ def fidelity_cell(params: Mapping[str, Any]) -> FidelityRow:
     resulting row is bit-identical to the ``engine_cell`` row of the
     same engine parameters.
     """
-    from ..circuits.workloads import build_workload
     from ..sim.residency import simulate_fidelity_run
 
-    circuit = build_workload(params["workload"], params["n_bits"])
+    circuit = _engine_circuit(params["workload"], params["n_bits"])
     stack = _engine_stack(params)
     order = _fetch_order(
         params["workload"], params["n_bits"],

@@ -24,10 +24,15 @@ pipelined cell:
   user-registered one), whose ``on_hit``/``on_insert``/``on_remove``
   hooks the engine calls exactly where the reference's resident sets
   do;
-* the shipped prefetch walks (``next_k``, ``distance``) are slice-free
-  (an epoch-stamped array replaces the per-call ``seen`` set) and lazy
-  for ``next_k`` (the reference walk has no side effects, so
-  candidates the budget never reaches are never scanned); every other
+* the shipped prefetch walks (``next_k``, ``distance``) read a sorted
+  next-use index where the reference walk re-slices the trace: the
+  ascending list of ``nu_now[q]`` over every touched qubit outside the
+  compute level.  Its entries are exactly the first occurrences of
+  non-resident qubits the reference walk reports, in trace order
+  (``trace[nu_now[q]] == q``), so ``distance`` slices its first k
+  entries below the horizon and ``next_k`` advances through it lazily
+  by bisection (the reference walk has no side effects, so candidates
+  the budget never reaches are never visited); every other
   registered prefetcher drives its real
   :class:`~repro.sim.prefetch.Prefetcher` object — ``reset`` once,
   ``candidates`` once per gate over a read-only view of the location
@@ -50,6 +55,7 @@ pins this across every (depth, policy, workload, prefetch) cell.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Mapping
 from typing import List, Optional, Sequence, Set
 
@@ -222,8 +228,11 @@ def simulate_split_fast(
         location_view = _LocationView(location, program.touched)
     next_pos: Sequence[int] = ()
     nu_now: List[int] = []
-    stamp: List[int] = []
-    epoch = 0
+    # The shipped walks' next-use index: sorted nu_now[q] over every
+    # touched qubit outside the compute level.  Kept exact by three
+    # transitions: a demotion out of level 0 inserts, a demand miss and
+    # an accepted prefetch delete.
+    outside: List[int] = []
     if prefetching:
         next_pos = program.next_pos()
         # nu_now[q]: first occurrence of q at/after the scan pointer —
@@ -232,7 +241,7 @@ def simulate_split_fast(
         nu_now = [n] * n_qubits
         for p in range(n - 1, -1, -1):
             nu_now[trace[p]] = p
-        stamp = [-1] * n_qubits
+        outside = sorted(nu_now[q] for q in program.touched)
 
     # --- the flattened event machinery --------------------------------
     def _request(server, ready, duration, priority, kind, owner):
@@ -378,6 +387,8 @@ def simulate_split_fast(
             pinned.discard(evicted)
         chain = [(0, evicted)]
         location[evicted] = 1
+        if prefetching:
+            insort(outside, nu_now[evicted])
         victim = evicted
         lvl = 1
         while lvl < bottom:
@@ -407,14 +418,12 @@ def simulate_split_fast(
         return chain
 
     def _issue_prefetches(issue_t, issued):
-        nonlocal bseq, epoch, prefetches_issued
+        nonlocal bseq, prefetches_issued
         if not prefetching:
             return
         budget = cap0 - _PIN_MARGIN - len(pinned)
         if budget <= 0:
             return
-        epoch += 1
-        stamp_epoch = epoch
         start = pos
         end = start + _PREFETCH_HORIZON
         if end > n:
@@ -443,18 +452,23 @@ def simulate_split_fast(
         round_demoted: Optional[Set[int]] = None
         if in_order:
             # Lazy walk: the reference materializes up to k candidates,
-            # but scanning is side-effect-free and the pin budget stops
+            # but walking is side-effect-free and the pin budget stops
             # far short of k — candidates past the break never cost.
+            # Each step bisects past the last position, so the index
+            # may change under the walk (accepted candidates leave it,
+            # this round's demotions enter it and are skipped).
             def _candidates():
                 found = 0
-                for p in range(start, end):
+                p = start - 1
+                while True:
+                    i = bisect_right(outside, p)
+                    if i == len(outside):
+                        return
+                    p = outside[i]
+                    if p >= end:
+                        return
                     cq = trace[p]
-                    if stamp[cq] == stamp_epoch:
-                        continue
-                    stamp[cq] = stamp_epoch
-                    if location[cq] and (
-                        round_demoted is None or cq not in round_demoted
-                    ):
+                    if round_demoted is None or cq not in round_demoted:
                         yield cq, p
                         found += 1
                         if found == _PREFETCH_K:
@@ -469,16 +483,11 @@ def simulate_split_fast(
                 for cq in walker.candidates(pos - 1, location_view)
             ]
         else:  # distance: the full walk is ranked before issue
-            found_list = []
-            for p in range(start, end):
-                cq = trace[p]
-                if stamp[cq] == stamp_epoch:
-                    continue
-                stamp[cq] = stamp_epoch
-                if location[cq]:
-                    found_list.append((-location[cq], p, cq))
-                    if len(found_list) == _PREFETCH_K:
-                        break
+            head = outside[:_PREFETCH_K]
+            found_list = [
+                (-location[trace[p]], p, trace[p])
+                for p in head[:bisect_left(head, end)]
+            ]
             found_list.sort()  # deepest first, trace order within
             candidates = iter([(cq, p) for _, p, cq in found_list])
         exclusions: Optional[Set[int]] = None
@@ -532,6 +541,8 @@ def simulate_split_fast(
                 heappush(bh0, (key, cq))
                 bseq += 1
             location[cq] = 0
+            if prefetching:
+                del outside[bisect_left(outside, cand_next)]
             pinned.add(cq)
             chain = _evict_cascade(evicted)
             if evicted is not None:
@@ -591,6 +602,8 @@ def simulate_split_fast(
                         pols[src].on_remove(q)
                 acc[0] += 1
                 mis[0] += 1
+                if prefetching:
+                    del outside[bisect_left(outside, pos)]
                 exclusions = set(pinned)
                 exclusions.update(in_flight_up)
                 exclusions.update(issued)

@@ -111,7 +111,11 @@ class _ScanProgram:
     Everything here is a pure function of (circuit, order) — the gate
     operand tuples and EC durations in scheduled order, the operand
     trace, the touched-qubit set — so it is computed once and cached on
-    the circuit instance, shared by every policy and every stack.
+    the circuit instance, shared by every policy, prefetcher and stack
+    that runs on it.  A sweep's cells of one (workload, size) pair run
+    on one shared circuit
+    (:func:`repro.core.design_space._engine_circuit`), so one program
+    and its lazily-built ``next_pos`` and Belady keys serve them all.
     """
 
     __slots__ = (
@@ -182,8 +186,10 @@ def _scan_program(circuit: Circuit, order: Sequence[int]) -> _ScanProgram:
     """The cached :class:`_ScanProgram` for (circuit, order).
 
     Cached on the circuit instance (circuits are immutable once they
-    enter the simulator); the key carries the gate count so a circuit
-    extended after a run cannot serve a stale program.
+    enter the simulator: no engine edits the gate list of the circuit
+    it runs, which the sweep's shared circuits rely on); the key
+    carries the gate count so a circuit extended after a run cannot
+    serve a stale program.
     """
     cache = circuit.__dict__.setdefault("_scan_programs", {})
     key = (len(circuit.gates), circuit.n_qubits, tuple(order))

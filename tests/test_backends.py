@@ -518,7 +518,16 @@ class TestSqliteConnections:
     def test_dropping_the_store_closes_every_connection(self, tmp_path):
         store = SqliteStore(tmp_path / "store.db")
         store.put("k", 1)
-        workers = [threading.Thread(target=store.get, args=("k",)) for _ in range(2)]
+        # CPython recycles a finished thread's ident, and connections are
+        # keyed on it: both workers stay alive until both have read, so
+        # they hold two distinct slots.
+        both_read = threading.Barrier(2)
+
+        def read():
+            store.get("k")
+            both_read.wait(30)
+
+        workers = [threading.Thread(target=read) for _ in range(2)]
         for worker in workers:
             worker.start()
         for worker in workers:

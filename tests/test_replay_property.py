@@ -37,6 +37,7 @@ from repro.sim import prefetch as prefetch_mod
 from repro.sim.cache import simulate_optimized
 from repro.sim.fastsplit import supports_fast_split
 from repro.sim.levels import (
+    DEFAULT_COMPUTE_QUBITS,
     mixed_stack,
     simulate_hierarchy_run,
     standard_stack,
@@ -236,20 +237,24 @@ class TestMultiGroupPricing:
 class TestFastSplitEquivalence:
     """The flattened split-transaction loop vs the retained reference."""
 
+    # The 12-qubit cases keep the pin budget at most 8, far below the
+    # walks' k=64; the paper's 81-qubit region is where a walk reaches
+    # its k-candidate exit.
     CASES = [
-        ("draper_adder", 48, 2), ("draper_adder", 48, 3), ("qft", 32, 3),
+        ("draper_adder", 48, 2, 12), ("draper_adder", 48, 3, 12),
+        ("qft", 32, 3, 12), ("draper_adder", 48, 3, DEFAULT_COMPUTE_QUBITS),
     ]
 
     @pytest.mark.parametrize("policy", available_policies())
     @pytest.mark.parametrize("prefetch", available_prefetchers())
-    @pytest.mark.parametrize("workload,n_bits,depth", CASES)
+    @pytest.mark.parametrize("workload,n_bits,depth,compute_qubits", CASES)
     def test_bit_identical_to_reference(self, workload, n_bits, depth,
-                                        policy, prefetch):
+                                        compute_qubits, policy, prefetch):
         circuit = build_workload(workload, n_bits)
         for stack in (
-            standard_stack("steane", depth, compute_qubits=12),
+            standard_stack("steane", depth, compute_qubits=compute_qubits),
             mixed_stack("bacon_shor", "steane", depth=depth,
-                        compute_qubits=12),
+                        compute_qubits=compute_qubits),
         ):
             order = simulate_optimized(
                 circuit, stack.levels[0].capacity

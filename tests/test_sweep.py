@@ -187,6 +187,84 @@ class TestComputeGrid:
         assert rows_from_store(grid, EngineRow, store) == full
 
 
+class TestSharedEngineCircuit:
+    """The cells of one (workload, size) pair share one circuit."""
+
+    GRID_KWARGS = dict(workloads=("draper_adder", "qft"), sizes=(16, 32),
+                       depths=(2,), policies=("lru", "belady"),
+                       prefetches=("next_k",))
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        design_space._engine_circuit.cache_clear()
+        yield
+        design_space._engine_circuit.cache_clear()
+
+    @staticmethod
+    def _fresh_rows(grid):
+        rows = {}
+        for cell in grid.cells:
+            design_space._engine_circuit.cache_clear()
+            rows[cell.key] = engine_cell(cell.as_dict())
+        return rows
+
+    def test_one_build_per_workload_and_size(self, monkeypatch):
+        from repro.circuits import workloads
+
+        builds = []
+        real = workloads.build_workload
+
+        def counted(name, n_bits=None):
+            builds.append((name, n_bits))
+            return real(name, n_bits)
+
+        monkeypatch.setattr(workloads, "build_workload", counted)
+        grid = engine_grid(**self.GRID_KWARGS)
+        compute_grid(grid, engine_cell, EngineRow)
+        assert sorted(builds) == [
+            ("draper_adder", 16), ("draper_adder", 32),
+            ("qft", 16), ("qft", 32),
+        ]
+
+    def test_rows_equal_fresh_circuit_rows(self):
+        grid = engine_grid(**self.GRID_KWARGS)
+        rows = compute_grid(grid, engine_cell, EngineRow)
+        assert dict(zip(grid.keys(), rows)) == self._fresh_rows(grid)
+
+    def test_interleaved_sizes_equal_fresh_circuit_rows(self):
+        def size_innermost(cell):
+            params = cell.as_dict()
+            return params["policy"], params["workload"], params["n_bits"]
+
+        cells = sorted(engine_grid(**self.GRID_KWARGS).cells, key=size_innermost)
+        sizes = [cell.as_dict()["n_bits"] for cell in cells]
+        assert all(a != b for a, b in zip(sizes, sizes[1:]))
+        grid = Grid("engine_cell", tuple(cells))
+        rows = compute_grid(grid, engine_cell, EngineRow)
+        assert dict(zip(grid.keys(), rows)) == self._fresh_rows(grid)
+
+    def test_engines_leave_the_shared_circuit_unchanged(self):
+        from repro.sim.levels import simulate_hierarchy_run
+        from repro.sim.policies import available_policies
+        from repro.sim.prefetch import available_prefetchers
+
+        params = engine_grid(**self.GRID_KWARGS).cells[0].as_dict()
+        circuit = design_space._engine_circuit("draper_adder", 16)
+        before = (list(circuit.gates), circuit.n_qubits, circuit.name)
+        order = design_space._fetch_order(
+            "draper_adder", 16,
+            params["compute_qubits"], params["cache_factor"],
+        )
+        stack = design_space._engine_stack(params)
+        for policy in available_policies():
+            for prefetch in available_prefetchers():
+                simulate_hierarchy_run(
+                    stack, circuit, policy, order=order, prefetch=prefetch,
+                )
+        assert design_space._engine_circuit("draper_adder", 16) is circuit
+        assert (circuit.gates, circuit.n_qubits, circuit.name) == before
+
+
 def _explodes(params):
     raise AssertionError(f"cell recomputed despite stored record: {params}")
 
