@@ -331,35 +331,29 @@ _BATCH_BENCH_CODES = dict(
 def _bench_batched_codepairs_speedup(alternations: int = 2):
     """Batched vs per-cell sweep execution over one four-config traffic
     group, as a speedup ratio (per-cell / batched).  The per-cell arm
-    (``compute_grid(batch=None)``) simulates the workload once per code
-    configuration; the batched arm
-    (``compute_grid(batch=engine_batch_spec())``, what engine grids take
-    on their own) simulates it once and re-prices every configuration —
-    the rows are pinned bit-identical elsewhere, this kernel times the
-    payoff and gates its floor."""
-    from repro.core.design_space import (
-        EngineRow,
-        engine_batch_spec,
-        engine_cell,
-        engine_grid,
-    )
+    (a direct ``engine_cell`` loop) simulates the workload once per
+    code configuration; the batched arm (``compute_grid``, which groups
+    engine grids on its own) simulates it once and re-prices every
+    configuration — the rows are pinned bit-identical elsewhere, this
+    kernel times the payoff and gates its floor."""
+    from repro.core.design_space import EngineRow, engine_cell, engine_grid
     from repro.sweep.runner import compute_grid
 
     grid = engine_grid(**_BATCH_BENCH_GRID, **_BATCH_BENCH_CODES)
+    params = [cell.as_dict() for cell in grid]
 
     def run():
         # One warm pass builds the shared fetch-order cache so both
         # arms time simulation + pricing, not the scheduler.
-        compute_grid(grid, engine_cell, EngineRow, batch=None)
+        [engine_cell(p) for p in params]
         percell = batched = None
         for _ in range(alternations):
             t0 = time.perf_counter()
-            compute_grid(grid, engine_cell, EngineRow, batch=None)
+            [engine_cell(p) for p in params]
             elapsed = time.perf_counter() - t0
             percell = elapsed if percell is None else min(percell, elapsed)
             t0 = time.perf_counter()
-            compute_grid(grid, engine_cell, EngineRow,
-                         batch=engine_batch_spec())
+            compute_grid(grid, engine_cell, EngineRow)
             elapsed = time.perf_counter() - t0
             batched = elapsed if batched is None else min(batched, elapsed)
         return percell / batched
@@ -375,28 +369,22 @@ def _bench_batched_scaling_overhead(alternations: int = 3):
     the simulation happens once and only the numpy/scalar re-pricing
     scales with the axis; the committed baseline pins the measured
     overhead far below that."""
-    from repro.core.design_space import (
-        EngineRow,
-        engine_batch_spec,
-        engine_cell,
-        engine_grid,
-    )
+    from repro.core.design_space import EngineRow, engine_cell, engine_grid
     from repro.sweep.runner import compute_grid
 
     grid_four = engine_grid(**_BATCH_BENCH_GRID, **_BATCH_BENCH_CODES)
     grid_one = engine_grid(**_BATCH_BENCH_GRID)
 
     def run():
-        spec = engine_batch_spec()
-        compute_grid(grid_four, engine_cell, EngineRow, batch=spec)
+        compute_grid(grid_four, engine_cell, EngineRow)
         four = one = None
         for _ in range(alternations):
             t0 = time.perf_counter()
-            compute_grid(grid_four, engine_cell, EngineRow, batch=spec)
+            compute_grid(grid_four, engine_cell, EngineRow)
             elapsed = time.perf_counter() - t0
             four = elapsed if four is None else min(four, elapsed)
             t0 = time.perf_counter()
-            compute_grid(grid_one, engine_cell, EngineRow, batch=spec)
+            compute_grid(grid_one, engine_cell, EngineRow)
             elapsed = time.perf_counter() - t0
             one = elapsed if one is None else min(one, elapsed)
         return four / one - 1.0
@@ -407,7 +395,7 @@ def _bench_batched_scaling_overhead(alternations: int = 3):
 def _bench_trace_cache_warm_speedup(alternations: int = 2):
     """The persistent trace cache payoff on a batched engine sweep, as a
     speedup ratio (cold / warm).  Both arms run the identical grid
-    through ``compute_grid(batch=engine_batch_spec(trace_cache=...))``;
+    through ``compute_grid(trace_cache=...)``;
     the cold arm points at an empty cache directory (every traffic
     group is scheduled and simulated, then persisted), the warm arm at
     a populated one (every group loads as a verified blob — zero
@@ -424,7 +412,6 @@ def _bench_trace_cache_warm_speedup(alternations: int = 2):
         EngineRow,
         _engine_circuit,
         _fetch_order,
-        engine_batch_spec,
         engine_cell,
         engine_grid,
     )
@@ -438,8 +425,7 @@ def _bench_trace_cache_warm_speedup(alternations: int = 2):
     def run():
         warm_dir = tempfile.mkdtemp(prefix="bench-trace-warm-")
         try:
-            warm_spec = engine_batch_spec(trace_cache=warm_dir)
-            compute_grid(grid, engine_cell, EngineRow, batch=warm_spec)
+            compute_grid(grid, engine_cell, EngineRow, trace_cache=warm_dir)
             cold = warm = None
             for _ in range(alternations):
                 cold_dir = tempfile.mkdtemp(prefix="bench-trace-cold-")
@@ -452,14 +438,14 @@ def _bench_trace_cache_warm_speedup(alternations: int = 2):
                     _engine_circuit.cache_clear()
                     t0 = time.perf_counter()
                     compute_grid(grid, engine_cell, EngineRow,
-                                 batch=engine_batch_spec(
-                                     trace_cache=cold_dir))
+                                 trace_cache=cold_dir)
                     elapsed = time.perf_counter() - t0
                 finally:
                     shutil.rmtree(cold_dir, ignore_errors=True)
                 cold = elapsed if cold is None else min(cold, elapsed)
                 t0 = time.perf_counter()
-                compute_grid(grid, engine_cell, EngineRow, batch=warm_spec)
+                compute_grid(grid, engine_cell, EngineRow,
+                             trace_cache=warm_dir)
                 elapsed = time.perf_counter() - t0
                 warm = elapsed if warm is None else min(warm, elapsed)
             return cold / warm
@@ -574,37 +560,37 @@ def _bench_sweep_store(loops: int = 3, backend: str = "fs"):
 
 
 def _bench_supervised_overhead(alternations: int = 3):
-    """The fault-free supervision tax on the sweep runner, as a ratio.
+    """The fault-free sweep runner's whole overhead, as a ratio.
 
-    Runs the same small engine grid through ``compute_grid`` bare and
-    under the identity ``Supervision()`` in alternation (so clock
-    drift hits both arms equally) and returns ``supervised/raw - 1``
-    on the best-of times.  Unlike every other kernel this one measures
+    Runs the same small engine grid (every traffic group a singleton,
+    so nothing batches) as a direct ``engine_cell`` loop and through
+    ``compute_grid`` — the supervised executor, grouping and row
+    assembly — in alternation (so clock drift hits both arms equally)
+    and returns ``runner/raw - 1`` on the best-of times.  Unlike every other kernel this one measures
     *itself* and returns a dimensionless fraction, signalled by the
     ``_overhead`` name suffix: machine speed cancels out of a ratio,
     so the baseline gate compares it with an absolute budget instead
     of calibration scaling.
     """
     from repro.core.design_space import EngineRow, engine_cell, engine_grid
-    from repro.perf.supervise import Supervision
     from repro.sweep.runner import compute_grid
 
     grid = engine_grid(workloads=("draper_adder",), sizes=(256,),
                        depths=(3,), prefetches=("none",))
+    params = [cell.as_dict() for cell in grid]
 
     def run():
         # One warm pass builds the fetch-order / speedup caches both
         # arms share, so the ratio times the runner, not the scheduler.
-        compute_grid(grid, engine_cell, EngineRow)
+        [engine_cell(p) for p in params]
         raw = supervised = None
         for _ in range(alternations):
             t0 = time.perf_counter()
-            compute_grid(grid, engine_cell, EngineRow)
+            [engine_cell(p) for p in params]
             elapsed = time.perf_counter() - t0
             raw = elapsed if raw is None else min(raw, elapsed)
             t0 = time.perf_counter()
-            compute_grid(grid, engine_cell, EngineRow,
-                         supervise=Supervision())
+            compute_grid(grid, engine_cell, EngineRow)
             elapsed = time.perf_counter() - t0
             supervised = (elapsed if supervised is None
                           else min(supervised, elapsed))
@@ -842,10 +828,10 @@ SPEEDUP_FLOORS = {
 #: run-to-run noise dwarfs ``OVERHEAD_SLACK``; what the PR promises is
 #: only that four priced configurations cost less than twice one
 #: (overhead < 1.0), and that is what gates.  The supervised-runner
-#: kernel has the same problem — identity supervision costs within
-#: measurement noise of zero, so its ratio swings +/-0.1 run to run;
-#: the committed bar is "supervision stays under a quarter of the bare
-#: runner", not a 5% drift budget around a noise floor.
+#: kernel has the same problem — the fault-free runner costs within
+#: measurement noise of a direct cell loop, so its ratio swings +/-0.1
+#: run to run; the committed bar is "the runner stays under a quarter
+#: of a direct cell loop", not a 5% drift budget around a noise floor.
 #: The service query kernel is a latency in seconds, not a ratio, but
 #: the same logic applies: what the PR promises is "a warm-store table
 #: query over HTTP answers in well under a second", and millisecond

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..sim.residency import FIDELITY_SEED, FIDELITY_TRIALS
 from ..sweep.grid import Cell, Grid, stable_key
-from ..sweep.runner import compute_grid, kernel_batch_spec
+from ..sweep.runner import TRAFFIC_GROUPED_KERNELS, compute_grid
 from .cqla import CqlaDesign
 from .hierarchy import MemoryHierarchy
 
@@ -621,16 +621,17 @@ class _TrafficGroupKernel:
         return fn(group, trace_cache=self._cache())
 
 
-def engine_batch_spec(trace_cache=None, kernel: str = "engine_cell"):
-    """The engine (or fidelity) grid's :class:`repro.sweep.runner.BatchSpec`.
+def traffic_group_kernel(
+    kernel: str = "engine_cell", trace_cache=None
+) -> _TrafficGroupKernel:
+    """The group kernel of an engine (or fidelity) grid's traffic groups.
 
-    :func:`repro.sweep.runner.compute_grid` takes it on its own for
-    engine and fidelity grids (through
-    :func:`repro.sweep.runner.kernel_batch_spec`): cells sharing one
-    :func:`engine_traffic_key` run as one group — one extraction
-    re-priced per member by :func:`engine_batch_cell`, or re-priced
-    with a residency recorder and accrued per member by
-    :func:`fidelity_batch_cell` when ``kernel="fidelity_cell"``.
+    :func:`repro.sweep.runner.compute_grid` runs every traffic group of
+    those grids through it: cells sharing one :func:`engine_traffic_key`
+    run as one group — one extraction re-priced per member by
+    :func:`engine_batch_cell`, or re-priced with a residency recorder
+    and accrued per member by :func:`fidelity_batch_cell` when
+    ``kernel="fidelity_cell"``.
 
     ``trace_cache`` (anything
     :func:`repro.perf.tracecache.resolve_trace_cache` accepts) makes
@@ -639,15 +640,12 @@ def engine_batch_spec(trace_cache=None, kernel: str = "engine_cell"):
     pure pricing runs with zero traffic simulation.
     """
     from ..perf.tracecache import resolve_trace_cache
-    from ..sweep.runner import BatchSpec
 
-    if kernel not in ("engine_cell", "fidelity_cell"):
+    if kernel not in TRAFFIC_GROUPED_KERNELS:
         raise ValueError(f"kernel {kernel!r} has no traffic groups")
     resolved = resolve_trace_cache(trace_cache)
     directory = None if resolved is None else str(resolved.directory)
-    return BatchSpec(
-        group_key=engine_traffic_key, fn=_TrafficGroupKernel(kernel, directory)
-    )
+    return _TrafficGroupKernel(kernel, directory)
 
 
 def _normalize_code_pairs(
@@ -802,7 +800,7 @@ def engine_sweep(
     return compute_grid(
         grid, cell_fn, row_type,
         store=store, workers=workers, supervise=supervise,
-        batch=kernel_batch_spec(grid.kernel, trace_cache),
+        trace_cache=trace_cache,
     )
 
 

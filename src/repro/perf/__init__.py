@@ -1,11 +1,15 @@
-"""Performance infrastructure: fan-out, durable results, trace reuse.
+"""Performance infrastructure: execution, durable results, trace reuse.
 
 The design-space sweeps (Tables 4 and 5) and the hierarchy simulator
 evaluate many independent, deterministic cells; this subsystem supplies
 the generic accelerators they share:
 
-* :mod:`repro.perf.parallel` — an opt-in ``workers=N`` process-pool map
-  for the embarrassingly parallel sweep cells;
+* :mod:`repro.perf.supervise` — the one cell executor, serial or over
+  an opt-in ``workers=N`` process pool: fail-fast by default
+  (:data:`FAIL_FAST`), or fault-tolerant with retry and deterministic
+  backoff, per-cell wall-clock deadlines (hung workers are reaped),
+  ``BrokenProcessPool`` recovery, and classified terminal failures for
+  quarantine;
 * :mod:`repro.perf.store` — a durable, content-addressed result store
   (atomic per-cell JSON records, ``flock``-guarded index) that sharded
   sweep workers on many hosts fill concurrently and ``merge`` reads
@@ -20,10 +24,6 @@ the generic accelerators they share:
   of serialized movement traces (verified, corrupt-tolerant blobs with
   durable hit/miss counters), so repeated and resumed engine sweeps
   skip traffic simulation entirely;
-* :mod:`repro.perf.supervise` — a fault-tolerant executor over the
-  pool: retry with deterministic backoff, per-cell wall-clock deadlines
-  (hung workers are reaped), ``BrokenProcessPool`` recovery, and
-  classified terminal failures for quarantine;
 * :mod:`repro.perf.chaos` — the deterministic fault-injection harness
   that proves the supervision semantics (scripted raise/transient/
   hang/exit/corrupt faults, reproducible across processes).
@@ -45,10 +45,10 @@ from .backends import (
     parse_locator,
 )
 from .chaos import ChaosFault, ChaosPlan, ChaosTransientError, Fault
-from .parallel import parallel_iter, parallel_map
 from .store import ResultStore, StoreStatus, atomic_write_text, resolve_store
 from .tracecache import TraceCache, default_trace_cache, resolve_trace_cache
 from .supervise import (
+    FAIL_FAST,
     CellFailure,
     CellOutcome,
     CellTimeout,
@@ -60,6 +60,7 @@ from .supervise import (
 )
 
 __all__ = [
+    "FAIL_FAST",
     "CellFailure",
     "CellOutcome",
     "CellTimeout",
@@ -80,8 +81,6 @@ __all__ = [
     "default_trace_cache",
     "locator_path",
     "open_store",
-    "parallel_iter",
-    "parallel_map",
     "parse_locator",
     "resolve_store",
     "resolve_trace_cache",

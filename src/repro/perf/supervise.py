@@ -1,10 +1,9 @@
 """Supervised cell execution: retries, deadlines, crash recovery.
 
-:func:`repro.perf.parallel.parallel_indexed` is the bare fan-out — one
-raising cell aborts the iteration, a hung cell blocks it forever, and a
-dead worker process takes the whole pool down.  This module wraps the
-same contract (yield ``(index, result)``-shaped outcomes in completion
-order) in the fault model of a real fleet scheduler:
+:func:`supervised_indexed` is the one executor behind
+:func:`repro.sweep.runner.compute_grid`.  It yields one outcome per
+work item in completion order, serially in-process or over a process
+pool, under the fault model of a real fleet scheduler:
 
 * **Retries** — a :class:`RetryPolicy` bounds attempts per cell, with
   exponential backoff and *deterministic* seeded jitter (two runs of the
@@ -22,10 +21,9 @@ order) in the fault model of a real fleet scheduler:
   digest) instead of raising, so callers can quarantine it and keep
   going; ``max_failures`` bounds how much quarantine a run tolerates.
 
-The zero-retry, no-deadline configuration is the *identity wrapper*:
-cells run exactly once through the same pool shape as the bare fan-out,
-so fault-free supervised sweeps are bit-identical to unsupervised ones
-(pinned by ``tests/test_supervise.py``).
+:data:`FAIL_FAST` (one attempt, no deadline, no quarantine) is what an
+unsupervised ``compute_grid`` runs under: the first terminal failure
+stops the run, and every cell finished before it is kept.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Tuple,
     TypeVar,
@@ -133,17 +130,21 @@ class RetryPolicy:
 class Supervision:
     """The full supervision contract one grid execution runs under.
 
-    The default is the identity configuration: one attempt, no
-    deadline, unlimited failures, quarantine on — fault-free runs are
-    bit-identical to the unsupervised runner.  ``quarantine=False``
-    restores fail-fast semantics (the first terminal failure raises
-    out of :func:`repro.sweep.runner.compute_grid`).
+    The default is one attempt, no deadline, unlimited failures,
+    quarantine on.  ``quarantine=False`` is fail-fast: the first
+    terminal failure raises out of
+    :func:`repro.sweep.runner.compute_grid` (see :data:`FAIL_FAST`).
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     cell_timeout_s: Optional[float] = None
     max_failures: Optional[int] = None
     quarantine: bool = True
+
+
+#: The supervision of a ``compute_grid`` call given no ``supervise=``:
+#: every cell runs once and the first terminal failure raises.
+FAIL_FAST = Supervision(quarantine=False)
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,18 @@ class CellFailure:
 
 @dataclass(frozen=True)
 class CellOutcome:
-    """One cell's final result: a value or a classified failure."""
+    """One cell's final result: a value or a classified failure.
+
+    ``exception`` is the failure's original exception, kept so a
+    fail-fast caller can chain it; it is never persisted (the store
+    gets :meth:`CellFailure.as_record`) and takes no part in equality.
+    """
 
     index: int
     value: Any = None
     failure: Optional[CellFailure] = None
     attempts: int = 1
+    exception: Optional[BaseException] = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -212,13 +219,16 @@ def supervised_indexed(
 ) -> Iterator[CellOutcome]:
     """Yield a :class:`CellOutcome` per item, in completion order.
 
-    The supervised analogue of
-    :func:`repro.perf.parallel.parallel_indexed`: same serial/pool mode
-    selection, same completion-order streaming, but a failing, hanging,
-    or crashing cell yields a failure outcome (after retries) instead
-    of killing the iteration.  A ``cell_timeout_s`` forces pool mode
+    ``workers`` of None, 0 or 1 runs serially in-process, lazily in
+    input order; larger values run a process pool capped at the item
+    count, with at most one item in flight per worker.  A failing,
+    hanging, or crashing cell yields a failure outcome (after retries)
+    instead of killing the iteration.  Within one pool wake-up every
+    success is yielded before any failure, so a fail-fast consumer
+    keeps all finished work.  A ``cell_timeout_s`` forces pool mode
     even for ``workers<=1`` — deadlines can only be enforced on work
-    that runs in a reapable child process.
+    that runs in a reapable child process.  Closing the iterator early
+    terminates the pool's workers and waits for them to exit.
 
     ``weights`` (one positive factor per item, default 1.0) scales each
     item's deadline: a group-shaped item covering G cells gets
@@ -279,6 +289,7 @@ def _supervised_serial(
                     index,
                     failure=classify_failure(exc, attempt),
                     attempts=attempt,
+                    exception=exc,
                 )
                 _check_budget(failures, supervision)
                 break
@@ -335,6 +346,7 @@ def _supervised_pool(
             index,
             failure=classify_failure(exc, attempts[index]),
             attempts=attempts[index],
+            exception=exc,
         )
 
     def restart_pool() -> None:
@@ -387,10 +399,17 @@ def _supervised_pool(
                 timeout=None if timeout is None else max(0.0, timeout),
                 return_when=FIRST_COMPLETED,
             )
-            # Index order within a batch keeps multi-failure runs
-            # deterministic; cross-batch order is completion order,
-            # exactly like the bare fan-out.
-            for future in sorted(done, key=inflight.__getitem__):
+            # Successes first, then failures, each in index order:
+            # a fail-fast consumer stops at the first failure, and
+            # must not lose a cell that finished in the same wake-up.
+            # Across wake-ups the order is completion order.
+            for future in sorted(
+                done,
+                key=lambda f: (
+                    f.cancelled() or f.exception() is not None,
+                    inflight[f],
+                ),
+            ):
                 index = inflight.pop(future)
                 deadlines.pop(future, None)
                 if future.cancelled():
@@ -454,5 +473,7 @@ def _supervised_pool(
                         yield outcome
                         _check_budget(failures, supervision)
     finally:
+        # Waiting is cheap once the workers are terminated, and it
+        # means no worker outlives the run, even an abandoned one.
         _terminate_workers(pool)
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)

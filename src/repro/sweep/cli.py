@@ -31,14 +31,17 @@ status probe, and the merge all agree on the canonical cell enumeration.
 and asserts the reassembled rows are bit-identical — the CI sharding
 job uses it as its correctness gate.
 
-Fault tolerance: ``run``/``resume`` take ``--retries``, ``--cell-timeout``
-and ``--max-failures``; any of them switches execution to the supervised
-pool (:mod:`repro.perf.supervise`), which retries transient faults,
-reaps hung cells, rebuilds crashed workers, and *quarantines* cells
-that exhaust their attempts (durable failure record, shard still exits
-0).  ``status`` reports quarantined cells; ``merge --allow-missing``
-degrades gracefully, emitting the rows that exist plus a failure
-footer instead of refusing the whole table.
+Fault tolerance: every run executes under the supervised executor
+(:mod:`repro.perf.supervise`).  Without flags it is fail-fast: the
+first failed cell stops the shard with a ``CellFailed`` error naming
+the cell's own exception, after every finished cell is stored.
+``run``/``resume`` take ``--retries``, ``--cell-timeout`` and
+``--max-failures``; any of them turns on fault tolerance, which
+retries transient faults, reaps hung cells, rebuilds crashed workers,
+and *quarantines* cells that exhaust their attempts (durable failure
+record, shard still exits 0).  ``status`` reports quarantined cells;
+``merge --allow-missing`` degrades gracefully, emitting the rows that
+exist plus a failure footer instead of refusing the whole table.
 
 Performance: engine and fidelity grids run each *traffic group* —
 cells differing only in priced axes such as ``code_pairs`` — as one
@@ -47,14 +50,14 @@ per member (with a residency recorder on fidelity cells), with
 stored records byte-identical to the per-cell path, and sharding keeps
 whole groups on one worker (:func:`repro.sweep.runner.plan_shard`, so
 ``status --shards K`` counts the same partition ``run`` computes).
-``--trace-cache DIR`` additionally persists each group's movement trace
-as a verified, content-addressed blob shared across shards and across
-run→resume, and between the engine and fidelity grids of the same
-axes — a warm cache turns any such sweep into a pure pricing pass with
-zero traffic simulation (the printed ``(N extractions)``
-tally proves it; ``status --trace-cache`` reports the cache-wide
-totals).  ``--profile`` wraps the shard in cProfile and drops a
-``.pstats`` dump next to the store directory.
+``--trace-cache DIR`` (engine and fidelity grids only) additionally
+persists each group's movement trace as a verified, content-addressed
+blob shared across shards and across run→resume, and between the
+engine and fidelity grids of the same axes — a warm cache turns any
+such sweep into a pure pricing pass with zero traffic simulation (the
+printed ``(N extractions)`` tally proves it; ``status --trace-cache``
+reports the cache-wide totals).  ``--profile`` wraps the shard in
+cProfile and drops a ``.pstats`` dump next to the store directory.
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ from .grid import Grid, parse_shard_spec
 from .runner import (
     MissingCells,
     compute_grid,
-    kernel_batch_spec,
     kernel_registry,
     missing_report,
     plan_shard,
@@ -190,7 +192,7 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group(
-        "fault tolerance (any of these enables the supervised pool)"
+        "fault tolerance (without these, the first failed cell stops the run)"
     )
     group.add_argument(
         "--retries",
@@ -301,8 +303,7 @@ def _trace_cache_tally(args: argparse.Namespace) -> Iterator[None]:
 def _supervision_from_args(args: argparse.Namespace) -> Optional[Supervision]:
     """A :class:`Supervision` spec iff any fault-tolerance flag was given.
 
-    With none of them the plain runner is used, keeping the default CLI
-    path byte-for-byte the pre-supervision behaviour.
+    With none of them the run is fail-fast (``compute_grid``'s default).
     """
     if not args.retries and args.cell_timeout is None and args.max_failures is None:
         return None
@@ -380,6 +381,10 @@ def _grid_from_args(args: argparse.Namespace) -> Grid:
         for dest in _ENGINE_ONLY
         if getattr(args, dest) is not None
     ]
+    if args.fn in (_cmd_run, _cmd_resume) and args.trace_cache is not None:
+        # status/serve only report on a cache; run/resume would fill it,
+        # and these grids have no traffic groups to fill it with.
+        stray.append("--trace-cache")
     if stray:
         raise SystemExit(
             f"{args.kernel} grids do not take {', '.join(stray)} "
@@ -422,7 +427,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 store=store,
                 workers=args.workers,
                 supervise=_supervision_from_args(args),
-                batch=kernel_batch_spec(grid.kernel, args.trace_cache),
+                trace_cache=args.trace_cache,
             )
     except TooManyFailures as exc:
         print(f"shard {index}/{count} aborted: {exc}", file=sys.stderr)
@@ -451,7 +456,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
                 store=store,
                 workers=args.workers,
                 supervise=_supervision_from_args(args),
-                batch=kernel_batch_spec(grid.kernel, args.trace_cache),
+                trace_cache=args.trace_cache,
             )
     except TooManyFailures as exc:
         print(f"resume aborted: {exc}", file=sys.stderr)
@@ -537,7 +542,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     if args.verify:
         # Per-cell on purpose: an independent recomputation cross-checks
         # records the sharded runs wrote group by group.
-        recomputed = compute_grid(grid, fn, row_type, batch=None)
+        recomputed = [fn(cell.as_dict()) for cell in grid]
         # Under --allow-missing only the cells that exist are checked;
         # a quarantined hole is reported above, not a verify failure.
         mismatched = [

@@ -4,20 +4,20 @@
 single-process :func:`repro.core.design_space.engine_sweep` call, a
 ``python -m repro.sweep run --shard i/K`` worker, and a ``resume`` after
 a crash are all the same loop: skip cells whose record is already in
-the store, fan the rest over :func:`repro.perf.parallel.parallel_indexed`,
-persist each finished group with one write, return rows in canonical
-grid order.  Cells that share work run as one group, by the grid kernel's
-own :func:`kernel_batch_spec` (the engine grid's traffic groups), with
-one record per cell either way.
+the store, run the rest through the supervised executor
+(:func:`repro.perf.supervise.supervised_indexed`), persist each
+finished group with one write, return rows in canonical grid order.
+Engine and fidelity grids run each traffic group of cells as one unit
+(:data:`TRAFFIC_GROUPED_KERNELS`), with one record per cell either way.
 
-A ``supervise=`` :class:`repro.perf.supervise.Supervision` spec runs
-the same loop under the supervised executor instead: transient faults
-are retried, hung cells reaped, dead workers rebuilt, and a cell that
-exhausts its retries is *quarantined* — its classified failure lands as
-a durable store record and its row slot stays ``None`` — rather than
-killing the shard (``quarantine=False`` restores fail-fast via
-:class:`CellFailed`).  Fault-free supervised runs are bit-identical to
-unsupervised ones.
+Without ``supervise=`` a run is fail-fast
+(:data:`repro.perf.supervise.FAIL_FAST`): the first failed cell raises
+:class:`CellFailed`, after every finished cell is stored.  A
+:class:`repro.perf.supervise.Supervision` spec retries transient
+faults, reaps hung cells, rebuilds dead workers, and *quarantines* a
+cell that exhausts its retries — its classified failure lands as a
+durable store record and its row slot stays ``None`` — rather than
+killing the shard.
 
 :func:`rows_from_store` is the read-only half — ``merge``, ``status``
 and the table builders use it to reassemble a sweep without computing
@@ -29,14 +29,24 @@ absent or corrupt, unless ``allow_missing=True`` degrades gracefully
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..perf import chaos
-from ..perf.parallel import parallel_indexed
 from ..perf.store import ResultStore, resolve_store
-from ..perf.supervise import CellFailure, Supervision, supervised_indexed
+from ..perf.supervise import (
+    FAIL_FAST,
+    CellFailure,
+    Supervision,
+    supervised_indexed,
+)
 from .grid import Cell, Grid
+
+#: Grid kernels whose cells run in traffic groups: cells sharing one
+#: :func:`repro.core.design_space.engine_traffic_key` simulate one
+#: movement trace, re-priced per member.  Other kernels run per cell.
+TRAFFIC_GROUPED_KERNELS = ("engine_cell", "fidelity_cell")
 
 
 class MissingCells(ValueError):
@@ -52,37 +62,21 @@ class MissingCells(ValueError):
 
 
 class CellFailed(RuntimeError):
-    """A supervised, non-quarantine run hit a terminal cell failure."""
+    """A non-quarantine run hit a terminal cell failure.
+
+    The message names the cell's exception; the exception itself is
+    chained as ``__cause__``, so an uncaught ``CellFailed`` prints the
+    cell's own traceback too.
+    """
 
     def __init__(self, cell: Cell, failure: CellFailure) -> None:
         self.cell = cell
         self.failure = failure
         super().__init__(
             f"cell {cell.key} of the {cell.kernel} grid failed terminally "
-            f"({failure.kind}: {failure.exception_type} after "
-            f"{failure.attempts} attempt(s))"
+            f"({failure.kind}: {failure.exception_type}: {failure.message} "
+            f"after {failure.attempts} attempt(s))"
         )
-
-
-@dataclass(frozen=True)
-class BatchSpec:
-    """How a grid's cells group into shared-work batches.
-
-    ``group_key`` maps one cell's parameter dict to a stable group
-    token, or ``None`` for cells that must run individually through the
-    per-cell kernel.  ``fn`` is the group kernel: it takes the member
-    parameter dicts of one group (in canonical grid order) and returns
-    one row per member, same order.  Both must be module-level
-    (picklable) so groups can run in pool workers.
-    """
-
-    group_key: Callable[[Dict[str, Any]], Optional[str]]
-    fn: Callable[[Tuple[Dict[str, Any], ...]], List[Any]]
-
-
-#: :func:`compute_grid`'s default ``batch``: the grid kernel's own
-#: grouping (:func:`kernel_batch_spec`).
-KERNEL_BATCH = "kernel"
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,7 @@ class _BatchKernel:
     """Picklable dispatcher for work items.
 
     A work item is ``("cell", params)`` or ``("group", (params, ...))``
-    (the latter only under a :class:`BatchSpec`); both return a *list*
+    (the latter only on traffic-grouped grids); both return a *list*
     of rows so the runner maps results back uniformly.  Chaos faults
     fire per member — a scripted fault aimed at any one cell of a group
     poisons (and on retry, re-poisons) the whole group, which is the
@@ -136,7 +130,7 @@ def compute_grid(
     store=None,
     workers: Optional[int] = None,
     supervise: Optional[Supervision] = None,
-    batch: Union[BatchSpec, None, str] = KERNEL_BATCH,
+    trace_cache=None,
 ) -> List[Any]:
     """Rows for every grid cell, reading through ``store`` when given.
 
@@ -152,34 +146,32 @@ def compute_grid(
     canonical grid order, so a warm, cold, sharded, or mixed run yields
     the identical row sequence.
 
-    ``supervise`` switches execution to the supervised pool
-    (:func:`repro.perf.supervise.supervised_indexed`): failures are
-    retried per its policy, and a cell that exhausts its attempts is
-    quarantined — a durable failure record replaces its result and its
-    slot in the returned list is ``None`` — unless
-    ``supervise.quarantine`` is False, in which case :class:`CellFailed`
-    raises.  With the default :class:`Supervision` (one attempt, no
-    deadline) fault-free output is bit-identical to the unsupervised
-    path.
+    Every run goes through
+    :func:`repro.perf.supervise.supervised_indexed`, under ``supervise``
+    or, by default, :data:`repro.perf.supervise.FAIL_FAST`.  A cell
+    that exhausts its attempts is quarantined — a durable failure
+    record replaces its result and its slot in the returned list is
+    ``None`` — unless ``supervise.quarantine`` is False, in which case
+    :class:`CellFailed` raises once every cell finished before the
+    failure is stored.
 
-    Cells that share work run as groups: by default the grid kernel's
-    own grouping (:func:`kernel_batch_spec` — the engine grid's traffic
-    groups), engaged when ``fn`` is that kernel's registered cell
-    function.  ``batch`` overrides it with another :class:`BatchSpec`,
-    or ``None`` runs every cell through ``fn``.  Each group of two or
-    more pending cells is *one* unit of execution — one pool task, one
-    supervised attempt (a transient fault retries only its group,
-    charged once), one per-group deadline scaled by member count —
-    while the store still receives one record per member cell,
-    byte-identical to the per-cell path, so cell keys, resume,
-    quarantine and ``merge --verify`` are unaffected.  A terminal group
-    failure quarantines every member, each failure record naming the
-    full membership under ``"group_members"``.  Singleton groups and
-    ungroupable cells run through ``fn``.
+    Engine and fidelity grids (:data:`TRAFFIC_GROUPED_KERNELS`) run
+    through their registered cell function group their cells by
+    :func:`repro.core.design_space.engine_traffic_key`; any other
+    ``fn`` runs per cell.  Each group of two or more pending cells is
+    *one* unit of execution — one pool task, one supervised attempt (a
+    transient fault retries only its group, charged once), one
+    per-group deadline scaled by member count — while the store still
+    receives one record per member cell, byte-identical to the
+    per-cell path, so cell keys, resume, quarantine and
+    ``merge --verify`` are unaffected.  A terminal group failure
+    quarantines every member, each failure record naming the full
+    membership under ``"group_members"``.  Singleton groups and
+    ungroupable cells run through ``fn``.  ``trace_cache`` (anything
+    :func:`repro.perf.tracecache.resolve_trace_cache` accepts) persists
+    each group's movement trace; a grid that does not group rejects it.
     """
-    if batch == KERNEL_BATCH:
-        cell_fn, _ = kernel_registry().get(grid.kernel, (None, None))
-        batch = kernel_batch_spec(grid.kernel) if cell_fn is fn else None
+    group_key, group_fn = _traffic_grouping(grid, fn, trace_cache)
     resolved: Optional[ResultStore] = resolve_store(store)
     cells = list(grid)
     rows: List[Any] = (
@@ -193,14 +185,15 @@ def compute_grid(
         _run(
             grid,
             fn,
-            batch,
+            group_key,
+            group_fn,
             cells,
             todo,
             rows,
             resolved,
             written,
             workers=workers,
-            supervise=supervise,
+            supervision=FAIL_FAST if supervise is None else supervise,
         )
     finally:
         if resolved is not None and written:
@@ -208,10 +201,37 @@ def compute_grid(
     return rows
 
 
+def _traffic_grouping(
+    grid: Grid,
+    fn: Callable[[Dict[str, Any]], Any],
+    trace_cache,
+) -> Tuple[Optional[Callable], Optional[Callable]]:
+    """``(group key, group kernel)``, or ``(None, None)`` to run per cell.
+
+    Grouping needs ``fn`` to be the grid kernel's registered cell
+    function: the group kernel computes the same rows, so a wrapped
+    or foreign ``fn`` must not be bypassed.  Both returned callables
+    are module-level (picklable), so groups run in pool workers.
+    """
+    registered, _ = kernel_registry().get(grid.kernel, (None, None))
+    if grid.kernel not in TRAFFIC_GROUPED_KERNELS or registered is not fn:
+        if trace_cache is not None:
+            raise ValueError(
+                f"trace_cache does not apply to this {grid.kernel} grid: only "
+                f"engine and fidelity grids run through their registered "
+                f"cell function have traffic groups"
+            )
+        return None, None
+    from ..core.design_space import engine_traffic_key, traffic_group_kernel
+
+    return engine_traffic_key, traffic_group_kernel(grid.kernel, trace_cache)
+
+
 def _run(
     grid: Grid,
     fn: Callable[[Dict[str, Any]], Any],
-    batch: Optional[BatchSpec],
+    group_key: Optional[Callable[[Dict[str, Any]], Optional[str]]],
+    group_fn: Optional[Callable[[Tuple[Dict[str, Any], ...]], List[Any]]],
     cells: List[Cell],
     todo: List[int],
     rows: List[Any],
@@ -219,14 +239,14 @@ def _run(
     written: Dict[str, Any],
     *,
     workers: Optional[int],
-    supervise: Optional[Supervision],
+    supervision: Supervision,
 ) -> None:
     """The execution loop of :func:`compute_grid`.
 
     Work items are whole groups of two or more pending cells
     (first-appearance order, members in canonical grid order); a
-    singleton group or an ungroupable cell (``group_key`` None, or no
-    ``batch`` at all) is a ``("cell", params)`` item through the same
+    singleton group or an ungroupable cell (``group_key`` None or
+    returning None) is a ``("cell", params)`` item through the same
     pipeline, so one sweep can mix both kinds.  Items persist in
     completion order, not input order: each finished item is persisted
     immediately, in one write, never queued behind a slower one.
@@ -234,7 +254,7 @@ def _run(
     members: List[List[int]] = []
     groups: Dict[str, List[int]] = {}
     for position in todo:
-        token = None if batch is None else batch.group_key(cells[position].as_dict())
+        token = None if group_key is None else group_key(cells[position].as_dict())
         if token is None:
             members.append([position])
         elif token in groups:
@@ -246,7 +266,7 @@ def _run(
     for positions in members:
         params = tuple(cells[p].as_dict() for p in positions)
         items.append(("group", params) if len(params) > 1 else ("cell", params[0]))
-    kernel = _BatchKernel(cell_fn=fn, group_fn=None if batch is None else batch.fn)
+    kernel = _BatchKernel(cell_fn=fn, group_fn=group_fn)
 
     def emit(offset: int, group_rows: Sequence[Any]) -> None:
         positions = members[offset]
@@ -276,39 +296,41 @@ def _run(
                 cell = cells[position]
                 resolved.chaos_tear(plan, cell.key, cell.as_dict())
 
-    if supervise is None:
-        for offset, group_rows in parallel_indexed(kernel, items, workers=workers):
-            emit(offset, group_rows)
-        return
     outcomes = supervised_indexed(
         kernel,
         items,
         workers=workers,
-        supervision=supervise,
+        supervision=supervision,
         weights=[float(len(positions)) for positions in members],
     )
-    for outcome in outcomes:
-        positions = members[outcome.index]
-        if outcome.ok:
-            emit(outcome.index, outcome.value)
-            continue
-        if not supervise.quarantine:
-            raise CellFailed(cells[positions[0]], outcome.failure)
-        if resolved is None:
-            continue
-        # One failure record per member, each naming the whole group:
-        # a quarantined group must be diagnosable from any of its cells.
-        record = outcome.failure.as_record()
-        if len(positions) > 1:
-            record["group_members"] = [cells[p].key for p in positions]
-        for position in positions:
-            cell = cells[position]
-            resolved.put_failure(
-                cell.key,
-                record,
-                kernel=cell.kernel,
-                params=cell.as_dict(),
-            )
+    # Closing the stream on any exit (a CellFailed included) stops the
+    # pool's workers before the exception leaves: its traceback would
+    # otherwise keep the suspended stream, and its workers, alive.
+    with closing(outcomes):
+        for outcome in outcomes:
+            positions = members[outcome.index]
+            if outcome.ok:
+                emit(outcome.index, outcome.value)
+                continue
+            if not supervision.quarantine:
+                raise CellFailed(
+                    cells[positions[0]], outcome.failure
+                ) from outcome.exception
+            if resolved is None:
+                continue
+            # One failure record per member, each naming the whole group:
+            # a quarantined group must be diagnosable from any of its cells.
+            record = outcome.failure.as_record()
+            if len(positions) > 1:
+                record["group_members"] = [cells[p].key for p in positions]
+            for position in positions:
+                cell = cells[position]
+                resolved.put_failure(
+                    cell.key,
+                    record,
+                    kernel=cell.kernel,
+                    params=cell.as_dict(),
+                )
 
 
 def _stored_rows(cells: Sequence[Cell], row_type: Type, store) -> List[Any]:
@@ -363,11 +385,12 @@ def missing_report(grid: Grid, store) -> List[Tuple[Cell, Optional[Dict[str, Any
 
 
 def kernel_registry() -> Dict[str, Tuple[Callable[[Dict[str, Any]], Any], Type]]:
-    """Kernel name -> (cell function, row type) for the worker CLI.
+    """Kernel name -> (cell function, row type).
 
-    Imported lazily: the design-space module itself imports this
-    package for :func:`compute_grid`, and the registry is only needed
-    by CLI entry points.
+    The worker CLI resolves ``--kernel`` through it, and
+    :func:`compute_grid` checks it before grouping.  Imported lazily:
+    the design-space module itself imports this package for
+    :func:`compute_grid`.
     """
     from ..core import design_space
 
@@ -383,34 +406,17 @@ def kernel_registry() -> Dict[str, Tuple[Callable[[Dict[str, Any]], Any], Type]]
     }
 
 
-def kernel_batch_spec(kernel: str, trace_cache=None) -> Optional[BatchSpec]:
-    """The registered grouping of a kernel's grids, or None (per-cell).
-
-    The engine and fidelity grids group: their reservation-model cells
-    share one movement trace per traffic group
-    (:func:`repro.core.design_space.engine_batch_spec`), re-priced per
-    member — with a residency recorder on fidelity cells.  The Table
-    3/4/5 kernels have no shared work.  ``trace_cache`` (see
-    :func:`repro.perf.tracecache.resolve_trace_cache`) persists each
-    group's trace so a warm re-run performs zero traffic simulation.
-    """
-    if kernel not in ("engine_cell", "fidelity_cell"):
-        return None
-    from ..core.design_space import engine_batch_spec
-
-    return engine_batch_spec(trace_cache, kernel)
-
-
 def plan_shard(grid: Grid, index: int, count: int) -> Grid:
     """Shard ``index`` of a ``count``-way partition, groups kept whole.
 
     ``run`` computes and ``status`` reports exactly this sub-grid: cells
-    of one :func:`kernel_batch_spec` group hash by their group token, so
-    a group never splits across workers.
+    of a traffic-grouped grid (:data:`TRAFFIC_GROUPED_KERNELS`) hash by
+    their traffic key, so a group never splits across workers.
     """
-    spec = kernel_batch_spec(grid.kernel)
-    if spec is None:
+    if grid.kernel not in TRAFFIC_GROUPED_KERNELS:
         return grid.shard(index, count)
+    from ..core.design_space import engine_traffic_key
+
     return grid.shard(
-        index, count, group_key=lambda cell: spec.group_key(cell.as_dict())
+        index, count, group_key=lambda cell: engine_traffic_key(cell.as_dict())
     )

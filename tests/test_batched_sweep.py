@@ -6,12 +6,13 @@ policy), never on the priced axes (code assignment, transfer width).
 ``compute_grid`` exploits this on its own for engine grids — each
 traffic group of two or more pending cells simulates its movement trace
 once and re-prices it per member — and these tests pin that grouping to
-the per-cell path (``batch=None``) at every observable layer: returned
-rows, stored record bytes, group-shaped supervision and quarantine,
-shard assignment, and the CLI.
+direct per-cell ``engine_cell`` calls at every observable layer:
+returned rows, stored record bytes, group-shaped supervision and
+quarantine, shard assignment, and the CLI.
 """
 
 import pstats
+from dataclasses import asdict
 
 import pytest
 
@@ -20,7 +21,6 @@ import repro.sim.replay as replay
 from repro.core.design_space import (
     EngineRow,
     engine_batch_cell,
-    engine_batch_spec,
     engine_cell,
     engine_grid,
     engine_sweep,
@@ -70,10 +70,19 @@ def _groups(grid):
     return groups
 
 
+def _percell_rows(grid, cell_fn=engine_cell) -> list:
+    """The per-cell reference rows: every cell through ``cell_fn``."""
+    return [cell_fn(cell.as_dict()) for cell in grid]
+
+
 def _percell_store(grid, directory) -> ResultStore:
-    """The per-cell reference: every cell through ``engine_cell``."""
+    """The per-cell reference store: every cell through ``engine_cell``,
+    written straight through the store API."""
     store = ResultStore(directory)
-    compute_grid(grid, engine_cell, EngineRow, store=store, batch=None)
+    store.put_many(
+        (cell.key, asdict(row), cell.kernel, cell.as_dict())
+        for cell, row in zip(grid, _percell_rows(grid))
+    )
     return store
 
 
@@ -155,7 +164,7 @@ class TestAutomaticGrouping:
         rows = engine_sweep(**GRID_KWARGS)
         assert kernel_calls["extract"] == len(groups) > 0
         assert kernel_calls["groups"] == [3] * len(groups)
-        assert rows == compute_grid(grid, engine_cell, EngineRow, batch=None)
+        assert rows == _percell_rows(grid)
 
     def test_cli_run_extracts_once_per_group(self, tmp_path, kernel_calls):
         grid = engine_grid(**GRID_KWARGS)
@@ -204,10 +213,7 @@ class TestAutomaticGrouping:
             prefetches=("none",), code_pairs=PAIRS,
             fidelity_trials=300, fidelity_seed=7,
         )
-        assert rows == compute_grid(
-            grid, design_space.fidelity_cell, design_space.FidelityRow,
-            batch=None,
-        )
+        assert rows == _percell_rows(grid, design_space.fidelity_cell)
 
     def test_unregistered_cell_function_is_not_grouped(self):
         grid = engine_grid(**GRID_KWARGS)
@@ -221,6 +227,26 @@ class TestAutomaticGrouping:
         assert len(seen) == len(grid)
         assert rows == compute_grid(grid, engine_cell, EngineRow)
 
+    def test_trace_cache_rejected_where_nothing_groups(self, tmp_path):
+        from repro.core.design_space import (
+            TransferRow,
+            transfer_cell,
+            transfer_grid,
+        )
+
+        cache = tmp_path / "traces"
+        with pytest.raises(ValueError, match="trace_cache"):
+            compute_grid(transfer_grid(), transfer_cell, TransferRow,
+                         trace_cache=cache)
+
+        def wrapped(params):
+            return engine_cell(params)
+
+        with pytest.raises(ValueError, match="trace_cache"):
+            compute_grid(engine_grid(**GRID_KWARGS), wrapped, EngineRow,
+                         trace_cache=cache)
+        assert not cache.exists()
+
 
 class TestGroupedEquivalence:
     def test_store_records_byte_identical(self, tmp_path):
@@ -228,29 +254,33 @@ class TestGroupedEquivalence:
         grouped = ResultStore(tmp_path / "grouped")
         rows = compute_grid(grid, engine_cell, EngineRow, store=grouped)
         percell = _percell_store(grid, tmp_path / "percell")
-        assert rows == compute_grid(grid, engine_cell, EngineRow, batch=None)
+        assert rows == _percell_rows(grid)
         assert _record_bytes(grouped) == _record_bytes(percell)
 
     def test_supervised_pooled_grouping_identical(self):
         grid = engine_grid(**GRID_KWARGS)
-        plain = compute_grid(grid, engine_cell, EngineRow, batch=None)
+        plain = _percell_rows(grid)
         supervised = compute_grid(
             grid, engine_cell, EngineRow,
             supervise=Supervision(cell_timeout_s=120.0), workers=2,
         )
         assert plain == supervised
 
-    def test_grouped_reads_through_store(self, tmp_path):
+    def test_grouped_reads_through_store(self, tmp_path, monkeypatch):
         grid = engine_grid(**GRID_KWARGS)
         store = ResultStore(tmp_path / "store")
         first = compute_grid(grid, engine_cell, EngineRow, store=store)
-        # Second pass must resolve every cell from the store; a kernel
-        # that explodes on contact proves nothing recomputes.
-        def _explodes(params):
+        # Second pass must resolve every cell from the store; cell and
+        # group kernels that explode on contact prove nothing recomputes
+        # (the patched cell function is still the registered one, so
+        # the grid still groups).
+        def _explodes(params, trace_cache=None):
             raise AssertionError("warm grouped run recomputed a cell")
 
-        again = compute_grid(grid, _explodes, EngineRow, store=store,
-                             batch=engine_batch_spec())
+        monkeypatch.setattr(design_space, "engine_cell", _explodes)
+        monkeypatch.setattr(design_space, "engine_batch_cell", _explodes)
+        again = compute_grid(grid, design_space.engine_cell, EngineRow,
+                             store=store)
         assert first == again
 
 
@@ -286,12 +316,12 @@ class TestTraceCacheSweep:
         cache_dir = tmp_path / "traces"
         grid = engine_grid(**GRID_KWARGS)
         compute_grid(grid, engine_cell, EngineRow, workers=2,
-                     batch=engine_batch_spec(trace_cache=cache_dir))
+                     trace_cache=cache_dir)
         stats = TraceCache(cache_dir).read_stats()
         # Pool workers flush their deltas into the shared stats.json.
         assert stats["extractions"] == len(TraceCache(cache_dir)) > 0
         compute_grid(grid, engine_cell, EngineRow, workers=2,
-                     batch=engine_batch_spec(trace_cache=cache_dir))
+                     trace_cache=cache_dir)
         again = TraceCache(cache_dir).read_stats()
         assert again["extractions"] == stats["extractions"]
 
@@ -316,7 +346,7 @@ class TestGroupSupervision:
         with chaos.active(plan):
             rows = compute_grid(grid, engine_cell, EngineRow,
                                 supervise=supervision)
-        assert rows == compute_grid(grid, engine_cell, EngineRow, batch=None)
+        assert rows == _percell_rows(grid)
 
     def test_terminal_group_failure_quarantines_every_member(self, tmp_path):
         grid = engine_grid(**GRID_KWARGS)

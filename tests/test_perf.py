@@ -10,7 +10,6 @@ from repro.core.design_space import (
     specialization_sweep,
 )
 from repro.perf.store import ResultStore
-from repro.perf.parallel import parallel_indexed, parallel_iter, parallel_map
 from repro.sim.hierarchy_sim import (
     _adder_circuit,
     _adder_l1_run,
@@ -29,115 +28,6 @@ class TestStableKey:
         assert stable_key("other", a=1) != base
         assert stable_key("k", a=2) != base
         assert stable_key("k", a=1, b=0) != base
-
-
-class TestParallelMap:
-    def test_serial_matches_comprehension(self):
-        assert parallel_map(abs, [-2, 1, -3]) == [2, 1, 3]
-        assert parallel_map(abs, [], workers=8) == []
-
-    def test_parallel_preserves_order(self):
-        items = list(range(20))
-        assert parallel_map(_square, items, workers=4) == [
-            i * i for i in items
-        ]
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_map(abs, [1], workers=-1)
-        with pytest.raises(ValueError):
-            parallel_iter(abs, [1], workers=-1)
-
-    def test_iter_streams_lazily_in_order(self):
-        computed = []
-
-        def record(x):
-            computed.append(x)
-            return x * x
-
-        stream = parallel_iter(record, [1, 2, 3])
-        assert computed == []  # nothing runs until the caller advances
-        assert next(stream) == 1
-        assert computed == [1]
-        assert list(stream) == [4, 9]
-
-    def test_iter_parallel_matches_map(self):
-        items = list(range(12))
-        assert list(parallel_iter(_square, items, workers=3)) == [
-            i * i for i in items
-        ]
-
-
-def _square(x):
-    return x * x
-
-
-def _square_or_raise(x):
-    if x < 0:
-        raise RuntimeError(f"scripted failure for {x}")
-    return x * x
-
-
-def _square_or_raise_slowly(x):
-    import time
-
-    if x < 0:
-        time.sleep(0.5)
-        raise RuntimeError(f"scripted failure for {x}")
-    return x * x
-
-
-def _mark_and_square(args):
-    import time
-    from pathlib import Path
-
-    x, directory = args
-    if x < 0:
-        raise RuntimeError(f"scripted failure for {x}")
-    time.sleep(0.3)
-    Path(directory, f"ran-{x}").write_text("")
-    return x * x
-
-
-class TestParallelIndexed:
-    def test_serial_yields_input_order(self):
-        assert list(parallel_indexed(_square, [3, 1, 2])) == [
-            (0, 9), (1, 1), (2, 4)
-        ]
-
-    def test_pool_yields_every_pair_once(self):
-        items = list(range(12))
-        pairs = sorted(parallel_indexed(_square, items, workers=3))
-        assert pairs == [(i, i * i) for i in items]
-
-    def test_serial_failure_propagates(self):
-        with pytest.raises(RuntimeError, match="scripted failure"):
-            list(parallel_indexed(_square_or_raise, [1, -2, 3]))
-
-    def test_pool_drains_completed_before_raising(self):
-        """A consumer persisting incrementally keeps every finished
-        cell: the failure surfaces only after completed futures drain —
-        even though the failing cell holds the lowest index."""
-        items = [-1, 1, 2, 3]  # index 0 fails, after the others finish
-        seen = []
-        with pytest.raises(RuntimeError, match="scripted failure for -1"):
-            for index, value in parallel_indexed(
-                _square_or_raise_slowly, items, workers=4
-            ):
-                seen.append((index, value))
-        assert sorted(seen) == [(1, 1), (2, 4), (3, 9)]
-
-    def test_pool_failure_cancels_queued_cells(self, tmp_path):
-        """Teardown after a failure must not start queued cells."""
-        items = [(x, str(tmp_path)) for x in [-1] + list(range(10))]
-        with pytest.raises(RuntimeError, match="scripted failure"):
-            list(parallel_indexed(_mark_and_square, items, workers=2))
-        started = list(tmp_path.glob("ran-*"))
-        # Only cells already running or in the pool's bounded call
-        # queue (workers + 1 deep) can still finish; the rest of the
-        # queue was cancelled, never drained.  2 running + 3 queued,
-        # plus one slot of scheduling slop.
-        assert len(started) <= 6
 
 
 class TestSweepWiring:

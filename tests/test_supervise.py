@@ -31,6 +31,13 @@ def _square(params):
 _chaos_square = chaos.wrap(_square)
 
 
+def _sleep_then_square(params):
+    time.sleep(params.get("sleep_s", 0.0))
+    if params.get("fail"):
+        raise RuntimeError(f"scripted failure for {params['x']}")
+    return params["x"] * params["x"]
+
+
 def _items(count):
     return [{"x": i} for i in range(count)]
 
@@ -344,3 +351,35 @@ class TestPoolSupervision:
             supervised_indexed(
                 _square, _items(2), supervision=Supervision(), workers=-1
             )
+
+    def test_successes_yield_before_failures_of_one_wake_up(self):
+        # A fail-fast consumer stops at the first failure it sees, so a
+        # cell that finished alongside it must come out first.
+        items = [
+            {"x": 0},
+            {"x": 1, "sleep_s": 0.5, "fail": True},
+            {"x": 2, "sleep_s": 0.5},
+        ]
+        outcomes = supervised_indexed(
+            _sleep_then_square, items, supervision=Supervision(), workers=3
+        )
+        assert next(outcomes).index == 0
+        time.sleep(2.0)  # both slow cells finish before the next wait
+        rest = list(outcomes)
+        assert [(o.index, o.ok) for o in rest] == [(2, True), (1, False)]
+        assert isinstance(rest[1].exception, RuntimeError)
+        assert rest[1].failure.message == "scripted failure for 1"
+
+    def test_closing_early_leaves_no_worker_behind(self):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        items = [{"x": 0}] + [{"x": x, "sleep_s": 5.0} for x in range(1, 4)]
+        outcomes = supervised_indexed(
+            _sleep_then_square, items, supervision=Supervision(), workers=2
+        )
+        assert next(outcomes).index == 0
+        started = time.monotonic()
+        outcomes.close()
+        assert time.monotonic() - started < 4.0  # reaped, not waited out
+        assert set(multiprocessing.active_children()) <= before

@@ -7,7 +7,8 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +29,7 @@ from repro.core.design_space import (
 )
 from repro.perf import chaos
 from repro.perf.store import ResultStore
-from repro.perf.supervise import RetryPolicy, Supervision
+from repro.perf.supervise import Supervision
 from repro.sweep.cli import main as sweep_main
 from repro.sweep.grid import (
     Cell,
@@ -185,6 +186,85 @@ class TestComputeGrid:
         for key, mtime in mtimes.items():
             assert store.record_path(key).stat().st_mtime_ns == mtime
         assert rows_from_store(grid, EngineRow, store) == full
+
+
+@dataclass(frozen=True)
+class _ProbeRow:
+    x: int
+    square: int
+
+
+def _probe_cell(params):
+    """Marks the cell started, sleeps ``sleep_s``, then squares ``x``
+    (a negative ``x`` raises instead).  Module-level for pool workers."""
+    Path(params["marks"], f"started-{params['x']}").touch()
+    time.sleep(params["sleep_s"])
+    if params["x"] < 0:
+        raise RuntimeError(f"scripted failure for {params['x']}")
+    return _ProbeRow(params["x"], params["x"] ** 2)
+
+
+def _probe_grid(marks, cells):
+    """A probe grid over ``(x, sleep_s)`` pairs, in that order."""
+    marks.mkdir(exist_ok=True)
+    return Grid("probe_cell", tuple(
+        Cell.make("probe_cell", x=x, sleep_s=sleep_s, marks=str(marks))
+        for x, sleep_s in cells
+    ))
+
+
+def _started(marks):
+    return {path.name for path in marks.glob("started-*")}
+
+
+class TestFailFast:
+    """Without ``supervise=`` the first failed cell stops the run, and
+    every cell finished before it is kept."""
+
+    def test_serial_failure_stops_at_first_failed_cell(self, tmp_path):
+        marks = tmp_path / "marks"
+        grid = _probe_grid(marks, [(1, 0.0), (-1, 0.0), (2, 0.0), (3, 0.0)])
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(CellFailed) as raised:
+            compute_grid(grid, _probe_cell, _ProbeRow, store=store)
+        assert _started(marks) == {"started-1", "started--1"}
+        assert store.status(grid.keys()).done == 1
+        assert store.has(grid.cells[0].key)
+        # The message names the cell's own exception, which is chained.
+        assert "RuntimeError: scripted failure for -1" in str(raised.value)
+        cause = raised.value.__cause__
+        assert isinstance(cause, RuntimeError)
+        assert str(cause) == "scripted failure for -1"
+        assert raised.value.cell == grid.cells[1]
+
+    def test_pool_stores_finished_cells_before_raising(self, tmp_path):
+        # The failing cell holds the lowest index and finishes last.
+        marks = tmp_path / "marks"
+        grid = _probe_grid(marks, [(-1, 0.5), (1, 0.0), (2, 0.0), (3, 0.0)])
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(CellFailed, match="scripted failure for -1") as raised:
+            compute_grid(grid, _probe_cell, _ProbeRow, store=store, workers=4)
+        assert isinstance(raised.value.__cause__, RuntimeError)
+        assert sorted(store.keys()) == sorted(grid.keys()[1:])
+        assert len(store.read_index()) == 3
+
+    def test_pool_failure_stops_workers_and_queued_cells(self, tmp_path):
+        before = set(multiprocessing.active_children())
+        marks = tmp_path / "marks"
+        grid = _probe_grid(marks, [(-1, 0.0)] + [(x, 2.0) for x in range(10)])
+        with pytest.raises(CellFailed, match="scripted failure for -1") as raised:
+            compute_grid(grid, _probe_cell, _ProbeRow, workers=2)
+        # No worker outlives the raise, even while the error (whose
+        # traceback reaches the runner's frames) is still held...
+        assert set(multiprocessing.active_children()) <= before
+        assert raised.value.__traceback__ is not None
+        # ...and only the two cells in flight at the failure ever ran.
+        assert _started(marks) <= {"started--1", "started-0"}
+
+    def test_negative_workers_rejected(self, tmp_path):
+        grid = _probe_grid(tmp_path, [(1, 0.0)])
+        with pytest.raises(ValueError, match="negative"):
+            compute_grid(grid, _probe_cell, _ProbeRow, workers=-1)
 
 
 class TestSharedEngineCircuit:
@@ -494,6 +574,24 @@ class TestCliShardedEquivalence:
                         str(tmp_path / "s"), "--kernel", "hierarchy_cell",
                         "--depths", "2"])
 
+    @pytest.mark.parametrize(
+        "kernel", ["transfer_cell", "specialization_cell", "hierarchy_cell"]
+    )
+    @pytest.mark.parametrize("command", [["run", "--shard", "0/1"], ["resume"]])
+    def test_trace_cache_rejected_for_table_kernels(
+        self, tmp_path, kernel, command
+    ):
+        # Table kernels have no traffic groups, so a cache would never
+        # be used; status/serve --trace-cache only report on one.
+        cache = tmp_path / "traces"
+        with pytest.raises(SystemExit, match="--trace-cache"):
+            sweep_main([*command, "--store", str(tmp_path / "s"),
+                        "--kernel", kernel, "--trace-cache", str(cache)])
+        assert not cache.exists()
+        assert sweep_main(["status", "--store", str(tmp_path / "s"),
+                           "--kernel", kernel, "--trace-cache",
+                           str(cache)]) == 1
+
     def test_status_reports_progress(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
         assert sweep_main(["run", "--shard", "0/2", "--store", store_dir,
@@ -647,8 +745,8 @@ def _record_bytes(store, keys):
 
 class TestSupervisedComputeGrid:
     def test_fault_free_supervised_store_bit_identical(self, tmp_path):
-        """The zero-retry supervised path is the identity wrapper: the
-        record *bytes* match the plain runner's, serial and pooled."""
+        """Fault-free, quarantine-on supervision and the fail-fast
+        default write the same record *bytes*, serial and pooled."""
         grid = engine_grid(**CHAOS_KWARGS)
         plain = ResultStore(tmp_path / "plain")
         rows = compute_grid(grid, engine_cell, EngineRow, store=plain)
@@ -871,6 +969,18 @@ class TestChaosShardedAcceptance:
         assert _record_bytes(store, grid.keys()) == _record_bytes(
             clean, grid.keys()
         )
+
+    def test_unsupervised_run_fails_fast_naming_the_fault(self, tmp_path):
+        plan = chaos.ChaosPlan.scripted(
+            [{"fault": "raise",
+              "match": {"policy": "fifo", "prefetch": "next_k"}}]
+        )
+        with chaos.active(plan):
+            with pytest.raises(CellFailed, match="ChaosFault") as raised:
+                sweep_main(["run", "--shard", "0/1", "--store",
+                            str(tmp_path / "s"), *CHAOS_ARGS])
+        assert isinstance(raised.value.__cause__, chaos.ChaosFault)
+        assert not ResultStore(tmp_path / "s").failure_keys()
 
     def test_max_failures_aborts_shard_nonzero(self, tmp_path, capsys):
         plan = chaos.ChaosPlan.scripted(
