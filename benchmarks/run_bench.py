@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -392,69 +391,6 @@ def _bench_batched_scaling_overhead(alternations: int = 3):
     return run
 
 
-def _bench_trace_cache_warm_speedup(alternations: int = 2):
-    """The persistent trace cache payoff on a batched engine sweep, as a
-    speedup ratio (cold / warm).  Both arms run the identical grid
-    through ``compute_grid(trace_cache=...)``;
-    the cold arm points at an empty cache directory (every traffic
-    group is scheduled and simulated, then persisted), the warm arm at
-    a populated one (every group loads as a verified blob — zero
-    traffic simulation, pure pricing).  One large traffic group keeps
-    the cold-only costs (fetch scheduling + traffic simulation)
-    dominant over the pricing both arms share, which is exactly the
-    regime the cache exists for.  The rows are pinned bit-identical
-    elsewhere; this kernel times the payoff and gates the acceptance
-    floor (``SPEEDUP_FLOORS``)."""
-    import shutil
-    import tempfile
-
-    from repro.core.design_space import (
-        EngineRow,
-        _engine_circuit,
-        _fetch_order,
-        engine_cell,
-        engine_grid,
-    )
-    from repro.sweep.runner import compute_grid
-
-    grid = engine_grid(workloads=("draper_adder",), sizes=(1024,),
-                       depths=(3,), policies=("lru",),
-                       prefetches=("none",),
-                       code_keys=("steane", "bacon_shor"))
-
-    def run():
-        warm_dir = tempfile.mkdtemp(prefix="bench-trace-warm-")
-        try:
-            compute_grid(grid, engine_cell, EngineRow, trace_cache=warm_dir)
-            cold = warm = None
-            for _ in range(alternations):
-                cold_dir = tempfile.mkdtemp(prefix="bench-trace-cold-")
-                try:
-                    # A fresh sweep pays for scheduling and for
-                    # building its circuit too, so the cold arm must
-                    # not inherit the fetch-order cache or the shared
-                    # circuit the warm-up pass just filled.
-                    _fetch_order.cache_clear()
-                    _engine_circuit.cache_clear()
-                    t0 = time.perf_counter()
-                    compute_grid(grid, engine_cell, EngineRow,
-                                 trace_cache=cold_dir)
-                    elapsed = time.perf_counter() - t0
-                finally:
-                    shutil.rmtree(cold_dir, ignore_errors=True)
-                cold = elapsed if cold is None else min(cold, elapsed)
-                t0 = time.perf_counter()
-                compute_grid(grid, engine_cell, EngineRow,
-                             trace_cache=warm_dir)
-                elapsed = time.perf_counter() - t0
-                warm = elapsed if warm is None else min(warm, elapsed)
-            return cold / warm
-        finally:
-            shutil.rmtree(warm_dir, ignore_errors=True)
-
-    return run
-
-
 def _bench_multi_group_pricing_speedup(alternations: int = 3):
     """Multi-group one-pass pricing vs per-group batched pricing, as a
     speedup ratio (per-group / multi) over a realistic engine grid
@@ -691,7 +627,6 @@ def kernel_set(quick: bool):
                 _bench_batched_codepairs_speedup(),
             "batched_codepairs_scaling_overhead":
                 _bench_batched_scaling_overhead(),
-            "trace_cache_warm_speedup": _bench_trace_cache_warm_speedup(),
             "multi_group_pricing_speedup":
                 _bench_multi_group_pricing_speedup(),
             "service_table_query_overhead":
@@ -720,7 +655,6 @@ def kernel_set(quick: bool):
             _bench_batched_codepairs_speedup(),
         "batched_codepairs_scaling_overhead":
             _bench_batched_scaling_overhead(),
-        "trace_cache_warm_speedup": _bench_trace_cache_warm_speedup(),
         "multi_group_pricing_speedup":
             _bench_multi_group_pricing_speedup(),
         "service_table_query_overhead":
@@ -808,17 +742,15 @@ OVERHEAD_SLACK = 0.05
 #: must stay >= 5x the retained reference on the policy cell, the
 #: batched sweep >= 2x the per-cell path on a four-config traffic
 #: group, grouped fidelity replay >= 3x per-cell recorded event-kernel
-#: runs on the same group, a warm trace cache >= 5x a cold batched
-#: sweep, and multi-group one-pass pricing >= 1.5x per-group batched
-#: pricing.
+#: runs on the same group, and multi-group one-pass pricing >= 1.5x
+#: per-group batched pricing.
 #: Ratios are machine-independent, so the floors gate directly —
-#: falling below one means the factorization (or the cache) stopped
-#: paying for itself, whatever the baseline says.
+#: falling below one means the factorization stopped paying for
+#: itself, whatever the baseline says.
 SPEEDUP_FLOORS = {
     "engine_replay_speedup": 5.0,
     "fidelity_replay_speedup": 3.0,
     "batched_vs_percell_codepairs_speedup": 2.0,
-    "trace_cache_warm_speedup": 5.0,
     "multi_group_pricing_speedup": 1.5,
 }
 
@@ -965,14 +897,6 @@ def main(argv=None) -> int:
     if args.baseline is not None and not args.baseline.is_file():
         # Fail in milliseconds, not after minutes of kernel timing.
         parser.error(f"baseline file not found: {args.baseline}")
-
-    # The point of these numbers is the cold-path kernel cost: drop any
-    # ambient persistent-cache directory before a trace_cache=True
-    # default can pick it up (this also propagates to the pytest
-    # subprocess), and _clear_process_caches wipes the in-process
-    # lru_cache tables between repeats.
-    if os.environ.pop("REPRO_CACHE_DIR", None) is not None:
-        print("note: ignoring REPRO_CACHE_DIR — benchmarks time the cold path")
 
     print("timing kernels...")
     kernels = time_kernels(args.quick, max(1, args.repeats))

@@ -19,8 +19,8 @@ of Thaker, Metodi, Cross, Chuang and Chong, built from scratch:
   (pure and mixed-code stacks, eviction policies, exact prefetchers;
   one engine per transfer model), plus the block scheduler, cache
   simulator and communication accounting;
-* :mod:`repro.perf` — process-pool fan-out, the movement-trace cache
-  and the durable content-addressed result store, with pluggable backends
+* :mod:`repro.perf` — process-pool fan-out and the durable
+  content-addressed result store, with pluggable backends
   (:mod:`repro.perf.backends`: ``fs:DIR`` / ``sqlite:PATH`` locators);
 * :mod:`repro.sweep` — sharded sweep orchestration over that store
   (``python -m repro.sweep``);

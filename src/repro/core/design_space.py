@@ -502,7 +502,7 @@ ENGINE_PRICED_AXES = ("code_key", "memory_code_key", "parallel_transfers")
 #: Fidelity-cell axes that only re-price the noise model (the Monte
 #: Carlo calibration budget); the movement trace is invariant across
 #: them too, so fidelity and engine cells of one traffic group share
-#: one trace (and one trace-cache blob).
+#: one trace.
 FIDELITY_PRICED_AXES = ("fidelity_trials", "fidelity_seed")
 
 
@@ -527,18 +527,15 @@ def engine_traffic_key(params: Mapping[str, Any]) -> Optional[str]:
     return stable_key("engine_traffic", **traffic)
 
 
-def _group_trace(group: Sequence[Mapping[str, Any]], trace_cache=None):
-    """One traffic group's (trace, stacks), extracting or cache-loading.
+def _group_trace(group: Sequence[Mapping[str, Any]]):
+    """One traffic group's (trace, stacks), from one extraction.
 
     Validates that every member shares one :func:`engine_traffic_key`,
-    builds each member's stack, and produces the group's movement trace
-    — from the ``trace_cache`` (a :class:`repro.perf.tracecache.
-    TraceCache`) when it holds a verified blob under the group's
-    :func:`repro.sim.replay.trace_key`, by running the replacement
-    simulation otherwise (persisting the result for every later shard,
-    resume, and run).
+    builds each member's stack, and runs the replacement simulation
+    once against the first member's geometry to produce the group's
+    movement trace.
     """
-    from ..sim.replay import extract_movement_trace, trace_key
+    from ..sim.replay import extract_movement_trace
 
     first = group[0]
     key = engine_traffic_key(first)
@@ -554,76 +551,50 @@ def _group_trace(group: Sequence[Mapping[str, Any]], trace_cache=None):
                 "(the shard planner groups by it)"
             )
     stacks = [_engine_stack(params) for params in group]
-
-    def extract():
-        circuit = _engine_circuit(first["workload"], first["n_bits"])
-        order = _fetch_order(
-            first["workload"], first["n_bits"],
-            first["compute_qubits"], first["cache_factor"],
-        )
-        return extract_movement_trace(
-            stacks[0], circuit, first["policy"], order=order
-        )
-
-    if trace_cache is None:
-        return extract(), stacks
-    blob_key = trace_key(
-        key, stacks[0].depth, [lvl.capacity for lvl in stacks[0].levels[:-1]]
+    circuit = _engine_circuit(first["workload"], first["n_bits"])
+    order = _fetch_order(
+        first["workload"], first["n_bits"],
+        first["compute_qubits"], first["cache_factor"],
     )
-    return trace_cache.load_or_extract(blob_key, extract), stacks
+    trace = extract_movement_trace(stacks[0], circuit, first["policy"], order=order)
+    return trace, stacks
 
 
-def engine_batch_cell(
-    group: Sequence[Mapping[str, Any]], trace_cache=None
-) -> List[EngineRow]:
+def engine_batch_cell(group: Sequence[Mapping[str, Any]]) -> List[EngineRow]:
     """Rows for one traffic group of engine cells, from one extraction.
 
     Every member must share the same :func:`engine_traffic_key` — the
     replacement machinery runs once against the group's shared
-    geometry (or is loaded from ``trace_cache``), then
-    :func:`repro.sim.replay.price_movement_trace_batch` replays the
-    movement trace across every member's codes and port widths.  Each
+    geometry, then :func:`repro.sim.replay.price_movement_trace_batch`
+    replays the movement trace across every member's codes and port
+    widths.  Each
     row is bit-identical to :func:`engine_cell` on the same
     parameters.  Module-level so worker processes can pickle it.
     """
     from ..sim.replay import price_movement_trace_batch
 
-    trace, stacks = _group_trace(group, trace_cache)
+    trace, stacks = _group_trace(group)
     runs = price_movement_trace_batch(trace, stacks)
     return [_engine_row(params, run) for params, run in zip(group, runs)]
 
 
 @dataclass(frozen=True)
 class _TrafficGroupKernel:
-    """Picklable per-group kernel bound to a trace-cache dir.
+    """Picklable per-group kernel of one grid kernel.
 
     ``kernel`` names the grid kernel whose group function runs
-    (``engine_cell`` or ``fidelity_cell``; looked up at call time so
-    the group functions stay patchable module attributes).  Pool
-    workers reconstruct the :class:`TraceCache` from the directory
-    string on every call — the cache object itself holds a lock and is
-    not picklable, and per-call construction keeps the durable
-    ``stats.json`` tally correct across processes.
+    (``engine_cell`` or ``fidelity_cell``), looked up at call time so
+    the group functions stay patchable module attributes.
     """
 
     kernel: str = "engine_cell"
-    trace_cache_dir: Optional[str] = None
-
-    def _cache(self):
-        if self.trace_cache_dir is None:
-            return None
-        from ..perf.tracecache import TraceCache
-
-        return TraceCache(self.trace_cache_dir)
 
     def __call__(self, group: Sequence[Mapping[str, Any]]) -> List[EngineRow]:
         fn = engine_batch_cell if self.kernel == "engine_cell" else fidelity_batch_cell
-        return fn(group, trace_cache=self._cache())
+        return fn(group)
 
 
-def traffic_group_kernel(
-    kernel: str = "engine_cell", trace_cache=None
-) -> _TrafficGroupKernel:
+def traffic_group_kernel(kernel: str = "engine_cell") -> _TrafficGroupKernel:
     """The group kernel of an engine (or fidelity) grid's traffic groups.
 
     :func:`repro.sweep.runner.compute_grid` runs every traffic group of
@@ -632,20 +603,10 @@ def traffic_group_kernel(
     :func:`engine_batch_cell`, or re-priced with a residency recorder
     and accrued per member by :func:`fidelity_batch_cell` when
     ``kernel="fidelity_cell"``.
-
-    ``trace_cache`` (anything
-    :func:`repro.perf.tracecache.resolve_trace_cache` accepts) makes
-    every group's movement trace a durable shared artifact, shared by
-    both kernels: a warm cache turns repeated and resumed sweeps into
-    pure pricing runs with zero traffic simulation.
     """
-    from ..perf.tracecache import resolve_trace_cache
-
     if kernel not in TRAFFIC_GROUPED_KERNELS:
         raise ValueError(f"kernel {kernel!r} has no traffic groups")
-    resolved = resolve_trace_cache(trace_cache)
-    directory = None if resolved is None else str(resolved.directory)
-    return _TrafficGroupKernel(kernel, directory)
+    return _TrafficGroupKernel(kernel)
 
 
 def _normalize_code_pairs(
@@ -748,7 +709,6 @@ def engine_sweep(
     workers: Optional[int] = None,
     store=None,
     supervise=None,
-    trace_cache=None,
     fidelity=None,
 ) -> List[EngineRow]:
     """Evaluate the generalized engine over its design axes.
@@ -768,9 +728,6 @@ def engine_sweep(
     Cells differing only in priced axes (codes, transfer width) run as
     one traffic group: simulated once, re-priced per member (see
     :func:`engine_batch_cell`) — bit-identical rows and store records.
-    ``trace_cache`` (see :func:`repro.perf.tracecache.resolve_trace_cache`
-    for accepted values) persists each group's movement trace, so a
-    re-run or resume with a warm cache performs zero traffic simulation.
 
     ``fidelity`` adds the noise-aware axis: pass ``True`` (the default
     :data:`ENGINE_FIDELITY_TRIALS`/:data:`ENGINE_FIDELITY_SEED` Monte
@@ -783,8 +740,8 @@ def engine_sweep(
     store records — byte-identical to a pre-fidelity build.  Fidelity
     cells group by the same traffic key (see
     :func:`fidelity_batch_cell`): the movement trace carries qubit
-    identities, so one extraction — or one trace-cache load, shared
-    with the engine grid — serves every member's residency recording.
+    identities, so one extraction serves every member's residency
+    recording.
     """
     if fidelity:
         trials, seed = _fidelity_budget(fidelity)
@@ -800,7 +757,6 @@ def engine_sweep(
     return compute_grid(
         grid, cell_fn, row_type,
         store=store, workers=workers, supervise=supervise,
-        trace_cache=trace_cache,
     )
 
 
@@ -880,14 +836,11 @@ def _fidelity_row(params: Mapping[str, Any], run, fid) -> FidelityRow:
     )
 
 
-def fidelity_batch_cell(
-    group: Sequence[Mapping[str, Any]], trace_cache=None
-) -> List[FidelityRow]:
+def fidelity_batch_cell(group: Sequence[Mapping[str, Any]]) -> List[FidelityRow]:
     """Rows for one traffic group of fidelity cells, from one extraction.
 
-    The group's movement trace (extracted once, or loaded from
-    ``trace_cache`` — the same blob the engine grid's group uses) is
-    re-priced per member with a
+    The group's movement trace (extracted once, exactly as the engine
+    grid's group extracts it) is re-priced per member with a
     :class:`~repro.sim.residency.ResidencyRecorder` attached: the
     pricer emits exactly the reservation engine's movement records, so
     each row is bit-identical to :func:`fidelity_cell` on the same
@@ -898,7 +851,7 @@ def fidelity_batch_cell(
     from ..sim.replay import price_movement_trace
     from ..sim.residency import ResidencyRecorder, accrue_residency
 
-    trace, stacks = _group_trace(group, trace_cache)
+    trace, stacks = _group_trace(group)
     rows = []
     for params, stack in zip(group, stacks):
         recorder = ResidencyRecorder()

@@ -1,4 +1,4 @@
-"""Performance infrastructure: execution, durable results, trace reuse.
+"""Performance infrastructure: execution and durable results.
 
 The design-space sweeps (Tables 4 and 5) and the hierarchy simulator
 evaluate many independent, deterministic cells; this subsystem supplies
@@ -20,21 +20,14 @@ the generic accelerators they share:
   the backend method/atomicity contract, and the :class:`SqliteStore`
   backend holding a whole store in one SQLite database with records
   bit-identical to the filesystem layout;
-* :mod:`repro.perf.tracecache` — a persistent, content-addressed cache
-  of serialized movement traces (verified, corrupt-tolerant blobs with
-  durable hit/miss counters), so repeated and resumed engine sweeps
-  skip traffic simulation entirely;
 * :mod:`repro.perf.chaos` — the deterministic fault-injection harness
   that proves the supervision semantics (scripted raise/transient/
   hang/exit/corrupt faults, reproducible across processes).
 
 All are policy-free: callers pass ``workers=`` / ``store=`` /
-``supervise=`` / ``trace_cache=`` knobs and get identical numeric
-results either way.  Under a shared ``REPRO_CACHE_DIR`` root each layer
-owns its own namespace — ``traces/`` for trace blobs, ``store/`` (by
-convention) for result stores.  Cell identity — the
-:func:`repro.sweep.grid.stable_key` digest every record and trace blob
-is keyed by — lives with the grid in :mod:`repro.sweep.grid`.
+``supervise=`` knobs and get identical numeric results either way.
+Cell identity — the :func:`repro.sweep.grid.stable_key` digest every
+record is keyed by — lives with the grid in :mod:`repro.sweep.grid`.
 """
 
 from .backends import (
@@ -46,7 +39,6 @@ from .backends import (
 )
 from .chaos import ChaosFault, ChaosPlan, ChaosTransientError, Fault
 from .store import ResultStore, StoreStatus, atomic_write_text, resolve_store
-from .tracecache import TraceCache, default_trace_cache, resolve_trace_cache
 from .supervise import (
     FAIL_FAST,
     CellFailure,
@@ -75,14 +67,11 @@ __all__ = [
     "StoreStatus",
     "Supervision",
     "TooManyFailures",
-    "TraceCache",
     "WorkerCrash",
     "atomic_write_text",
-    "default_trace_cache",
     "locator_path",
     "open_store",
     "parse_locator",
     "resolve_store",
-    "resolve_trace_cache",
     "supervised_indexed",
 ]

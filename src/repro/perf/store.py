@@ -41,9 +41,6 @@ Design points:
 * **The only persisted sweep results.**  Records are ``<key>.json``
   files whose top-level ``"value"`` field holds the row; a sweep given
   ``store=`` reads through them, so a warm re-run recomputes nothing.
-  Within a shared ``REPRO_CACHE_DIR`` root, stores conventionally live
-  under the ``store/`` subdirectory (the trace cache owns
-  ``traces/``), so the two key spaces stay disjoint by construction.
 """
 
 from __future__ import annotations
@@ -82,8 +79,8 @@ def flocked(path: Path) -> Iterator[None]:
 
     The file (and its directory) is created on first use.  Shared by
     every persistence layer that serializes a read-modify-write cycle
-    across processes: the store index, the trace-cache tally, and the
-    SQLite backend's one-time initialization.
+    across processes: the store index and the SQLite backend's one-time
+    initialization.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a+") as handle:
@@ -361,11 +358,39 @@ class ResultStore:
     def read_index(self) -> Dict[str, Any]:
         """The advisory index mapping key -> record meta (may be stale)."""
         try:
-            index = json.loads(self.index_path.read_text())
-        except (OSError, ValueError):
+            records = self._stored_index()
+        except OSError:
             return {}
+        return {} if records is None else records
+
+    def _stored_index(self) -> Optional[Dict[str, Any]]:
+        """The index file's records: ``{}`` when there is no file yet,
+        None when it exists but is torn or not an index.  Any other
+        ``OSError`` propagates."""
+        try:
+            text = self.index_path.read_text()
+        except FileNotFoundError:
+            return {}
+        try:
+            index = json.loads(text)
+        except ValueError:
+            return None
         records = index.get("records") if isinstance(index, dict) else None
-        return records if isinstance(records, dict) else {}
+        return records if isinstance(records, dict) else None
+
+    def _scanned_index(self) -> Dict[str, Any]:
+        """Key -> meta of every readable record, from a directory scan."""
+        records: Dict[str, Any] = {}
+        if self.directory.is_dir():
+            for path in sorted(self.directory.glob("*.json")):
+                if path.name == INDEX_NAME:
+                    continue
+                record = self.record(path.stem)
+                if record is None:
+                    continue  # corrupt record: not a result, not indexed
+                meta = record.get("meta")
+                records[path.stem] = meta if isinstance(meta, dict) else {}
+        return records
 
     def _write_index(self, records: Dict[str, Any]) -> None:
         payload = {"store_version": STORE_VERSION, "records": records}
@@ -375,10 +400,14 @@ class ResultStore:
         """Merge ``entries`` (key -> meta) into the index, under flock.
 
         One read-modify-write cycle regardless of batch size — callers
-        writing many records pass them all at once.
+        writing many records pass them all at once.  A torn index is
+        rebuilt from the records first, so the update heals it instead
+        of dropping every earlier entry.
         """
         with self._locked():
-            records = self.read_index()
+            records = self._stored_index()
+            if records is None:
+                records = self._scanned_index()
             records.update(entries)
             self._write_index(records)
 
@@ -390,16 +419,7 @@ class ResultStore:
         any suspected index corruption.  Returns the rebuilt mapping.
         """
         with self._locked():
-            records: Dict[str, Any] = {}
-            if self.directory.is_dir():
-                for path in sorted(self.directory.glob("*.json")):
-                    if path.name == INDEX_NAME:
-                        continue
-                    record = self.record(path.stem)
-                    if record is None:
-                        continue  # corrupt record: not a result, not indexed
-                    meta = record.get("meta")
-                    records[path.stem] = meta if isinstance(meta, dict) else {}
+            records = self._scanned_index()
             self._write_index(records)
             return records
 

@@ -12,7 +12,7 @@ Endpoints (all JSON unless noted):
 
 * ``GET /healthz`` — liveness: kernel, cell count, store locator.
 * ``GET /v1/status`` — done/missing/failed split of the grid against
-  the store (plus the trace-cache summary when one is attached).
+  the store.
 * ``GET /v1/table[?allow_missing=1]`` — the rendered table
   (``text/plain``): the engine design-space table for ``engine_cell``
   grids, the time-vs-fidelity pareto table for ``fidelity_cell``
@@ -72,7 +72,6 @@ class SweepService:
         grid,
         *,
         locator: Optional[str] = None,
-        trace_cache: Optional[str] = None,
     ) -> None:
         from ..perf.store import resolve_store
 
@@ -83,13 +82,12 @@ class SweepService:
         if locator is None:
             locator = str(getattr(self.store, "path", store))
         self.locator = locator
-        self.trace_cache = trace_cache
         self._keys = list(grid.keys())
 
     # -- store reads (executor-side, blocking) ---------------------------
     def status_payload(self) -> Dict[str, Any]:
         status = self.store.status(self._keys)
-        payload = {
+        return {
             "kernel": self.grid.kernel,
             "store": self.locator,
             "total": status.total,
@@ -99,11 +97,6 @@ class SweepService:
             "failed_keys": list(status.failed_keys),
             "complete": status.complete,
         }
-        if self.trace_cache:
-            from ..perf.tracecache import TraceCache
-
-            payload["trace_cache"] = TraceCache(self.trace_cache).summary()
-        return payload
 
     def table_text(self, *, allow_missing: bool) -> str:
         from ..analysis.tables import render_table_from_store
@@ -341,16 +334,13 @@ async def start_service(
     host: str = "127.0.0.1",
     port: int = 0,
     locator: Optional[str] = None,
-    trace_cache: Optional[str] = None,
 ) -> asyncio.AbstractServer:
     """Bind a :class:`SweepService` and return the listening server.
 
     ``port=0`` picks an ephemeral port; read the bound address off
     ``server.sockets[0].getsockname()``.
     """
-    service = SweepService(
-        store, grid, locator=locator, trace_cache=trace_cache
-    )
+    service = SweepService(store, grid, locator=locator)
     return await asyncio.start_server(service.handle, host, port)
 
 
@@ -361,14 +351,11 @@ def run_service(
     host: str = "127.0.0.1",
     port: int = 8123,
     locator: Optional[str] = None,
-    trace_cache: Optional[str] = None,
 ) -> int:
     """Serve until interrupted (the blocking ``serve`` CLI body)."""
 
     async def main() -> None:
-        service = SweepService(
-            store, grid, locator=locator, trace_cache=trace_cache
-        )
+        service = SweepService(store, grid, locator=locator)
         server = await asyncio.start_server(service.handle, host, port)
         bound = server.sockets[0].getsockname()
         print(
@@ -403,13 +390,11 @@ class BackgroundService:
         *,
         host: str = "127.0.0.1",
         locator: Optional[str] = None,
-        trace_cache: Optional[str] = None,
     ) -> None:
         self._store = store
         self._grid = grid
         self._host = host
         self._locator = locator
-        self._trace_cache = trace_cache
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
@@ -438,7 +423,6 @@ class BackgroundService:
                 host=self._host,
                 port=0,
                 locator=self._locator,
-                trace_cache=self._trace_cache,
             )
             bound = server.sockets[0].getsockname()
             self.url = f"http://{bound[0]}:{bound[1]}"

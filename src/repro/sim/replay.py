@@ -27,13 +27,7 @@ module exploits it:
   the scalar loop; from there up the variable-length miss and gate
   streams are padded into one numpy batch whose columns are all
   (group x config) cells, so the per-step interpreter overhead is paid
-  once for the whole design space;
-* :func:`trace_key` / :meth:`MovementTrace.from_bytes` round-trip a
-  trace through a content-addressed blob (see
-  :class:`repro.perf.tracecache.TraceCache`): the key folds the
-  traffic identity, the stack geometry and
-  :data:`TRACE_FORMAT_VERSION`, so a layout change can only ever miss,
-  never decode stale bytes wrongly.
+  once for the whole design space.
 
 The extraction is one loop for every registered eviction policy: its
 replacement decisions come from :mod:`repro.sim.flatpolicy`, the
@@ -52,7 +46,6 @@ mixed policies with shared state, noise-coupled residency costs).
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 import math
@@ -74,12 +67,10 @@ from .policies import validate_policy
 __all__ = [
     "MovementTrace",
     "NUMPY_PRICING_CELLS",
-    "TRACE_FORMAT_VERSION",
     "extract_movement_trace",
     "price_movement_trace",
     "price_movement_trace_batch",
     "price_movement_traces_multi",
-    "trace_key",
 ]
 
 _INF = math.inf
@@ -93,12 +84,6 @@ _INF = math.inf
 #: 1.09-1.12 at 32 for one group, 0.93-0.94 at 32 and 1.03-1.08 at 40
 #: for four groups.
 NUMPY_PRICING_CELLS = 32
-
-#: Serialization version of :meth:`MovementTrace.to_bytes` blobs.
-#: Folded into every :func:`trace_key`, so a layout change invalidates
-#: persisted traces (a cache miss and re-extraction) instead of ever
-#: decoding them under the wrong schema.
-TRACE_FORMAT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -279,80 +264,9 @@ class MovementTrace:
             payload, sort_keys=True, separators=(",", ":")
         ).encode("ascii")
 
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "MovementTrace":
-        """Rebuild a trace from its :meth:`to_bytes` serialization.
-
-        Strict by construction: after reconstructing the dataclass the
-        round-trip ``to_bytes()`` must reproduce ``blob`` exactly, so a
-        blob with missing/extra/retyped fields (e.g. written by a
-        different layout, or bit-flipped into other valid JSON) raises
-        :class:`ValueError` instead of yielding a trace that prices
-        differently.  Cache layers treat that error as a miss.
-        """
-        try:
-            payload = json.loads(blob.decode("ascii"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ValueError(f"not a serialized MovementTrace: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ValueError("not a serialized MovementTrace: not an object")
-        tuple_fields = (
-            "capacities", "gate_ec", "gate_nmiss", "miss_src", "miss_qubit",
-            "miss_victim", "miss_clen", "cascade_qubit", "touched",
-            "fetches", "writebacks", "level_accesses",
-            "level_hits", "level_misses", "level_evictions",
-            "final_occupancy",
-        )
-        fields = dict(payload)
-        for name in tuple_fields:
-            value = fields.get(name)
-            if not isinstance(value, list):
-                raise ValueError(
-                    f"not a serialized MovementTrace: field {name!r} is "
-                    "missing or not a list"
-                )
-            fields[name] = tuple(value)
-        try:
-            trace = cls(**fields)
-        except TypeError as exc:
-            raise ValueError(f"not a serialized MovementTrace: {exc}") from exc
-        if trace.to_bytes() != blob:
-            raise ValueError(
-                "not a canonical MovementTrace serialization (field types "
-                "or ordering differ from to_bytes output)"
-            )
-        return trace
-
     @property
     def n_misses(self) -> int:
         return len(self.miss_src)
-
-
-def trace_key(
-    traffic_token: str,
-    depth: int,
-    capacities: Sequence[Optional[int]],
-) -> str:
-    """Content address of one movement trace in a trace cache.
-
-    ``traffic_token`` is the traffic-group identity (the engine grid
-    passes :func:`repro.core.design_space.engine_traffic_key`, which
-    already folds every traffic axis plus the package version); depth
-    and per-level capacities pin the stack geometry the trace was
-    extracted against, and :data:`TRACE_FORMAT_VERSION` pins the blob
-    layout — bumping it orphans (never misreads) old blobs.
-    """
-    payload = json.dumps(
-        {
-            "v": TRACE_FORMAT_VERSION,
-            "traffic": traffic_token,
-            "depth": depth,
-            "capacities": list(capacities),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:40]
 
 
 # ----------------------------------------------------------------------

@@ -50,14 +50,8 @@ per member (with a residency recorder on fidelity cells), with
 stored records byte-identical to the per-cell path, and sharding keeps
 whole groups on one worker (:func:`repro.sweep.runner.plan_shard`, so
 ``status --shards K`` counts the same partition ``run`` computes).
-``--trace-cache DIR`` (engine and fidelity grids only) additionally
-persists each group's movement trace as a verified, content-addressed
-blob shared across shards and across run→resume, and between the
-engine and fidelity grids of the same axes — a warm cache turns any
-such sweep into a pure pricing pass with zero traffic simulation (the
-printed ``(N extractions)`` tally proves it; ``status --trace-cache``
-reports the cache-wide totals).  ``--profile`` wraps the shard in
-cProfile and drops a ``.pstats`` dump next to the store directory.
+``--profile`` wraps the shard in cProfile and drops a ``.pstats`` dump
+next to the store directory.
 """
 
 from __future__ import annotations
@@ -220,14 +214,6 @@ def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
 def _add_execution_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("execution")
     group.add_argument(
-        "--trace-cache",
-        default=None,
-        metavar="DIR",
-        help="engine/fidelity grids: persist each traffic group's movement trace "
-        "under DIR (shared across shards and run/resume), so a warm "
-        "re-run performs zero traffic simulation",
-    )
-    group.add_argument(
         "--profile",
         action="store_true",
         help="profile this invocation with cProfile and write a .pstats "
@@ -256,48 +242,6 @@ def _maybe_profile(args: argparse.Namespace, label: str) -> Iterator[None]:
         path = anchor.parent / f"{anchor.name}-profile-{label}.pstats"
         profiler.dump_stats(path)
         print(f"profile: {path}")
-
-
-def _trace_cache_line(deltas: dict) -> str:
-    """The one-line hit/miss/bytes tally ``run``/``resume`` print.
-
-    The ``(N extractions)`` clause is load-bearing: the CI warm-sweep
-    job greps for ``(0 extractions)`` to prove a second invocation did
-    zero traffic simulation.
-    """
-    return (
-        f"trace cache: {deltas.get('hits', 0)} hits, "
-        f"{deltas.get('misses', 0)} misses "
-        f"({deltas.get('extractions', 0)} extractions), "
-        f"{deltas.get('bytes_read', 0)} bytes read, "
-        f"{deltas.get('bytes_written', 0)} bytes written"
-    )
-
-
-@contextmanager
-def _trace_cache_tally(args: argparse.Namespace) -> Iterator[None]:
-    """Print the run's trace-cache counter delta after the block.
-
-    Counters accumulate durably in the cache's ``stats.json`` (pool
-    workers and earlier runs included), so the delta across the block
-    is exactly this invocation's activity.
-    """
-    directory = getattr(args, "trace_cache", None)
-    if not directory:
-        yield
-        return
-    from ..perf.tracecache import TraceCache
-
-    cache = TraceCache(directory)
-    before = cache.read_stats()
-    try:
-        yield
-    finally:
-        after = cache.read_stats()
-        deltas = {
-            name: value - before.get(name, 0) for name, value in after.items()
-        }
-        print(_trace_cache_line(deltas))
 
 
 def _supervision_from_args(args: argparse.Namespace) -> Optional[Supervision]:
@@ -381,10 +325,6 @@ def _grid_from_args(args: argparse.Namespace) -> Grid:
         for dest in _ENGINE_ONLY
         if getattr(args, dest) is not None
     ]
-    if args.fn in (_cmd_run, _cmd_resume) and args.trace_cache is not None:
-        # status/serve only report on a cache; run/resume would fill it,
-        # and these grids have no traffic groups to fill it with.
-        stray.append("--trace-cache")
     if stray:
         raise SystemExit(
             f"{args.kernel} grids do not take {', '.join(stray)} "
@@ -419,7 +359,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     before = store.status(shard.keys())
     fn, row_type = kernel_registry()[grid.kernel]
     try:
-        with _trace_cache_tally(args), _maybe_profile(args, f"shard{index}of{count}"):
+        with _maybe_profile(args, f"shard{index}of{count}"):
             compute_grid(
                 shard,
                 fn,
@@ -427,7 +367,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 store=store,
                 workers=args.workers,
                 supervise=_supervision_from_args(args),
-                trace_cache=args.trace_cache,
             )
     except TooManyFailures as exc:
         print(f"shard {index}/{count} aborted: {exc}", file=sys.stderr)
@@ -448,7 +387,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     before = store.status(grid.keys())
     fn, row_type = kernel_registry()[grid.kernel]
     try:
-        with _trace_cache_tally(args), _maybe_profile(args, "resume"):
+        with _maybe_profile(args, "resume"):
             compute_grid(
                 grid,
                 fn,
@@ -456,7 +395,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
                 store=store,
                 workers=args.workers,
                 supervise=_supervision_from_args(args),
-                trace_cache=args.trace_cache,
             )
     except TooManyFailures as exc:
         print(f"resume aborted: {exc}", file=sys.stderr)
@@ -490,16 +428,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
                     else ""
                 )
             )
-    if getattr(args, "trace_cache", None):
-        from ..perf.tracecache import TraceCache
-
-        cache = TraceCache(args.trace_cache)
-        summary = cache.summary()
-        print(
-            f"trace cache {args.trace_cache}: {summary['entries']} blobs, "
-            f"{summary['entry_bytes']} bytes; lifetime "
-            + _trace_cache_line(summary)[len("trace cache: "):]
-        )
     _report_quarantine(store, grid)
     return 0 if overall.complete else 1
 
@@ -610,7 +538,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         locator=args.store,
-        trace_cache=getattr(args, "trace_cache", None),
     )
 
 
@@ -658,13 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="store backend locator: DIR / fs:DIR / sqlite:PATH",
     )
     status.add_argument("--shards", type=int, default=None, metavar="K")
-    status.add_argument(
-        "--trace-cache",
-        default=None,
-        metavar="DIR",
-        help="also report the trace cache at DIR (blob count/bytes and "
-        "the lifetime hit/miss tally)",
-    )
     _add_grid_options(status)
     status.set_defaults(fn=_cmd_status)
 
@@ -735,12 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=8123,
         metavar="N",
         help="bind port (default 8123; 0 picks an ephemeral port)",
-    )
-    serve.add_argument(
-        "--trace-cache",
-        default=None,
-        metavar="DIR",
-        help="include this trace cache's summary in /v1/status",
     )
     _add_grid_options(serve)
     serve.set_defaults(fn=_cmd_serve)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-#: Bump to re-key every cell (and so orphan every persisted record and
-#: trace blob) after a change to the key payload's format.
+#: Bump to re-key every cell (and so orphan every persisted record)
+#: after a change to the key payload's format.
 KEY_FORMAT_VERSION = 1
 
 

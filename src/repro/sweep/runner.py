@@ -130,7 +130,6 @@ def compute_grid(
     store=None,
     workers: Optional[int] = None,
     supervise: Optional[Supervision] = None,
-    trace_cache=None,
 ) -> List[Any]:
     """Rows for every grid cell, reading through ``store`` when given.
 
@@ -167,11 +166,9 @@ def compute_grid(
     ``merge --verify`` are unaffected.  A terminal group failure
     quarantines every member, each failure record naming the full
     membership under ``"group_members"``.  Singleton groups and
-    ungroupable cells run through ``fn``.  ``trace_cache`` (anything
-    :func:`repro.perf.tracecache.resolve_trace_cache` accepts) persists
-    each group's movement trace; a grid that does not group rejects it.
+    ungroupable cells run through ``fn``.
     """
-    group_key, group_fn = _traffic_grouping(grid, fn, trace_cache)
+    group_key, group_fn = _traffic_grouping(grid, fn)
     resolved: Optional[ResultStore] = resolve_store(store)
     cells = list(grid)
     rows: List[Any] = (
@@ -204,7 +201,6 @@ def compute_grid(
 def _traffic_grouping(
     grid: Grid,
     fn: Callable[[Dict[str, Any]], Any],
-    trace_cache,
 ) -> Tuple[Optional[Callable], Optional[Callable]]:
     """``(group key, group kernel)``, or ``(None, None)`` to run per cell.
 
@@ -215,16 +211,10 @@ def _traffic_grouping(
     """
     registered, _ = kernel_registry().get(grid.kernel, (None, None))
     if grid.kernel not in TRAFFIC_GROUPED_KERNELS or registered is not fn:
-        if trace_cache is not None:
-            raise ValueError(
-                f"trace_cache does not apply to this {grid.kernel} grid: only "
-                f"engine and fidelity grids run through their registered "
-                f"cell function have traffic groups"
-            )
         return None, None
     from ..core.design_space import engine_traffic_key, traffic_group_kernel
 
-    return engine_traffic_key, traffic_group_kernel(grid.kernel, trace_cache)
+    return engine_traffic_key, traffic_group_kernel(grid.kernel)
 
 
 def _run(

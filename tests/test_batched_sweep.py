@@ -11,6 +11,8 @@ returned rows, stored record bytes, group-shaped supervision and
 quarantine, shard assignment, and the CLI.
 """
 
+import importlib
+import pickle
 import pstats
 from dataclasses import asdict
 
@@ -98,9 +100,9 @@ def kernel_calls(monkeypatch):
         calls["extract"] += 1
         return extract(*args, **kwargs)
 
-    def counted_batch_cell(group, trace_cache=None):
+    def counted_batch_cell(group):
         calls["groups"].append(len(group))
-        return batch_cell(group, trace_cache=trace_cache)
+        return batch_cell(group)
 
     monkeypatch.setattr(replay, "extract_movement_trace", counted_extract)
     monkeypatch.setattr(design_space, "engine_batch_cell", counted_batch_cell)
@@ -153,6 +155,25 @@ class TestBatchKernel:
                       if cell.as_dict()["prefetch"] != "none"]
         with pytest.raises(ValueError):
             engine_batch_cell((prefetched[0],))
+
+
+class TestGroupKernelLookup:
+    @pytest.mark.parametrize("kernel,attribute", [
+        ("engine_cell", "engine_batch_cell"),
+        ("fidelity_cell", "fidelity_batch_cell"),
+    ])
+    def test_group_function_is_looked_up_at_call_time(
+        self, monkeypatch, kernel, attribute
+    ):
+        group_kernel = design_space.traffic_group_kernel(kernel)
+        monkeypatch.setattr(design_space, attribute,
+                            lambda group: ["patched", len(group)])
+        assert group_kernel([{}, {}]) == ["patched", 2]
+        assert pickle.loads(pickle.dumps(group_kernel)) == group_kernel
+
+    def test_table_kernels_have_no_group_kernel(self):
+        with pytest.raises(ValueError, match="no traffic groups"):
+            design_space.traffic_group_kernel("transfer_cell")
 
 
 class TestAutomaticGrouping:
@@ -215,6 +236,83 @@ class TestAutomaticGrouping:
         )
         assert rows == _percell_rows(grid, design_space.fidelity_cell)
 
+    def test_rerun_extracts_again_and_is_bit_identical(
+        self, tmp_path, kernel_calls
+    ):
+        # Traces live only for one group's pricing: a second run into a
+        # fresh store simulates every group again, to the same bytes.
+        groups = _groups(engine_grid(**GRID_KWARGS))
+        first, second = (ResultStore(tmp_path / name) for name in "ab")
+        rows = engine_sweep(store=first, **GRID_KWARGS)
+        assert kernel_calls["extract"] == len(groups)
+        assert engine_sweep(store=second, **GRID_KWARGS) == rows
+        assert kernel_calls["extract"] == 2 * len(groups)
+        assert _record_bytes(first) == _record_bytes(second)
+
+    def test_extended_priced_axis_computes_only_new_cells(
+        self, tmp_path, kernel_calls
+    ):
+        # A finished grid extended by one transfer width re-simulates
+        # each traffic group once for its new members and leaves every
+        # stored record untouched.
+        store = ResultStore(tmp_path / "store")
+        engine_sweep(store=store, transfer_options=(10,), **GRID_KWARGS)
+        before = _record_bytes(store)
+        kernel_calls["extract"], kernel_calls["groups"] = 0, []
+        grid = engine_grid(transfer_options=(10, 20), **GRID_KWARGS)
+        rows = compute_grid(grid, engine_cell, EngineRow, store=store)
+        groups = _groups(grid)
+        assert kernel_calls["extract"] == len(groups)
+        assert kernel_calls["groups"] == [3] * len(groups)
+        after = _record_bytes(store)
+        assert {name: after[name] for name in before} == before
+        assert rows == _percell_rows(grid)
+        assert after == _record_bytes(
+            _percell_store(grid, tmp_path / "percell")
+        )
+
+    def test_engine_and_fidelity_runs_extract_separately(self, kernel_calls):
+        # The two kernels share traffic groups but no trace: each run
+        # extracts its own.
+        axes = dict(workloads=("qft",), sizes=(16,), depths=(2,),
+                    policies=("lru",), prefetches=("none",),
+                    code_pairs=PAIRS)
+        engine_sweep(**axes)
+        assert kernel_calls["extract"] == 1
+        rows = engine_sweep(fidelity={"trials": 300, "seed": 7}, **axes)
+        assert kernel_calls["extract"] == 2
+        grid = design_space.fidelity_grid(
+            fidelity_trials=300, fidelity_seed=7, **axes
+        )
+        assert rows == _percell_rows(grid, design_space.fidelity_cell)
+
+    @pytest.mark.parametrize("kernel", ["transfer", "specialization",
+                                        "hierarchy"])
+    def test_table_grids_run_per_cell(self, tmp_path, monkeypatch, kernel):
+        # Grids with no traffic groups never reach a group kernel.
+        grid, cell_fn, row_type = {
+            "transfer": (design_space.transfer_grid(),
+                         design_space.transfer_cell,
+                         design_space.TransferRow),
+            "specialization": (design_space.specialization_grid(
+                                   sizes=(32, 64)),
+                               design_space.specialization_cell,
+                               design_space.SpecializationRow),
+            "hierarchy": (design_space.hierarchy_grid(sizes=(256,)),
+                          design_space.hierarchy_cell,
+                          design_space.HierarchyRow),
+        }[kernel]
+
+        def _explodes(group):
+            raise AssertionError("a table grid reached a group kernel")
+
+        monkeypatch.setattr(design_space, "engine_batch_cell", _explodes)
+        monkeypatch.setattr(design_space, "fidelity_batch_cell", _explodes)
+        store = ResultStore(tmp_path / "store")
+        rows = compute_grid(grid, cell_fn, row_type, store=store)
+        assert rows == _percell_rows(grid, cell_fn)
+        assert store.keys() == sorted(cell.key for cell in grid)
+
     def test_unregistered_cell_function_is_not_grouped(self):
         grid = engine_grid(**GRID_KWARGS)
         seen = []
@@ -226,26 +324,6 @@ class TestAutomaticGrouping:
         rows = compute_grid(grid, wrapped, EngineRow)
         assert len(seen) == len(grid)
         assert rows == compute_grid(grid, engine_cell, EngineRow)
-
-    def test_trace_cache_rejected_where_nothing_groups(self, tmp_path):
-        from repro.core.design_space import (
-            TransferRow,
-            transfer_cell,
-            transfer_grid,
-        )
-
-        cache = tmp_path / "traces"
-        with pytest.raises(ValueError, match="trace_cache"):
-            compute_grid(transfer_grid(), transfer_cell, TransferRow,
-                         trace_cache=cache)
-
-        def wrapped(params):
-            return engine_cell(params)
-
-        with pytest.raises(ValueError, match="trace_cache"):
-            compute_grid(engine_grid(**GRID_KWARGS), wrapped, EngineRow,
-                         trace_cache=cache)
-        assert not cache.exists()
 
 
 class TestGroupedEquivalence:
@@ -266,6 +344,16 @@ class TestGroupedEquivalence:
         )
         assert plain == supervised
 
+    def test_pooled_runs_write_identical_records(self, tmp_path):
+        grid = engine_grid(**GRID_KWARGS)
+        stores = [ResultStore(tmp_path / name) for name in ("a", "b")]
+        for store in stores:
+            compute_grid(grid, engine_cell, EngineRow, store=store,
+                         workers=2)
+        reference = _record_bytes(_percell_store(grid, tmp_path / "percell"))
+        assert _record_bytes(stores[0]) == _record_bytes(stores[1]) \
+            == reference
+
     def test_grouped_reads_through_store(self, tmp_path, monkeypatch):
         grid = engine_grid(**GRID_KWARGS)
         store = ResultStore(tmp_path / "store")
@@ -274,7 +362,7 @@ class TestGroupedEquivalence:
         # group kernels that explode on contact prove nothing recomputes
         # (the patched cell function is still the registered one, so
         # the grid still groups).
-        def _explodes(params, trace_cache=None):
+        def _explodes(params):
             raise AssertionError("warm grouped run recomputed a cell")
 
         monkeypatch.setattr(design_space, "engine_cell", _explodes)
@@ -284,46 +372,50 @@ class TestGroupedEquivalence:
         assert first == again
 
 
-class TestTraceCacheSweep:
-    """The persistent trace cache on real sweeps."""
+class TestNoPersistentTraces:
+    """A movement trace lives for one group's pricing: no layer keeps,
+    keys or reloads it."""
 
-    def test_warm_cache_skips_extraction_and_is_bit_identical(self, tmp_path):
-        from repro.perf.tracecache import TraceCache
+    @pytest.mark.parametrize("module,name", [
+        ("repro.perf", "TraceCache"),
+        ("repro.perf", "default_trace_cache"),
+        ("repro.perf", "resolve_trace_cache"),
+        ("repro.sim.replay", "trace_key"),
+        ("repro.sim.replay", "TRACE_FORMAT_VERSION"),
+    ])
+    def test_cache_names_are_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
 
-        cache_dir = tmp_path / "traces"
-        cold_store = ResultStore(tmp_path / "cold")
-        warm_store = ResultStore(tmp_path / "warm")
-        cold = engine_sweep(store=cold_store, trace_cache=cache_dir,
-                            **GRID_KWARGS)
-        after_cold = TraceCache(cache_dir).read_stats()
-        assert after_cold["extractions"] == len(
-            _groups(engine_grid(**GRID_KWARGS))
-        )
-        assert len(TraceCache(cache_dir)) == after_cold["extractions"]
-        warm = engine_sweep(store=warm_store, trace_cache=cache_dir,
-                            **GRID_KWARGS)
-        after_warm = TraceCache(cache_dir).read_stats()
-        # The warm run simulated nothing and loaded every group.
-        assert after_warm["extractions"] == after_cold["extractions"]
-        assert after_warm["hits"] == after_cold["hits"] + \
-            after_cold["extractions"]
-        assert cold == warm
-        assert _record_bytes(cold_store) == _record_bytes(warm_store)
+    def test_cache_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.perf.tracecache")
 
-    def test_pooled_workers_share_the_cache(self, tmp_path):
-        from repro.perf.tracecache import TraceCache
+    def test_traces_serialize_one_way(self):
+        # to_bytes stays for the invariance pins; nothing reads it back.
+        assert callable(replay.MovementTrace.to_bytes)
+        assert not hasattr(replay.MovementTrace, "from_bytes")
 
-        cache_dir = tmp_path / "traces"
+    @pytest.mark.parametrize("entry", ["compute_grid", "engine_sweep",
+                                       "SweepService", "BackgroundService"])
+    def test_trace_cache_keyword_is_rejected(self, tmp_path, entry):
+        from repro.service import BackgroundService, SweepService
+
         grid = engine_grid(**GRID_KWARGS)
-        compute_grid(grid, engine_cell, EngineRow, workers=2,
-                     trace_cache=cache_dir)
-        stats = TraceCache(cache_dir).read_stats()
-        # Pool workers flush their deltas into the shared stats.json.
-        assert stats["extractions"] == len(TraceCache(cache_dir)) > 0
-        compute_grid(grid, engine_cell, EngineRow, workers=2,
-                     trace_cache=cache_dir)
-        again = TraceCache(cache_dir).read_stats()
-        assert again["extractions"] == stats["extractions"]
+        store = ResultStore(tmp_path / "store")
+        call = {
+            "compute_grid": lambda **kw: compute_grid(
+                grid, engine_cell, EngineRow, store=store, **kw),
+            "engine_sweep": lambda **kw: engine_sweep(
+                store=store, **GRID_KWARGS, **kw),
+            "SweepService": lambda **kw: SweepService(store, grid, **kw),
+            "BackgroundService": lambda **kw: BackgroundService(
+                store, grid, **kw),
+        }[entry]
+        cache = tmp_path / "traces"
+        with pytest.raises(TypeError, match="trace_cache"):
+            call(trace_cache=cache)
+        assert not cache.exists()
+        assert store.keys() == []
 
 
 class TestGroupSupervision:
@@ -443,30 +535,6 @@ class TestGroupedCli:
         stored = set(ResultStore(store).keys())
         for group in _groups(grid).values():
             assert len({cell.key in stored for cell in group}) == 1
-
-    def test_trace_cache_run_reports_warm_second_pass(self, tmp_path,
-                                                      capsys):
-        cache = str(tmp_path / "traces")
-        cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
-        assert sweep_main(["run", "--shard", "0/1", "--store", cold,
-                           "--trace-cache", cache, *GRID_ARGS]) == 0
-        cold_out = capsys.readouterr().out
-        assert "trace cache:" in cold_out
-        assert "(0 extractions)" not in cold_out
-        assert sweep_main(["run", "--shard", "0/1", "--store", warm,
-                           "--trace-cache", cache, *GRID_ARGS]) == 0
-        warm_out = capsys.readouterr().out
-        # The warm pass loaded every group: zero simulations, and the
-        # record trees are byte-identical.
-        assert "(0 extractions)" in warm_out
-        assert "0 misses" in warm_out
-        assert _record_bytes(ResultStore(cold)) == _record_bytes(
-            ResultStore(warm)
-        )
-        assert sweep_main(["status", "--store", warm, "--trace-cache",
-                           cache, *GRID_ARGS]) == 0
-        status_out = capsys.readouterr().out
-        assert "blobs" in status_out and "lifetime" in status_out
 
     def test_profile_writes_loadable_pstats(self, tmp_path):
         store = tmp_path / "store"

@@ -81,9 +81,10 @@ CACHE_FACTOR = 1.0
 #: store records.
 PINNED_CELL_KEY = "d3355bf582b62096c3127457047b96867454ee06"
 
-#: :func:`engine_traffic_key` of that same cell — the identity every
-#: trace-cache blob of its traffic group is stored under.  A drift here
-#: would silently orphan every persisted movement trace.
+#: :func:`engine_traffic_key` of that same cell — the identity sharded
+#: runs hash its traffic group by.  A drift here would move groups
+#: between shards, so workers of two builds would split one grid
+#: differently.
 PINNED_TRAFFIC_KEY = "016b56781a4bb4f9d0fba5d5a00ece0c9864f1b2"
 
 #: Small Monte Carlo budget for tests that only need determinism, not
@@ -686,8 +687,8 @@ class TestGroupedReplay:
 
         group_trace = design_space._group_trace
 
-        def corrupted(group, trace_cache=None):
-            trace, stacks = group_trace(group, trace_cache)
+        def corrupted(group):
+            trace, stacks = group_trace(group)
             victims = list(trace.miss_victim)
             i = next(i for i, v in enumerate(victims) if v >= 0)
             # A qubit not fetched yet is still parked at the backing

@@ -75,6 +75,16 @@ class TestEndpoints:
         assert status["failed"] == 0
         assert status["complete"] is True
 
+    def test_status_carries_only_the_grid_split(self, warm):
+        store, grid, locator = warm
+        with BackgroundService(store, grid, locator=locator) as svc:
+            status = ServiceClient(svc.url).status()
+        assert sorted(status) == [
+            "complete", "done", "failed", "failed_keys", "kernel",
+            "missing", "store", "total",
+        ]
+        assert status["store"] == locator
+
     def test_table_matches_direct_render(self, warm):
         store, grid, _ = warm
         from repro.analysis.tables import render_table_from_store

@@ -1,5 +1,6 @@
 """Tests for the durable sharded-sweep result store (repro.perf.store)."""
 
+import errno
 import json
 import multiprocessing
 import os
@@ -25,6 +26,18 @@ class TestAtomicWriteText:
     def test_leaves_no_temp_litter(self, tmp_path):
         atomic_write_text(tmp_path / "x.json", "payload")
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+
+#: Ways an ``index.json`` can exist yet not parse to an index, each a
+#: function of the intact index text.
+TORN_INDEXES = {
+    "truncated": lambda text: text[:7],
+    "empty": lambda text: "",
+    "not_json": lambda text: "\x00\x01 garbage",
+    "json_list": lambda text: "[]",
+    "no_records": lambda text: json.dumps({"store_version": 1}),
+    "records_not_a_dict": lambda text: json.dumps({"records": ["a"]}),
+}
 
 
 class TestResultStore:
@@ -95,6 +108,47 @@ class TestResultStore:
         rebuilt = store.rebuild_index()
         assert set(rebuilt) == {"k1", "k2"}
         assert set(store.read_index()) == {"k1", "k2"}
+
+    @pytest.mark.parametrize("torn", sorted(TORN_INDEXES))
+    def test_torn_index_heals_on_the_next_update(self, tmp_path, torn):
+        store = ResultStore(tmp_path)
+        for key in ("a", "b", "c"):
+            store.put(key, key, kernel="engine_cell")
+        store.index_path.write_text(
+            TORN_INDEXES[torn](store.index_path.read_text())
+        )
+        store.put("d", "d", kernel="engine_cell")
+        index = store.read_index()
+        assert sorted(index) == store.keys() == ["a", "b", "c", "d"]
+        assert index["a"]["kernel"] == "engine_cell"
+
+    def test_missing_index_is_the_empty_start(self, tmp_path):
+        # No index file is a fresh start, not a tear: the update writes
+        # its own batch and scans nothing.
+        store = ResultStore(tmp_path)
+        store.put("a", 1)
+        store.index_path.unlink()
+        store.put("b", 2)
+        assert set(store.read_index()) == {"b"}
+        assert store.keys() == ["a", "b"]
+
+    def test_healing_skips_corrupt_records(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("good", 1, kernel="engine_cell")
+        store.record_path("bad").write_text("{not a record")
+        store.index_path.write_text("{torn")
+        store.index_add({"new": {"kernel": "engine_cell"}})
+        assert set(store.read_index()) == {"good", "new"}
+
+    def test_unreadable_index_is_not_overwritten(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("a", 1)
+        store.index_path.unlink()
+        store.index_path.symlink_to(INDEX_NAME)  # a loop: reads fail
+        with pytest.raises(OSError) as raised:
+            store.index_add({"b": {}})
+        assert raised.value.errno == errno.ELOOP
+        assert store.index_path.is_symlink()
 
     def test_rebuild_index_drops_stale_entries(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -239,6 +293,19 @@ class TestConcurrentWriters:
             assert store.get(key) == {"value-for": key}
         # The flock-guarded read-modify-write means no put is lost from
         # the index even under interleaving.
+        assert set(store.read_index()) == expected
+        assert set(store.keys()) == expected
+
+
+    def test_two_processes_healing_a_torn_index(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("seed", 0)
+        store.index_path.write_text("{torn")
+        with multiprocessing.Pool(2) as pool:
+            pool.map(_race_many_cells, [(str(tmp_path), 20)] * 2)
+        expected = {"seed"} | {f"cell{i}" for i in range(10)}
+        # Whichever writer meets the tear rebuilds under the lock; the
+        # other then reads the healed index, so no entry is lost.
         assert set(store.read_index()) == expected
         assert set(store.keys()) == expected
 

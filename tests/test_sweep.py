@@ -574,23 +574,19 @@ class TestCliShardedEquivalence:
                         str(tmp_path / "s"), "--kernel", "hierarchy_cell",
                         "--depths", "2"])
 
-    @pytest.mark.parametrize(
-        "kernel", ["transfer_cell", "specialization_cell", "hierarchy_cell"]
-    )
-    @pytest.mark.parametrize("command", [["run", "--shard", "0/1"], ["resume"]])
-    def test_trace_cache_rejected_for_table_kernels(
-        self, tmp_path, kernel, command
-    ):
-        # Table kernels have no traffic groups, so a cache would never
-        # be used; status/serve --trace-cache only report on one.
+    @pytest.mark.parametrize("command", [["run", "--shard", "0/1"],
+                                         ["resume"], ["status"], ["serve"]])
+    def test_trace_cache_flag_is_gone(self, tmp_path, capsys, command):
+        # Every run extracts its traces in process; no command takes a
+        # cache directory any more.
         cache = tmp_path / "traces"
-        with pytest.raises(SystemExit, match="--trace-cache"):
+        with pytest.raises(SystemExit) as raised:
             sweep_main([*command, "--store", str(tmp_path / "s"),
-                        "--kernel", kernel, "--trace-cache", str(cache)])
+                        "--trace-cache", str(cache)])
+        assert raised.value.code == 2
+        assert "--trace-cache" in capsys.readouterr().err
         assert not cache.exists()
-        assert sweep_main(["status", "--store", str(tmp_path / "s"),
-                           "--kernel", kernel, "--trace-cache",
-                           str(cache)]) == 1
+        assert not (tmp_path / "s").exists()
 
     def test_status_reports_progress(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
