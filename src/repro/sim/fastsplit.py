@@ -8,20 +8,25 @@ module is the compiled-down replica that
 :func:`~repro.sim.levels.simulate_hierarchy_run` runs for every
 pipelined cell:
 
-* the event heap holds int-coded ``(time, seq, code, request)`` tuples
-  — no callback objects — and port lanes are slot-indexed idle counters
-  with one ``(priority, seq, request)`` heap per network;
+* one function body with one event loop: the gate loop advances it
+  until the gate's operands have landed, and a last pass lets the
+  trailing write-backs land.  The event heap holds ``(time, seq,
+  request)`` tuples — no callback objects — whose request state says
+  what the entry is (a pending request becoming ready, an active one
+  completing, or a withdrawn one to skip); port lanes are idle counters
+  with one ``(priority, seq, request)`` heap per network, and a request
+  that becomes ready at an idle port starts at once (an idle port's
+  queue is always empty, so the request is the one the port would
+  pop);
 * fetches, write-backs and transfer requests are flat list records;
   the per-qubit movement queues hold those records directly, so a
-  completed movement launches its successor without allocating a
-  closure;
+  completed movement launches its successor inline, without a call;
 * replacement decisions come from :mod:`repro.sim.flatpolicy`, the
-  kernel movement-trace extraction runs too: flattened state for
-  ``lru``, ``fifo``, ``score`` and ``belady``, whose victim queries
-  are non-destructive peeks (a prefetch veto may leave the victim
-  resident), and the real :class:`~repro.sim.policies.EvictionPolicy`
-  objects for every other registered policy (``fidelity``, and any
-  user-registered one), whose ``on_hit``/``on_insert``/``on_remove``
+  kernel movement-trace extraction runs too: flattened state for the
+  five shipped policies, whose victim queries are non-destructive
+  peeks (a prefetch veto may leave the victim resident), and the real
+  :class:`~repro.sim.policies.EvictionPolicy` objects for any
+  user-registered policy, whose ``on_hit``/``on_insert``/``on_remove``
   hooks the engine calls exactly where the reference's resident sets
   do;
 * the shipped prefetch walks (``next_k``, ``distance``) read a sorted
@@ -30,9 +35,9 @@ pipelined cell:
   compute level.  Its entries are exactly the first occurrences of
   non-resident qubits the reference walk reports, in trace order
   (``trace[nu_now[q]] == q``), so ``distance`` slices its first k
-  entries below the horizon and ``next_k`` advances through it lazily
-  by bisection (the reference walk has no side effects, so candidates
-  the budget never reaches are never visited); every other
+  entries below the horizon and ``next_k`` steps through it lazily,
+  inline in the gate loop (the reference walk has no side effects, so
+  candidates the budget never reaches are never visited); every other
   registered prefetcher drives its real
   :class:`~repro.sim.prefetch.Prefetcher` object — ``reset`` once,
   ``candidates`` once per gate over a read-only view of the location
@@ -44,11 +49,17 @@ pipelined cell:
   and the peeked victim (with its next use) stays fixed until a
   prefetch is accepted, so once one candidate is vetoed every later
   one is too.  Every other prefetcher ranks candidates its own way, so
-  it keeps walking past a veto.
+  it keeps walking past a veto;
+* a walk builds its victim exclusions (pinned, in-flight and the
+  gate's operands) once and adds each accepted candidate to them: the
+  candidate joins the pinned, in-flight set, and the evicted victim
+  was never in it.  A user policy's victim need not be the peeked
+  one, so its exclusions are rebuilt after an acceptance instead.
 
 Every kernel-schedule and queue-insertion call site mirrors the
-reference one-to-one, so the (time, seq) event order — and therefore
-every float in the result — is bit-identical.  The equivalence suite
+reference one-to-one (sequence numbers are drawn in the reference's
+order), so the (time, seq) event order — and therefore every float in
+the result — is bit-identical.  The equivalence suite
 pins this across every (depth, policy, workload, prefetch) cell.
 """
 
@@ -57,7 +68,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Mapping
-from typing import List, Optional, Sequence, Set
+from itertools import chain
+from typing import List, Sequence, Set
 
 from ..circuits.circuit import Circuit, TraceIndex
 from .levels import HierarchyEngineResult, HierarchyStack, LevelStat
@@ -76,19 +88,13 @@ _PIN_MARGIN = 4
 _PREFETCH_K = 64
 _PREFETCH_HORIZON = 512
 
-#: Request lifecycle states.
-_SCHEDULED, _QUEUED, _ACTIVE, _DONE, _WITHDRAWN = 0, 1, 2, 3, 4
-
-#: Event heap opcodes: a request becomes ready, or a transfer completes.
-_EV_ENQUEUE, _EV_COMPLETE = 0, 1
-
-#: Request kinds: a fetch hop or a paired write-back.
-_K_HOP, _K_WB = 0, 1
+#: Request lifecycle states.  A pending request's heap entry is its
+#: ENQUEUE (it becomes ready) and an active one's its completion.
+_PENDING, _ACTIVE, _WITHDRAWN = 0, 1, 2
 
 # Flat record layouts (lists beat attribute access in the hot loop):
-#   request: [ready, duration, priority, state, kind, owner, server]
-#   fetch:   [0, qubit, priority, pending_req, server_k, issue_t, src,
-#             first_wb]
+#   request: [ready, duration, priority, state, owner, server]
+#   fetch:   [0, qubit, priority, pending_req, issue_t, src, first_wb]
 #   wb:      [1, net_k, victim, settle, trigger_time, next_wb]
 # A fetch's arrival "trigger" is the k==0 hop completion; a write-back
 # chain is linked through ``next_wb``, each element firing its
@@ -160,20 +166,19 @@ def simulate_split_fast(
     caps = [level.capacity for level in stack.levels[:-1]]
     n_finite = len(caps)
     networks = stack.networks()
-    n_nets = len(networks)
     demote = [net.demote_time_s for net in networks]
     promote = [net.promote_time_s for net in networks]
 
     heappush = heapq.heappush
     heappop = heapq.heappop
 
-    # --- event kernel + port servers ---------------------------------
+    # --- event heap + port servers ------------------------------------
     events: List[tuple] = []
     ev_seq = 0
     now = 0.0
     idle = [max(1, round(net.effective_concurrency)) for net in networks]
-    port_queues: List[List[tuple]] = [[] for _ in range(n_nets)]
-    qseq = [0] * n_nets
+    port_queues: List[List[tuple]] = [[] for _ in networks]
+    qseq = 0
 
     # --- replacement state (repro.sim.flatpolicy) ---------------------
     flat = flat_policy(policy, caps, program, n_qubits)
@@ -181,8 +186,8 @@ def simulate_split_fast(
     select_victim = flat.victim
     d0 = orders_[0]
     cap0 = caps[0]
-    # Any policy without flattened state drives its real policy
-    # objects; ``orders_`` then only tracks residency.
+    # A user-registered policy drives its real policy objects;
+    # ``orders_`` then only tracks residency.
     pols = flat.pols
     generic = bool(pols)
     pol0 = pols[0] if generic else None
@@ -193,6 +198,9 @@ def simulate_split_fast(
     cur_key = flat.cur_key
     bheaps = flat.bheaps
     bh0 = bheaps[0]
+    trip_keys = flat.trip_keys
+    trip_unit = flat.trip_unit
+    trips0 = trip_keys[0] if trip_unit else None
     bseq = 0
     span = flat.span
 
@@ -207,13 +215,12 @@ def simulate_split_fast(
     moving: dict = {}
     in_flight_up: dict = {}
     pinned: Set[int] = set()
-    fetches = [0] * n_nets
-    writebacks = [0] * n_nets
-    acc = [0] * n_finite
-    hit = [0] * n_finite
-    mis = [0] * n_finite
+    fetches = [0] * len(networks)
+    writebacks = [0] * len(networks)
+    # Demand misses by the level they were found at; every access, hit
+    # and miss counter derives from these at the end.
+    found_at = [0] * stack.depth
     evc = [0] * n_finite
-    bottom_hits = 0
     prefetches_issued = 0
     prefetches_used = 0
     pos = 0
@@ -229,9 +236,10 @@ def simulate_split_fast(
     next_pos: Sequence[int] = ()
     nu_now: List[int] = []
     # The shipped walks' next-use index: sorted nu_now[q] over every
-    # touched qubit outside the compute level.  Kept exact by three
-    # transitions: a demotion out of level 0 inserts, a demand miss and
-    # an accepted prefetch delete.
+    # touched qubit outside the compute level, closed by a sentinel
+    # past every horizon.  Kept exact by three transitions: a demotion
+    # out of level 0 inserts, a demand miss and an accepted prefetch
+    # delete.
     outside: List[int] = []
     if prefetching:
         next_pos = program.next_pos()
@@ -242,318 +250,83 @@ def simulate_split_fast(
         for p in range(n - 1, -1, -1):
             nu_now[trace[p]] = p
         outside = sorted(nu_now[q] for q in program.touched)
+        outside.append(n + 1)
 
-    # --- the flattened event machinery --------------------------------
-    def _request(server, ready, duration, priority, kind, owner):
-        nonlocal ev_seq
-        if ready < now:
-            ready = now
-        req = [ready, duration, priority, _SCHEDULED, kind, owner, server]
-        ev_seq += 1
-        heappush(events, (ready, ev_seq, _EV_ENQUEUE, req))
-        return req
-
-    def _hop(fetch, k, ready):
-        fetch[4] = k
-        fetch[3] = _request(k, ready, demote[k], fetch[2], _K_HOP, fetch)
-
-    def _wb_fired(wb, t):
-        """The write-back's trigger (arrival or previous cascade hop)."""
-        wb[4] = t
-        settle = wb[3]
-        if settle is not None:
-            k = wb[1]
-            _request(k, t if t > settle else settle, promote[k],
-                     _WRITEBACK, _K_WB, wb)
-
-    def _launch(rec, settle):
-        """A movement reached the front of its qubit's queue."""
-        if rec[0]:  # write-back
-            rec[3] = settle
-            t = rec[4]
-            if t is not None:
-                k = rec[1]
-                _request(k, t if t > settle else settle, promote[k],
-                         _WRITEBACK, _K_WB, rec)
-        else:  # fetch
-            issue_t = rec[5]
-            _hop(rec, rec[6] - 1, issue_t if issue_t > settle else settle)
-
-    def _movement_done(q, t):
-        avail[q] = t
-        queue = moving[q]
-        if queue:
-            _launch(queue.pop(0), t)
-        else:
-            del moving[q]
-
-    def _enqueue_move(q, rec):
-        waiting = moving.get(q)
-        if waiting is None:
-            moving[q] = []
-            _launch(rec, avail[q])
-        else:
-            waiting.append(rec)
-
-    def _launch_fetch(q, src, issue_t, priority, chain):
-        fetch = [0, q, priority, None, -1, issue_t, src, None]
-        in_flight_up[q] = fetch
-        prev = None
-        for net_k, victim in chain:
-            wb = [1, net_k, victim, None, None, None]
-            if prev is None:
-                fetch[7] = wb
-            else:
-                prev[5] = wb
-            prev = wb
-            _enqueue_move(victim, wb)
-        _enqueue_move(q, fetch)
-
-    def _upgrade(fetch):
-        """Promote a queued prefetch transfer to demand priority."""
-        fetch[2] = _DEMAND
-        req = fetch[3]
-        if req is None:
-            return
-        state = req[3]
-        if state == _SCHEDULED or state == _QUEUED:
-            req[3] = _WITHDRAWN
-            fetch[3] = _request(req[6], req[0], req[1], _DEMAND,
-                                _K_HOP, fetch)
-
-    def _dispatch(k):
-        nonlocal ev_seq
-        queue = port_queues[k]
-        while idle[k] and queue:
-            _, _, req = heappop(queue)
-            if req[3] == _WITHDRAWN:
-                continue
-            req[3] = _ACTIVE
-            idle[k] -= 1
-            ev_seq += 1
-            heappush(events, (now + req[1], ev_seq, _EV_COMPLETE, req))
-
-    def _step():
-        nonlocal now
-        if not events:
-            raise RuntimeError(
-                "event heap is empty but the simulation still expects "
-                "progress — a transfer chain was dropped"
-            )
-        t, _, code, req = heappop(events)
-        now = t
-        k = req[6]
-        if code == _EV_ENQUEUE:
-            if req[3] == _WITHDRAWN:
-                return
-            req[3] = _QUEUED
-            qseq[k] += 1
-            heappush(port_queues[k], (req[2], qseq[k], req))
-            _dispatch(k)
-            return
-        req[3] = _DONE
-        idle[k] += 1
-        owner = req[5]
-        if req[4] == _K_HOP:
-            fetches[k] += 1
-            if rec is not None:
-                rec(owner[1], k + 1, k, t - demote[k], t, k)
-            owner[3] = None
-            if k == 0:
-                q = owner[1]
-                del in_flight_up[q]
-                _movement_done(q, t)
-                wb = owner[7]  # arrival fires the write-back chain
-                if wb is not None:
-                    _wb_fired(wb, t)
-            else:
-                _hop(owner, k - 1, t)
-        else:
-            writebacks[k] += 1
-            if rec is not None:
-                rec(owner[2], k, k + 1, t - promote[k], t, k)
-            _movement_done(owner[2], t)
-            nxt = owner[5]
-            if nxt is not None:
-                _wb_fired(nxt, t)
-        _dispatch(k)
-
-    # --- scan-order cache transitions ---------------------------------
-    def _evict_cascade(evicted):
-        nonlocal bseq
-        if evicted is None:
-            return ()
-        if evicted in pinned or evicted in in_flight_up:
-            pinned.discard(evicted)
-        chain = [(0, evicted)]
-        location[evicted] = 1
-        if prefetching:
-            insort(outside, nu_now[evicted])
-        victim = evicted
-        lvl = 1
-        while lvl < bottom:
-            d = orders_[lvl]
-            bumped = None
-            if len(d) >= caps[lvl]:
-                bumped = select_victim(lvl, pos, ())
-                del d[bumped]
-                if generic:
-                    pols[lvl].on_remove(bumped)
-                evc[lvl] += 1
-            d[victim] = None
-            if generic:
-                pols[lvl].on_insert(victim, pos)
-            if track_nu:
-                # The victim's cached next use carries down unchanged.
-                key = bseq + qkb[victim]
-                cur_key[victim] = key
-                heappush(bheaps[lvl], (key, victim))
-                bseq += 1
-            if bumped is None:
-                break
-            chain.append((lvl, bumped))
-            location[bumped] = lvl + 1
-            victim = bumped
-            lvl += 1
-        return chain
-
-    def _issue_prefetches(issue_t, issued):
-        nonlocal bseq, prefetches_issued
-        if not prefetching:
-            return
-        budget = cap0 - _PIN_MARGIN - len(pinned)
-        if budget <= 0:
-            return
-        start = pos
-        end = start + _PREFETCH_HORIZON
-        if end > n:
-            end = n
-        if track_nu and start < n:
-            # The cached Belady keys hold each resident's next use
-            # *after its last touch* — exact for the reference's
-            # next_use(q, pos) except for the one qubit whose next
-            # occurrence is exactly ``pos`` (the next gate's first
-            # operand): the reference scores it by the occurrence
-            # *after* that.  Push the corrected key for this round.
-            q0 = trace[start]
-            lvl0 = location[q0]
-            if 0 <= lvl0 < n_finite:
-                # Keep q0's original push sequence so NEVER ties still
-                # break by recency order, not by correction time.
-                seq0 = cur_key[q0] - qkb[q0]
-                base = -next_pos[start] * span
-                qkb[q0] = base
-                key = seq0 + base
-                cur_key[q0] = key
-                heappush(bheaps[lvl0], (key, q0))
-        # Qubits this round demoted *out of* the compute level: the
-        # reference walks with the round-start residency snapshot, so a
-        # freshly-demoted victim is not a candidate until next gate.
-        round_demoted: Optional[Set[int]] = None
-        if in_order:
-            # Lazy walk: the reference materializes up to k candidates,
-            # but walking is side-effect-free and the pin budget stops
-            # far short of k — candidates past the break never cost.
-            # Each step bisects past the last position, so the index
-            # may change under the walk (accepted candidates leave it,
-            # this round's demotions enter it and are skipped).
-            def _candidates():
-                found = 0
-                p = start - 1
-                while True:
-                    i = bisect_right(outside, p)
-                    if i == len(outside):
-                        return
-                    p = outside[i]
-                    if p >= end:
-                        return
-                    cq = trace[p]
-                    if round_demoted is None or cq not in round_demoted:
-                        yield cq, p
-                        found += 1
-                        if found == _PREFETCH_K:
-                            return
-
-            candidates = _candidates()
-        elif walker is not None:
-            # Materialized before the loop, like the reference; a
-            # candidate's next use comes from the exact nu_now array.
-            candidates = [
-                (cq, nu_now[cq])
-                for cq in walker.candidates(pos - 1, location_view)
-            ]
-        else:  # distance: the full walk is ranked before issue
-            head = outside[:_PREFETCH_K]
-            found_list = [
-                (-location[trace[p]], p, trace[p])
-                for p in head[:bisect_left(head, end)]
-            ]
-            found_list.sort()  # deepest first, trace order within
-            candidates = iter([(cq, p) for _, p, cq in found_list])
-        exclusions: Optional[Set[int]] = None
-        victim: Optional[int] = None
-        victim_next = 0
-        for cq, cand_next in candidates:
-            if budget <= 0:
-                break
-            src = location[cq]
-            if src == 0 or cq in moving:
-                continue
-            if exclusions is None:
-                exclusions = set(pinned)
-                exclusions.update(in_flight_up)
-                exclusions.update(issued)
-                victim = None
-                if len(d0) >= cap0:
-                    victim = select_victim(0, pos, exclusions)
-                    if victim is not None and victim in exclusions:
-                        break  # unsatisfiable pin: no victim this gate
-                    if victim is not None:
-                        victim_next = nu_now[victim]
-            if victim is not None and victim_next <= cand_next:
-                # Exactness veto.  next_k candidates ascend in trace
-                # position and the victim holds until an acceptance, so
-                # every later candidate would be vetoed too.
-                if in_order:
-                    break
-                continue
-            if src != bottom:
-                del orders_[src][cq]  # quiet pull: no counters
-                if generic:
-                    pols[src].on_remove(cq)
-            evicted = victim
-            if evicted is not None:
-                if generic:
-                    # The reference's insertion asks the policy again.
-                    evicted = pol0.victim(pos, exclusions)
-                    pol0.on_remove(evicted)
-                del d0[evicted]
-                evc[0] += 1
-            d0[cq] = None
-            if generic:
-                pol0.on_insert(cq, pos)
-            if track_nu:
-                # The candidate's next use *is* its walk position.
-                base = -cand_next * span
-                qkb[cq] = base
-                key = bseq + base
-                cur_key[cq] = key
-                heappush(bh0, (key, cq))
-                bseq += 1
-            location[cq] = 0
+    def _place(q, src, evicted, issue_t, priority, at):
+        """Cascade ``evicted`` (the compute-level victim, or None) down
+        the finite levels and queue the movements that bring ``q`` up
+        from ``src``: the fetch record, and one write-back per cascade
+        hop, chained off the fetch's arrival."""
+        nonlocal bseq, ev_seq
+        fetch = [0, q, priority, None, issue_t, src, None]
+        if evicted is not None:
+            if evicted in pinned or evicted in in_flight_up:
+                pinned.discard(evicted)
+            location[evicted] = 1
             if prefetching:
-                del outside[bisect_left(outside, cand_next)]
-            pinned.add(cq)
-            chain = _evict_cascade(evicted)
-            if evicted is not None:
-                if round_demoted is None:
-                    round_demoted = {evicted}
+                insort(outside, nu_now[evicted])
+            prev = None
+            victim = evicted
+            lvl = 0
+            while True:
+                wb = [1, lvl, victim, None, None, None]
+                if prev is None:
+                    fetch[6] = wb
                 else:
-                    round_demoted.add(evicted)
-            _launch_fetch(cq, src, issue_t, _PREFETCH, chain)
-            prefetches_issued += 1
-            budget -= 1
-            exclusions = None  # state changed: recompute next round
+                    prev[5] = wb
+                prev = wb
+                queue = moving.get(victim)
+                if queue is None:
+                    # At the front of its queue: settled, awaiting its
+                    # trigger.
+                    moving[victim] = []
+                    wb[3] = avail[victim]
+                else:
+                    queue.append(wb)
+                lvl += 1
+                if lvl >= bottom:
+                    break
+                d = orders_[lvl]
+                bumped = None
+                if len(d) >= caps[lvl]:
+                    bumped = select_victim(lvl, at, ())
+                    del d[bumped]
+                    if generic:
+                        pols[lvl].on_remove(bumped)
+                    evc[lvl] += 1
+                d[victim] = None
+                if generic:
+                    pols[lvl].on_insert(victim, at)
+                if track_nu:
+                    # The victim's cached next use carries down unchanged.
+                    key = bseq + qkb[victim]
+                    if trip_unit:
+                        trips = trip_keys[lvl]
+                        tk = trips[victim] + trip_unit
+                        trips[victim] = tk
+                        key += tk
+                    cur_key[victim] = key
+                    heappush(bheaps[lvl], (key, victim))
+                    bseq += 1
+                if bumped is None:
+                    break
+                location[bumped] = lvl + 1
+                victim = bumped
+        in_flight_up[q] = fetch
+        queue = moving.get(q)
+        if queue is None:
+            moving[q] = []
+            k = src - 1
+            settle = avail[q]
+            ready = issue_t if issue_t > settle else settle
+            if ready < now:
+                ready = now
+            req = [ready, demote[k], priority, _PENDING, fetch, k]
+            fetch[3] = req
+            ev_seq += 1
+            heappush(events, (ready, ev_seq, req))
+        else:
+            queue.append(fetch)
 
     # --- the gate loop -------------------------------------------------
     top_op = stack.levels[0].op_time_s
@@ -561,84 +334,370 @@ def simulate_split_fast(
     compute_free = 0.0
     transfer_wait = 0.0
     compute_time = 0.0
-    for gi, qubits in enumerate(program.gate_qubits):
-        issue_t = compute_free
-        issued: Set[int] = set()
-        for q in qubits:
-            src = location[q]
-            if src == 0:
-                # Guaranteed hit at the compute level.
-                acc[0] += 1
-                hit[0] += 1
-                if refresh_on_hit:
-                    del d0[q]
-                    d0[q] = None
-                elif generic:
-                    pol0.on_hit(q, pos)
-                if track_nu:
-                    kb = keybase[pos]
-                    qkb[q] = kb
-                    key = bseq + kb
-                    cur_key[q] = key
-                    heappush(bh0, (key, q))
-                    bseq += 1
-                if q in pinned:
-                    pinned.discard(q)
-                    prefetches_used += 1
-                fetch = in_flight_up.get(q)
-                if fetch is not None and fetch[2]:
-                    _upgrade(fetch)
-            else:
-                for k in range(1, src):
-                    acc[k] += 1
-                    mis[k] += 1
-                if src == bottom:
-                    bottom_hits += 1
-                else:
-                    acc[src] += 1
-                    hit[src] += 1
-                    del orders_[src][q]
-                    if generic:
-                        pols[src].on_remove(q)
-                acc[0] += 1
-                mis[0] += 1
-                if prefetching:
-                    del outside[bisect_left(outside, pos)]
-                exclusions = set(pinned)
-                exclusions.update(in_flight_up)
-                exclusions.update(issued)
-                evicted = None
-                if len(d0) >= cap0:
-                    evicted = select_victim(0, pos, exclusions)
-                    del d0[evicted]
-                    if generic:
-                        pol0.on_remove(evicted)
-                    evc[0] += 1
-                d0[q] = None
-                if generic:
-                    pol0.on_insert(q, pos)
-                if track_nu:
-                    kb = keybase[pos]
-                    qkb[q] = kb
-                    key = bseq + kb
-                    cur_key[q] = key
-                    heappush(bh0, (key, q))
-                    bseq += 1
-                location[q] = 0
-                chain = _evict_cascade(evicted)
-                _launch_fetch(q, src, issue_t, _DEMAND, chain)
-            issued.add(q)
-            if prefetching:
-                nu_now[q] = next_pos[pos]
-            pos += 1
-        _issue_prefetches(issue_t, issued)
-        while True:
+    gi = 0
+    for qubits in chain(program.gate_qubits, (None,)):
+        if qubits is None:
+            # Let trailing write-backs land, as in the reference (the
+            # makespan is the compute-level completion time).
+            qubits = tuple(moving)
+            gi = -1
+        else:
+            issue_t = compute_free
+            j = 0
             for q in qubits:
-                if q in moving:
+                src = location[q]
+                if src == 0:
+                    # Guaranteed hit at the compute level.
+                    if refresh_on_hit:
+                        del d0[q]
+                        d0[q] = None
+                    elif generic:
+                        pol0.on_hit(q, pos)
+                    if track_nu:
+                        kb = keybase[pos]
+                        qkb[q] = kb
+                        key = bseq + kb
+                        if trip_unit:  # fidelity: its unchanged trip term
+                            key += trips0[q]
+                        cur_key[q] = key
+                        heappush(bh0, (key, q))
+                        bseq += 1
+                    if q in pinned:
+                        pinned.discard(q)
+                        prefetches_used += 1
+                    if q in in_flight_up:
+                        fetch = in_flight_up[q]
+                        if fetch[2]:
+                            # Promote the in-flight prefetch to demand
+                            # priority; a hop not yet on its port is
+                            # withdrawn and re-requested.
+                            fetch[2] = _DEMAND
+                            req = fetch[3]
+                            if req is not None and req[3] == _PENDING:
+                                req[3] = _WITHDRAWN
+                                ready = req[0]
+                                if ready < now:
+                                    ready = now
+                                req = [ready, req[1], _DEMAND, _PENDING,
+                                       fetch, req[5]]
+                                fetch[3] = req
+                                ev_seq += 1
+                                heappush(events, (ready, ev_seq, req))
+                else:
+                    found_at[src] += 1
+                    if src != bottom:
+                        del orders_[src][q]
+                        if generic:
+                            pols[src].on_remove(q)
+                    if prefetching:
+                        del outside[bisect_left(outside, pos)]
+                    evicted = None
+                    if len(d0) >= cap0:
+                        exclusions = {*pinned, *in_flight_up, *qubits[:j]}
+                        evicted = select_victim(0, pos, exclusions)
+                        del d0[evicted]
+                        if generic:
+                            pol0.on_remove(evicted)
+                        evc[0] += 1
+                    d0[q] = None
+                    if generic:
+                        pol0.on_insert(q, pos)
+                    if track_nu:
+                        kb = keybase[pos]
+                        qkb[q] = kb
+                        key = bseq + kb
+                        if trip_unit:  # fidelity: one more trip to this level
+                            tk = trips0[q] + trip_unit
+                            trips0[q] = tk
+                            key += tk
+                        cur_key[q] = key
+                        heappush(bh0, (key, q))
+                        bseq += 1
+                    location[q] = 0
+                    _place(q, src, evicted, issue_t, _DEMAND, pos)
+                if prefetching:
+                    nu_now[q] = next_pos[pos]
+                j += 1
+                pos += 1
+
+            # --- prefetch issue ---------------------------------------
+            budget = cap0 - _PIN_MARGIN - len(pinned) if prefetching else 0
+            if budget > 0:
+                start = pos
+                end = start + _PREFETCH_HORIZON
+                if end > n:
+                    end = n
+                if in_order:
+                    # Lazy walk: the reference materializes up to k
+                    # candidates, but walking is side-effect-free and
+                    # the pin budget stops far short of k — candidates
+                    # past the break never cost.  The walk steps through
+                    # the index, which only changes at an acceptance
+                    # (the accepted candidate leaves it, the round's
+                    # demotion enters it and is skipped): then it
+                    # re-bisects past its position.
+                    wi = bisect_left(outside, start)
+                    found = 0
+                elif walker is not None:
+                    # Materialized before the loop, like the reference;
+                    # a candidate's next use comes from the exact nu_now
+                    # array.
+                    cands = [
+                        (cq, nu_now[cq])
+                        for cq in walker.candidates(pos - 1, location_view)
+                    ]
+                else:  # distance: the full walk is ranked before issue
+                    head = outside[:_PREFETCH_K]
+                    ranked = [
+                        (-location[trace[p]], p, trace[p])
+                        for p in head[:bisect_left(head, end)]
+                    ]
+                    ranked.sort()  # deepest first, trace order within
+                    cands = [(cq, p) for _, p, cq in ranked]
+                ci = 0
+                # Qubits this round demoted *out of* the compute level:
+                # the reference walks with the round-start residency
+                # snapshot, so a freshly-demoted victim is not a
+                # candidate until next gate.
+                round_demoted = None
+                exclusions = None
+                victim = None
+                victim_next = 0
+                stale = True
+                rekey = track_nu and start < n
+                while True:
+                    if in_order:
+                        if found == _PREFETCH_K:
+                            break
+                        p = outside[wi]
+                        wi += 1
+                        if p >= end:
+                            break
+                        cq = trace[p]
+                        if round_demoted is not None and cq in round_demoted:
+                            continue
+                        found += 1
+                        cand_next = p
+                    else:
+                        if ci == len(cands):
+                            break
+                        cq, cand_next = cands[ci]
+                        ci += 1
+                    src = location[cq]
+                    if src == 0 or cq in moving:
+                        continue
+                    if stale:
+                        # The victim, the exclusions and the q0 key only
+                        # change at an acceptance.
+                        if rekey:
+                            # The cached Belady keys hold each resident's
+                            # next use *after its last touch* — exact for
+                            # the reference's next_use(q, pos) except for
+                            # the one qubit whose next occurrence is
+                            # exactly ``pos`` (the next gate's first
+                            # operand): the reference scores it by the
+                            # occurrence *after* that.  Nothing queries
+                            # the heaps before this point of the round.
+                            rekey = False
+                            q0 = trace[start]
+                            lvl0 = location[q0]
+                            if lvl0 < n_finite:
+                                # Keep q0's trip term and original push
+                                # sequence so NEVER ties still break by
+                                # recency order, not by correction time.
+                                tk = trip_keys[lvl0][q0] if trip_unit else 0
+                                seq0 = cur_key[q0] - qkb[q0] - tk
+                                base = -next_pos[start] * span
+                                qkb[q0] = base
+                                key = tk + seq0 + base
+                                cur_key[q0] = key
+                                heappush(bheaps[lvl0], (key, q0))
+                        victim = None
+                        if len(d0) >= cap0:
+                            if exclusions is None:
+                                exclusions = {*pinned, *in_flight_up,
+                                              *qubits}
+                            victim = select_victim(0, pos, exclusions)
+                            if victim in exclusions:
+                                break  # unsatisfiable pin: no victim this gate
+                            victim_next = nu_now[victim]
+                        stale = False
+                    if victim is not None and victim_next <= cand_next:
+                        # Exactness veto.  next_k candidates ascend in
+                        # trace position and the victim holds until an
+                        # acceptance, so every later candidate would be
+                        # vetoed too.
+                        if in_order:
+                            break
+                        continue
+                    if src != bottom:
+                        del orders_[src][cq]  # quiet pull: no counters
+                        if generic:
+                            pols[src].on_remove(cq)
+                    evicted = victim
+                    if evicted is not None:
+                        if generic:
+                            # The reference's insertion asks the policy
+                            # again.
+                            evicted = pol0.victim(pos, exclusions)
+                            pol0.on_remove(evicted)
+                        del d0[evicted]
+                        evc[0] += 1
+                    d0[cq] = None
+                    if generic:
+                        pol0.on_insert(cq, pos)
+                    if track_nu:
+                        # The candidate's next use *is* its walk position.
+                        base = -cand_next * span
+                        qkb[cq] = base
+                        key = bseq + base
+                        if trip_unit:
+                            tk = trips0[cq] + trip_unit
+                            trips0[cq] = tk
+                            key += tk
+                        cur_key[cq] = key
+                        heappush(bh0, (key, cq))
+                        bseq += 1
+                    location[cq] = 0
+                    del outside[bisect_left(outside, cand_next)]
+                    pinned.add(cq)
+                    _place(cq, src, evicted, issue_t, _PREFETCH, pos)
+                    if evicted is not None:
+                        if round_demoted is None:
+                            round_demoted = {evicted}
+                        else:
+                            round_demoted.add(evicted)
+                    prefetches_issued += 1
+                    budget -= 1
+                    if not budget:
+                        break
+                    if in_order:
+                        wi = bisect_right(outside, cand_next)
+                    stale = True
+                    if exclusions is not None:
+                        # The accepted candidate joins the pinned,
+                        # in-flight set; the evicted victim was never in
+                        # it.  A user policy's victim need not be the
+                        # peeked one, so its set is rebuilt instead.
+                        if generic:
+                            exclusions = None
+                        else:
+                            exclusions.add(cq)
+
+        # --- advance the event loop until the operands have landed -----
+        # Only the end of a movement can land an operand.
+        waiting = False
+        for q in qubits:
+            if q in moving:
+                waiting = True
+                break
+        while waiting:
+            try:
+                t, _, req = heappop(events)
+            except IndexError:
+                raise RuntimeError(
+                    "event heap is empty but the simulation still expects "
+                    "progress — a transfer chain was dropped"
+                ) from None
+            now = t
+            state = req[3]
+            if state == _PENDING:
+                # The request is ready.  An idle port has an empty queue
+                # (every dispatch drains it while ports are idle), so
+                # the request is the one it would pop: start it now.
+                k = req[5]
+                if idle[k]:
+                    idle[k] -= 1
+                    req[3] = _ACTIVE
+                    ev_seq += 1
+                    heappush(events, (t + req[1], ev_seq, req))
+                else:
+                    qseq += 1
+                    heappush(port_queues[k], (req[2], qseq, req))
+                continue
+            if state != _ACTIVE:
+                continue  # withdrawn before it reached its port
+            # A transfer completed.
+            k = req[5]
+            owner = req[4]
+            if owner[0]:  # write-back
+                writebacks[k] += 1
+                q = owner[2]
+                if rec is not None:
+                    rec(q, k, k + 1, t - promote[k], t, k)
+                fire = owner[5]
+            else:  # fetch hop
+                fetches[k] += 1
+                q = owner[1]
+                if rec is not None:
+                    rec(q, k + 1, k, t - demote[k], t, k)
+                if k:
+                    nk = k - 1
+                    nreq = [t, demote[nk], owner[2], _PENDING, owner, nk]
+                    owner[3] = nreq
+                    ev_seq += 1
+                    heappush(events, (t, ev_seq, nreq))
+                    q = -1
+                else:
+                    owner[3] = None
+                    del in_flight_up[q]
+                    fire = owner[6]  # arrival fires the write-back chain
+            if q >= 0:
+                # The qubit's movement is done: launch its next one.
+                avail[q] = t
+                queue = moving[q]
+                if queue:
+                    nxt = queue.pop(0)
+                    if nxt[0]:  # a write-back settles; runs once fired
+                        nxt[3] = t
+                        trigger = nxt[4]
+                        if trigger is not None:
+                            nk = nxt[1]
+                            ready = trigger if trigger > t else t
+                            nreq = [ready, promote[nk], _WRITEBACK,
+                                    _PENDING, nxt, nk]
+                            ev_seq += 1
+                            heappush(events, (ready, ev_seq, nreq))
+                    else:  # a fetch starts its first hop
+                        nk = nxt[5] - 1
+                        ready = nxt[4]
+                        if ready < t:
+                            ready = t
+                        nreq = [ready, demote[nk], nxt[2], _PENDING, nxt, nk]
+                        nxt[3] = nreq
+                        ev_seq += 1
+                        heappush(events, (ready, ev_seq, nreq))
+                else:
+                    del moving[q]
+                    if q in qubits:
+                        for q in qubits:
+                            if q in moving:
+                                break
+                        else:
+                            waiting = False
+                if fire is not None:
+                    fire[4] = t
+                    settle = fire[3]
+                    if settle is not None:
+                        nk = fire[1]
+                        ready = t if t > settle else settle
+                        nreq = [ready, promote[nk], _WRITEBACK, _PENDING,
+                                fire, nk]
+                        ev_seq += 1
+                        heappush(events, (ready, ev_seq, nreq))
+            # Hand the freed port to its next waiting request.
+            queue = port_queues[k]
+            while queue:
+                nreq = heappop(queue)[2]
+                if nreq[3] == _PENDING:
+                    nreq[3] = _ACTIVE
+                    ev_seq += 1
+                    heappush(events, (t + nreq[1], ev_seq, nreq))
                     break
             else:
-                break
-            _step()
+                idle[k] += 1
+        if gi < 0:
+            break
         arrivals = 0.0
         for q in qubits:
             a = avail[q]
@@ -650,10 +709,7 @@ def simulate_split_fast(
         duration = gate_ec[gi] * top_op
         compute_free = start_t + duration
         compute_time += duration
-    # Let trailing write-backs land, as in the reference (the makespan
-    # is the compute-level completion time).
-    while events:
-        _step()
+        gi += 1
     if recorder is not None:
         recorder.finish(compute_free)
 
@@ -661,19 +717,24 @@ def simulate_split_fast(
     occupancy = [0] * stack.depth
     for q in program.touched:
         occupancy[location[q]] += 1
-    level_stats = [
-        LevelStat(
+    # A miss found at level s missed every finite level above s and hit
+    # at s; every access ends at the compute level.
+    level_stats = []
+    misses = sum(found_at)
+    for i in range(n_finite):
+        hits = n - misses if i == 0 else found_at[i]
+        missed = sum(found_at[i + 1:])
+        level_stats.append(LevelStat(
             name=stack.levels[i].name,
             capacity=caps[i],
-            accesses=acc[i],
-            hits=hit[i],
-            misses=mis[i],
+            accesses=hits + missed,
+            hits=hits,
+            misses=missed,
             evictions=evc[i],
             final_occupancy=occupancy[i],
-        )
-        for i in range(n_finite)
-    ]
+        ))
     bottom_level = stack.levels[-1]
+    bottom_hits = found_at[bottom]
     level_stats.append(LevelStat(
         name=bottom_level.name,
         capacity=None,

@@ -11,25 +11,29 @@ engine binds its fields into locals:
   set and recency order (a hit that refreshes reinserts, matching
   ``OrderedDict.move_to_end``);
 * for ``score``, one sliding lookahead window shared by every level;
-* for ``belady``, int-keyed lazily-pruned heaps that read next uses
-  from the scan program's ``next_pos`` array instead of bisecting;
-* for every other registered policy (``fidelity``, and any
-  user-registered one), the real policy objects, one per level, each
-  reset once — the engine calls their ``on_hit``/``on_insert``/
-  ``on_remove`` hooks and the dicts only track residency;
+* for ``belady`` and ``fidelity``, int-keyed lazily-pruned heaps that
+  read next uses from the scan program's ``next_pos`` array instead of
+  bisecting; ``fidelity`` prefixes every key with the qubit's trip
+  count at that level (its lifetime insertions there), so one heap
+  ranks by fewest trips, then farthest next use, then recency;
+* for any user-registered policy, the real policy objects, one per
+  level, each reset once — the engine calls their ``on_hit``/
+  ``on_insert``/``on_remove`` hooks and the dicts only track
+  residency;
 * one ``victim(level, pos, excl)`` that names the resident to displace
   at ``level`` for the operand access at trace position ``pos``,
   skipping ``excl`` unless every resident is in it (the unsatisfiable
-  pin falls back to the unexcluded choice, like the policies).
+  pin falls back to the least recently used resident, like the
+  policies).
 
-``victim`` is a pure query for the four shipped policies: the engines
+``victim`` is a pure query for the five shipped policies: the engines
 may peek at a victim they then decide not to evict.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from .policies import SCORE_WINDOW, EvictionPolicy, make_policy
 
@@ -42,18 +46,27 @@ class FlatPolicy(NamedTuple):
     #: Per finite level: ``{qubit: None}`` in recency (or FIFO) order.
     orders: List[Dict[int, None]]
     #: A compute-level hit reinserts into ``orders[0]`` (lru, score,
-    #: belady); False for fifo and for policies with real objects.
+    #: belady, fidelity); False for fifo and for policies with real
+    #: objects.
     refresh_on_hit: bool
-    #: Belady: every insertion pushes ``(bseq + base, q)`` into
-    #: ``bheaps[level]`` and records it in ``cur_key[q]``.
+    #: Belady and fidelity: every insertion or refreshing hit pushes
+    #: ``(bseq + base, q)`` into ``bheaps[level]`` — plus, for
+    #: fidelity, the trip term ``trip_keys[level][q]``, which an
+    #: insertion at ``level`` first raises by ``trip_unit`` — and
+    #: records the key in ``cur_key[q]``.
     track_nu: bool
     keybase: Sequence[int]
     qkb: List[int]
     cur_key: List[int]
     bheaps: List[List[Tuple[int, int]]]
     span: int
+    #: Fidelity: per finite level, each qubit's trip count there times
+    #: ``trip_unit``.  Empty, and ``trip_unit`` 0, for every other
+    #: policy.
+    trip_keys: List[List[int]]
+    trip_unit: int
     #: The real policy objects, one per finite level; empty for the
-    #: four shipped policies with flattened state.
+    #: five shipped policies with flattened state.
     pols: List[EvictionPolicy]
     victim: Callable[[int, int, Sequence[int]], int]
 
@@ -147,22 +160,50 @@ def flat_policy(
     # count (at most depth pushes per trace position); a
     # depth-independent value keeps the precomputed key bases shared
     # across stacks of different depths.
+    #
+    # Fidelity ranks by (trips at the level, farthest next use, LRU):
+    # its keys are ``trips * trip_unit + (seq - dist * span)``, where
+    # the Belady part lies in ``(-n * span, span)`` (``dist`` is at most
+    # ``n``, the never-again encoding), so ``trip_unit = (n + 2) * span``
+    # separates trip classes strictly.  A resident's trip count is fixed
+    # while it stays resident (it only grows at an insertion, which
+    # pushes a fresh key), so the lazy pruning carries over unchanged;
+    # the fewest-trips class among unexcluded residents is exactly what
+    # the heap yields past the excluded entries.
     span = n * max(n_finite + 1, 64) + 1
     bheaps: List[List[Tuple[int, int]]] = [[] for _ in range(n_finite)]
     keybase: Sequence[int] = ()
     qkb: List[int] = []
     cur_key: List[int] = []
-    if policy == "belady":
+    trip_keys: List[List[int]] = []
+    trip_unit = 0
+    track_nu = policy in ("belady", "fidelity")
+    if track_nu:
         keybase = program.belady_keys(span)
         qkb = [0] * n_qubits
         cur_key = [0] * n_qubits
+    if policy == "fidelity":
+        trip_keys = [[0] * n_qubits for _ in range(n_finite)]
+        trip_unit = (n + 2) * span
+
+    # Excluded qubits whose entries reached the heap top are parked
+    # per level instead of being pushed straight back: the engines query
+    # with slowly-changing exclusions (the pinned and in-flight qubits,
+    # the gate's operands), so a parked qubit usually stays excluded for
+    # the next queries too, and its entry ``(cur_key[q], q)`` goes back
+    # into the heap only once a query no longer excludes it (and only
+    # if it is still resident: a move pushed a fresh entry anyway).
+    # A re-pushed entry may duplicate a fresher push of the same key;
+    # duplicates are both current, so the answer is unchanged.
+    parks: List[Set[int]] = [set() for _ in range(n_finite)]
 
     def victim_belady(i, pos, excl):
         # A non-destructive peek: the winning entry stays on top of the
         # heap, and an actual eviction stales it through the residency
         # check (the evicted qubit's next insertion pushes a fresh key).
-        # Keys are unique, so the pop order does not depend on the
-        # heap's layout.
+        # A key names one push of one qubit, so the answer does not
+        # depend on the heap's layout, on duplicates, or on which
+        # qubits are parked.
         h = bheaps[i]
         d = orders[i]
         if len(h) > (len(d) << 2) + 64:
@@ -170,29 +211,29 @@ def flat_policy(
             # every subsequent sift.
             h[:] = [e for e in h if cur_key[e[1]] == e[0] and e[1] in d]
             heapq.heapify(h)
-        stash = None
+        parked = parks[i]
+        if parked and not parked.issubset(excl):
+            for q in parked.difference(excl):
+                if q in d:
+                    heappush(h, (cur_key[q], q))
+            parked.intersection_update(excl)
         while h:
             key, q = h[0]
             if q not in d or cur_key[q] != key:
                 heappop(h)  # stale: the qubit moved since this push
             elif q in excl:
-                if stash is None:
-                    stash = []
-                stash.append(heappop(h))
+                heappop(h)
+                parked.add(q)
             else:
-                break
-        else:  # unsatisfiable pin: fall back like the reference
-            q = next(iter(d))
-        if stash:
-            for e in stash:
-                heappush(h, e)
-        return q
+                return q
+        return next(iter(d))  # unsatisfiable pin: fall back like the reference
 
     flattened = {
         "lru": victim_recency,
         "fifo": victim_recency,
         "score": victim_score,
         "belady": victim_belady,
+        "fidelity": victim_belady,
     }
     pols: List[EvictionPolicy] = []
     if policy not in flattened:
@@ -205,13 +246,15 @@ def flat_policy(
 
     return FlatPolicy(
         orders=orders,
-        refresh_on_hit=policy in ("lru", "score", "belady"),
-        track_nu=policy == "belady",
+        refresh_on_hit=policy in ("lru", "score", "belady", "fidelity"),
+        track_nu=track_nu,
         keybase=keybase,
         qkb=qkb,
         cur_key=cur_key,
         bheaps=bheaps,
         span=span,
+        trip_keys=trip_keys,
+        trip_unit=trip_unit,
         pols=pols,
         victim=flattened.get(policy, victim_generic),
     )

@@ -25,9 +25,10 @@ name.  Five policies ship with the engine:
 Policies observe the flattened operand *trace* of the scheduled program
 at reset time and receive the current trace position with every event,
 which is what lets the lookahead policies stay incremental.  The
-production engines run ``lru``, ``fifo``, ``score`` and ``belady`` as
-flattened state and every other registered policy through its objects
-(:mod:`repro.sim.flatpolicy`).
+production engines run the five shipped policies as flattened state
+and any user-registered policy through its objects
+(:mod:`repro.sim.flatpolicy`); the shipped classes here are the
+reference the flattened state is pinned against.
 """
 
 from __future__ import annotations

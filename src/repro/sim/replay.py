@@ -31,9 +31,9 @@ module exploits it:
 
 The extraction is one loop for every registered eviction policy: its
 replacement decisions come from :mod:`repro.sim.flatpolicy`, the
-kernel :mod:`repro.sim.fastsplit` runs too (flattened state for
-``lru``, ``fifo``, ``score`` and ``belady``, the real policy objects
-for any other).  The equivalence tests pin it to the reference
+kernel :mod:`repro.sim.fastsplit` runs too (flattened state for the
+five shipped policies, the real policy objects for any
+user-registered one).  The equivalence tests pin it to the reference
 reservation engines (test code under ``tests/oracles/``).
 
 Batching is bypassed — cells fall back to per-cell simulation — for
@@ -310,9 +310,9 @@ def _extract_program(
     kernel of :mod:`repro.sim.flatpolicy` for any registered policy.
 
     Identical event stream to the reference reservation engine with
-    the port arithmetic deleted.  The four shipped policies run as
-    flattened state; Belady reads next uses from the scan program's
-    ``next_pos`` array instead of bisecting (a demand access at
+    the port arithmetic deleted.  The five shipped policies run as
+    flattened state; Belady and fidelity read next uses from the scan
+    program's ``next_pos`` array instead of bisecting (a demand access at
     position ``p`` *is* an occurrence of its qubit, and a cascaded
     victim cannot have recurred since its last touch — the occurrence
     would have been a demand access pulling it up — so cached next
@@ -338,6 +338,8 @@ def _extract_program(
     qkb = flat.qkb
     cur_key = flat.cur_key
     bheaps = flat.bheaps
+    trip_keys = flat.trip_keys
+    trip_unit = flat.trip_unit
     bseq = 0
     heappush = heapq.heappush
 
@@ -361,10 +363,11 @@ def _extract_program(
     h0 = bheaps[0]
     pos = 0
     # Two copies of the scan so the per-access policy checks stay out
-    # of the inner loop: the Belady variant threads the heap pushes,
-    # the other one maintains the ordered dicts and calls the real
-    # policy objects' hooks when there are any.
+    # of the inner loop: the heap variant (belady, fidelity) threads
+    # the heap pushes, the other one maintains the ordered dicts and
+    # calls the real policy objects' hooks when there are any.
     if flat.track_nu:
+        t0 = trip_keys[0] if trip_unit else None
         for qubits in program.gate_qubits:
             nmiss = 0
             j = 0
@@ -377,6 +380,8 @@ def _extract_program(
                     kb = keybase[pos]
                     qkb[q] = kb
                     key = bseq + kb
+                    if trip_unit:  # fidelity: its unchanged trip term
+                        key += t0[q]
                     cur_key[q] = key
                     heappush(h0, (key, q))
                     bseq += 1
@@ -395,6 +400,10 @@ def _extract_program(
                 kb = keybase[pos]
                 qkb[q] = kb
                 key = bseq + kb
+                if trip_unit:  # fidelity: one more trip to this level
+                    tk = t0[q] + trip_unit
+                    t0[q] = tk
+                    key += tk
                 cur_key[q] = key
                 heappush(h0, (key, q))
                 bseq += 1
@@ -414,6 +423,11 @@ def _extract_program(
                         # The victim's cached next use carries down
                         # unchanged.
                         key = bseq + qkb[victim]
+                        if trip_unit:
+                            trips = trip_keys[lvl]
+                            tk = trips[victim] + trip_unit
+                            trips[victim] = tk
+                            key += tk
                         cur_key[victim] = key
                         heappush(bheaps[lvl], (key, victim))
                         bseq += 1

@@ -31,6 +31,7 @@ from collections import OrderedDict
 import pytest
 
 from repro.circuits.workloads import build_workload
+from repro.core.design_space import ENGINE_CACHE_FACTOR, ENGINE_COMPUTE_QUBITS
 from oracles.levels import simulate_hierarchy_run_audited
 from repro.sim import fastsplit, policies
 from repro.sim import prefetch as prefetch_mod
@@ -46,6 +47,7 @@ from repro.sim.flatpolicy import flat_policy
 from repro.sim.policies import (
     BeladyPolicy,
     EvictionPolicy,
+    FidelityPolicy,
     FifoPolicy,
     LruPolicy,
     ScorePolicy,
@@ -237,9 +239,10 @@ class TestMultiGroupPricing:
 class TestFastSplitEquivalence:
     """The flattened split-transaction loop vs the retained reference."""
 
-    # The 12-qubit cases keep the pin budget at most 8, far below the
-    # walks' k=64; the paper's 81-qubit region is where a walk reaches
-    # its k-candidate exit.
+    # At the default cache factor a 12-qubit region holds 36 qubits, a
+    # pin budget of at most 32, still below the walks' k=64; the
+    # paper's 81-qubit region is where a walk reaches its k-candidate
+    # exit.
     CASES = [
         ("draper_adder", 48, 2, 12), ("draper_adder", 48, 3, 12),
         ("qft", 32, 3, 12), ("draper_adder", 48, 3, DEFAULT_COMPUTE_QUBITS),
@@ -268,6 +271,36 @@ class TestFastSplitEquivalence:
                 pipeline=True,
             )
             assert fast == reference
+
+    # The engine sweep's own geometry (a 12-qubit region at cache
+    # factor 1, capacity 24), and a contended stack with one port per
+    # network, where transfers queue for their network's port and
+    # in-flight prefetches are withdrawn and re-requested on demand.
+    STACK_CASES = {
+        "sweep_geometry": dict(compute_qubits=ENGINE_COMPUTE_QUBITS,
+                               cache_factor=ENGINE_CACHE_FACTOR),
+        "one_port": dict(compute_qubits=12, parallel_transfers=1),
+    }
+
+    @pytest.mark.parametrize("policy", available_policies())
+    @pytest.mark.parametrize("prefetch", available_prefetchers())
+    @pytest.mark.parametrize("case", sorted(STACK_CASES))
+    def test_bit_identical_on_sweep_and_contended_stacks(self, case, policy,
+                                                          prefetch):
+        circuit = build_workload("draper_adder", 48)
+        stack = standard_stack("steane", 3, **self.STACK_CASES[case])
+        order = simulate_optimized(circuit, stack.levels[0].capacity).order
+        fast = simulate_hierarchy_run(
+            stack, circuit, policy, order=order, prefetch=prefetch,
+            pipeline=True,
+        )
+        reference, _ = simulate_hierarchy_run_audited(
+            stack, circuit, policy, order=order, prefetch=prefetch,
+            pipeline=True,
+        )
+        assert fast == reference
+        if case == "one_port":
+            assert fast.transfer_wait_s > 0
 
 
 class _MruPolicy(EvictionPolicy):
@@ -409,7 +442,8 @@ _ADAPTER_TWINS = {
     shipped: type(f"_Adapter{cls.__name__}", (cls,),
                   {"name": f"test_adapter_{shipped}"})
     for shipped, cls in (("lru", LruPolicy), ("fifo", FifoPolicy),
-                         ("score", ScorePolicy), ("belady", BeladyPolicy))
+                         ("score", ScorePolicy), ("belady", BeladyPolicy),
+                         ("fidelity", FidelityPolicy))
 }
 
 
@@ -452,3 +486,35 @@ class TestGenericAdapterExactness:
         )
         assert flat_run.prefetches_issued > 0
         assert dataclasses.replace(adapter_run, policy=shipped) == flat_run
+
+    @pytest.mark.parametrize("shipped", sorted(_ADAPTER_TWINS))
+    def test_twin_matches_flattened_when_every_resident_is_pinned(
+            self, shipped):
+        # A two-qubit compute level under three-operand gates: a gate's
+        # third operand misses with both residents pinned (the gate's
+        # first two operands), so the victim falls back to the first
+        # resident in recency (for fifo, insertion) order.
+        twin = _ADAPTER_TWINS[shipped].name
+        circuit = build_workload("draper_adder", 16)
+        stack = standard_stack("steane", 3, compute_qubits=1,
+                               cache_factor=1.0)
+        assert stack.levels[0].capacity == 2
+        assert max(len(gate.qubits) for gate in circuit.gates) == 3
+        order = simulate_optimized(circuit, stack.levels[0].capacity).order
+
+        flat = extract_movement_trace(stack, circuit, shipped, order=order)
+        adapter = extract_movement_trace(stack, circuit, twin, order=order)
+        assert (dataclasses.replace(adapter, policy=shipped).to_bytes()
+                == flat.to_bytes())
+        for prefetch_name in ("none", "next_k"):
+            flat_run, adapter_run = (
+                simulate_hierarchy_run(stack, circuit, name, order=order,
+                                       prefetch=prefetch_name, pipeline=True)
+                for name in (shipped, twin)
+            )
+            reference, _ = simulate_hierarchy_run_audited(
+                stack, circuit, shipped, order=order, prefetch=prefetch_name,
+                pipeline=True,
+            )
+            assert flat_run == reference
+            assert dataclasses.replace(adapter_run, policy=shipped) == flat_run
