@@ -151,7 +151,7 @@ def _bench_residency_accrual_overhead(n_bits: int = 512, depth: int = 3,
     ratio (recorded / bare - 1).  The bare arm is the exact pre-fidelity
     engine run — ``recorder=None`` keeps every fast path byte-identical,
     and the committed *seconds* kernels (``prefetch_3level_next_k_512``,
-    ``engine_3level_policies_512``) gate that fidelity-off side against
+    ``engine_3level_policies_512_x3``) gate that fidelity-off side against
     their unchanged baselines.  The recorded arm attaches a
     :class:`~repro.sim.residency.ResidencyRecorder` and accrues it,
     timing the movement log plus the residency walk that integrates it
@@ -395,16 +395,16 @@ def _bench_batched_scaling_overhead(alternations: int = 3):
     return run
 
 
-def _bench_multi_group_pricing_speedup(alternations: int = 3):
-    """Multi-group one-pass pricing vs per-group batched pricing, as a
-    speedup ratio (per-group / multi) over a realistic engine grid
-    slice: four traffic groups (one per eviction policy) each priced
-    across 32 configurations (eight transfer widths x four code
-    stacks).  Both arms price the same prebuilt traces —
-    ``price_movement_trace_batch`` per group (a one-group vectorized
-    pass each) vs one ``price_movement_traces_multi`` padded-batch pass
-    over all four — and both are pinned ``==``-identical elsewhere;
-    this kernel times the padding payoff and gates its floor."""
+def _bench_wide_group_pricing_speedup(alternations: int = 3):
+    """Vectorized vs scalar pricing of one wide traffic group, as a
+    speedup ratio (scalar / vectorized).  One 256-bit Draper adder
+    depth-3 trace is priced across 64 stacks (16 transfer widths x the
+    four code stacks): the scalar arm runs ``price_movement_trace`` per
+    stack, the vectorized arm ``price_movement_trace_batch``, which
+    from ``NUMPY_PRICING_CELLS`` stacks up replays the trace once with
+    one numpy column per stack.  Both are pinned ``==``-identical
+    elsewhere; this kernel times the vectorization payoff at a group
+    size no benchmark workload reaches and gates its floor."""
     from repro.circuits.workloads import build_workload
     from repro.core.design_space import (
         ENGINE_CACHE_FACTOR,
@@ -414,46 +414,43 @@ def _bench_multi_group_pricing_speedup(alternations: int = 3):
     )
     from repro.sim.replay import (
         extract_movement_trace,
+        price_movement_trace,
         price_movement_trace_batch,
-        price_movement_traces_multi,
     )
 
-    n_bits, depth = 256, 3
-    policies = ("lru", "belady", "fifo", "score")
-    widths = (3, 4, 6, 8, 10, 12, 16, 20)
+    n_bits, depth, policy = 256, 3, "lru"
+    widths = tuple(range(3, 19))
     codes = (("steane", "steane"), ("steane", "bacon_shor"),
              ("bacon_shor", "steane"), ("bacon_shor", "bacon_shor"))
     circuit = build_workload("draper_adder", n_bits)
     order = _fetch_order("draper_adder", n_bits, ENGINE_COMPUTE_QUBITS,
                          ENGINE_CACHE_FACTOR)
-    groups = []
-    for policy in policies:
-        configs = [
-            dict(workload="draper_adder", n_bits=n_bits, depth=depth,
-                 policy=policy, parallel_transfers=width, code_key=ck,
-                 memory_code_key=mk, prefetch="none",
-                 compute_qubits=ENGINE_COMPUTE_QUBITS,
-                 cache_factor=ENGINE_CACHE_FACTOR)
-            for width in widths for ck, mk in codes
-        ]
-        stacks = [_engine_stack(params) for params in configs]
-        trace = extract_movement_trace(stacks[0], circuit, policy,
-                                       order=order)
-        groups.append((trace, stacks))
+    stacks = [
+        _engine_stack(dict(
+            workload="draper_adder", n_bits=n_bits, depth=depth,
+            policy=policy, parallel_transfers=width, code_key=ck,
+            memory_code_key=mk, prefetch="none",
+            compute_qubits=ENGINE_COMPUTE_QUBITS,
+            cache_factor=ENGINE_CACHE_FACTOR,
+        ))
+        for width in widths for ck, mk in codes
+    ]
+    trace = extract_movement_trace(stacks[0], circuit, policy, order=order)
 
     def run():
-        grouped = multi = None
+        scalar = vectorized = None
         for _ in range(alternations):
             t0 = time.perf_counter()
-            for trace, stacks in groups:
-                price_movement_trace_batch(trace, stacks)
+            for stack in stacks:
+                price_movement_trace(trace, stack)
             elapsed = time.perf_counter() - t0
-            grouped = elapsed if grouped is None else min(grouped, elapsed)
+            scalar = elapsed if scalar is None else min(scalar, elapsed)
             t0 = time.perf_counter()
-            price_movement_traces_multi(groups)
+            price_movement_trace_batch(trace, stacks)
             elapsed = time.perf_counter() - t0
-            multi = elapsed if multi is None else min(multi, elapsed)
-        return grouped / multi
+            vectorized = (elapsed if vectorized is None
+                          else min(vectorized, elapsed))
+        return scalar / vectorized
 
     return run
 
@@ -614,7 +611,7 @@ def kernel_set(quick: bool):
         return {
             "fetch_optimized_1024_x4": _times(_bench_fetch(1024), 4),
             "mc_steane_2000_x8": _times(_bench_mc("steane", 2000), 8),
-            "engine_3level_policies_512": _bench_engine(512),
+            "engine_3level_policies_512_x3": _times(_bench_engine(512), 3),
             "engine_3level_generic_512":
                 _bench_engine(512, policies=("fidelity",)),
             "prefetch_3level_next_k_512": _bench_prefetch(512),
@@ -631,8 +628,8 @@ def kernel_set(quick: bool):
                 _bench_batched_codepairs_speedup(),
             "batched_codepairs_scaling_overhead":
                 _bench_batched_scaling_overhead(),
-            "multi_group_pricing_speedup":
-                _bench_multi_group_pricing_speedup(),
+            "wide_group_pricing_speedup":
+                _bench_wide_group_pricing_speedup(),
             "service_table_query_overhead":
                 _bench_service_table_query_overhead(),
         }
@@ -659,8 +656,8 @@ def kernel_set(quick: bool):
             _bench_batched_codepairs_speedup(),
         "batched_codepairs_scaling_overhead":
             _bench_batched_scaling_overhead(),
-        "multi_group_pricing_speedup":
-            _bench_multi_group_pricing_speedup(),
+        "wide_group_pricing_speedup":
+            _bench_wide_group_pricing_speedup(),
         "service_table_query_overhead":
             _bench_service_table_query_overhead(),
     }
@@ -746,8 +743,8 @@ OVERHEAD_SLACK = 0.05
 #: must stay >= 5x the retained reference on the policy cell, the
 #: batched sweep >= 2x the per-cell path on a four-config traffic
 #: group, grouped fidelity replay >= 3x per-cell recorded event-kernel
-#: runs on the same group, and multi-group one-pass pricing >= 1.5x
-#: per-group batched pricing.
+#: runs on the same group, and vectorized pricing of one 64-stack
+#: group >= 1.3x the scalar loop over it.
 #: Ratios are machine-independent, so the floors gate directly —
 #: falling below one means the factorization stopped paying for
 #: itself, whatever the baseline says.
@@ -755,7 +752,7 @@ SPEEDUP_FLOORS = {
     "engine_replay_speedup": 5.0,
     "fidelity_replay_speedup": 3.0,
     "batched_vs_percell_codepairs_speedup": 2.0,
-    "multi_group_pricing_speedup": 1.5,
+    "wide_group_pricing_speedup": 1.3,
 }
 
 #: Absolute ceilings overriding the drift budget for ``*_overhead``

@@ -20,14 +20,12 @@ module exploits it:
   the reservation engine's; the trace carries qubit identities, so an
   attached :class:`~repro.sim.residency.ResidencyRecorder` receives the
   engine's residency records hop for hop;
-* :func:`price_movement_traces_multi` prices **many traces** — one per
-  traffic group, each against its own stacks — and
-  :func:`price_movement_trace_batch` one trace across many stacks (a
-  one-group batch).  Below :data:`NUMPY_PRICING_CELLS` cells each runs
-  the scalar loop; from there up the variable-length miss and gate
-  streams are padded into one numpy batch whose columns are all
-  (group x config) cells, so the per-step interpreter overhead is paid
-  once for the whole design space.
+* :func:`price_movement_trace_batch` prices one trace across many
+  stacks.  Below :data:`NUMPY_PRICING_CELLS` stacks it runs the scalar
+  loop per stack; from there up it runs the same walk once, with one
+  numpy column per stack (every stack shares the miss stream, so only
+  the floats are vectors), paying the per-step interpreter overhead
+  once for the whole group.
 
 The extraction is one loop for every registered eviction policy: its
 replacement decisions come from :mod:`repro.sim.flatpolicy`, the
@@ -48,7 +46,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -73,17 +70,16 @@ __all__ = [
     "price_movement_traces_multi",
 ]
 
-_INF = math.inf
-
-#: Total (group x config) cell count from which the vectorized pricer
-#: (:func:`_price_multi_numpy`) overtakes the scalar loop: numpy pays a
-#: fixed per-step overhead that only amortizes across enough columns.
-#: Measured on a 2-vCPU machine (draper_adder 64 and 256 bits, depth 3,
-#: four code stacks per transfer width, median of 7 interleaved
-#: best-of-3 pairs): scalar/numpy time is 0.86-0.95 at 24 cells and
-#: 1.09-1.12 at 32 for one group, 0.93-0.94 at 32 and 1.03-1.08 at 40
-#: for four groups.
-NUMPY_PRICING_CELLS = 32
+#: Stack count from which the vectorized pricer (:func:`_price_numpy`)
+#: overtakes the scalar loop: numpy pays a fixed per-step overhead that
+#: only amortizes across enough columns.  Measured on a 2-vCPU machine
+#: (draper_adder 32 bits at depth 2, 64 and 256 bits at depth 3, lru,
+#: four code stacks per transfer width; median of 7 interleaved best-of-3
+#: pairs), the per-workload medians of scalar/numpy time are 0.45-0.65
+#: at 8 stacks, 0.77-1.15 at 16, 1.01-1.36 at 20, 1.16-1.29 at 24 and
+#: 1.41-1.74 at 32.  Groups of 8 (four code stacks x two widths) stay
+#: on the scalar loop.
+NUMPY_PRICING_CELLS = 24
 
 
 # ----------------------------------------------------------------------
@@ -664,8 +660,9 @@ def price_movement_trace(
     compute_free = 0.0
     transfer_wait = 0.0
     compute_time = 0.0
+    durations = {ec: ec * top_op for ec in set(trace.gate_ec)}
     for ec, nmiss in zip(trace.gate_ec, trace.gate_nmiss):
-        duration = ec * top_op
+        duration = durations[ec]
         compute_time += duration
         if not nmiss:
             # No arrivals: start = max(compute_free, 0.0) is just
@@ -794,314 +791,105 @@ def price_movement_trace_batch(
 ) -> List[HierarchyEngineResult]:
     """Price one movement trace across many stacks.
 
-    A one-group :func:`price_movement_traces_multi`: exactly
-    ``[price_movement_trace(trace, s) for s in stacks]``, vectorized
-    from :data:`NUMPY_PRICING_CELLS` stacks up.
+    Exactly ``[price_movement_trace(trace, s) for s in stacks]``: below
+    :data:`NUMPY_PRICING_CELLS` stacks it is that loop, from there up
+    the same walk with one numpy column per stack (:func:`_price_numpy`).
     """
-    return _price_groups([(trace, stacks)])[0]
+    stacks = list(stacks)
+    if len(stacks) < NUMPY_PRICING_CELLS:
+        return [price_movement_trace(trace, stack) for stack in stacks]
+    return _price_numpy(trace, stacks)
 
 
 def price_movement_traces_multi(
     groups: Sequence[Tuple[MovementTrace, Sequence[HierarchyStack]]],
 ) -> List[List[HierarchyEngineResult]]:
-    """Price many traffic groups' traces in one pass over the grid.
-
-    ``groups`` pairs each movement trace with the stacks it prices
-    (every stack must match its trace's geometry); the return value is
-    one result list per group, in order — exactly
-    :func:`price_movement_trace` per (trace, stack) cell, and pinned
-    bit-identical to it.
-
-    Below :data:`NUMPY_PRICING_CELLS` total cells every cell runs the
-    scalar loop.  From there up the variable-length miss and gate
-    streams are padded into one structured batch whose columns are
-    *all* (group x config) cells and replayed in a single vectorized
-    pass (see :func:`_price_multi_numpy`), so the whole design space
-    pays the per-step interpreter overhead once.
-    """
-    return _price_groups(groups)
+    """:func:`price_movement_trace_batch` per ``(trace, stacks)`` group."""
+    return [price_movement_trace_batch(trace, stacks) for trace, stacks in groups]
 
 
-def _price_groups(
-    groups: Sequence[Tuple[MovementTrace, Sequence[HierarchyStack]]],
-) -> List[List[HierarchyEngineResult]]:
-    prepared: List[Tuple[MovementTrace, List[HierarchyStack]]] = []
-    for trace, stacks in groups:
-        stacks = list(stacks)
-        for stack in stacks:
-            _check_geometry(trace, stack)
-        prepared.append((trace, stacks))
-    if sum(len(stacks) for _, stacks in prepared) < NUMPY_PRICING_CELLS:
-        return [
-            [price_movement_trace(trace, stack) for stack in stacks]
-            for trace, stacks in prepared
-        ]
-    return _price_multi_numpy(prepared)
+def _price_numpy(
+    trace: MovementTrace, stacks: Sequence[HierarchyStack]
+) -> List[HierarchyEngineResult]:
+    """:func:`price_movement_trace` with one numpy column per stack.
 
-
-def _price_multi_numpy(
-    prepared: List[Tuple[MovementTrace, List[HierarchyStack]]],
-) -> List[List[HierarchyEngineResult]]:
-    """One vectorized pass over every (group x config) cell.
-
-    Columns are all configs of all groups side by side; each group's
-    miss and gate streams are zero-padded to the longest group's
-    (``src == 0`` marks a padded miss, ``ec == 0`` a padded gate — both
-    are exact no-ops on every accumulator, so padding never perturbs a
-    bit).  Groups are mutually independent — no port array or register
-    is shared across columns — so executing step ``m`` of every group
-    simultaneously preserves each column's exact reservation order, and
-    every per-column float op is the same IEEE-754 add/max/argmin the
-    scalar heap performs: results are bit-identical to
-    :func:`price_movement_trace` per cell.
-
-    The port phase never reads the compute clock (reservations depend
-    only on earlier reservations), so the pass factorizes into a
-    miss-stream phase that scatters per-gate arrival maxima and a
-    gate-stream phase that replays the compute_free/transfer_wait scan
-    — each a single loop over the *longest* group's stream instead of
-    one loop per group.
+    Every stack replays the same miss stream, so each hop and cascade
+    decision is the scalar loop's own branch; only the floats are
+    vectors.  A network's lane heaps become one ``(stacks, lanes)``
+    array of free times, ``inf``-padded for narrower stacks, and
+    ``heapreplace`` becomes argmin plus a store: the minimum free time
+    is the heap's top, and equal minima are interchangeable.  Each
+    column performs the scalar loop's IEEE-754 adds and maxes in the
+    same order, so every row is bit-identical to it.
     """
     import numpy as np
 
-    n_groups = len(prepared)
-    col_group: List[int] = []
-    all_stacks: List[HierarchyStack] = []
-    for g, (_, stacks) in enumerate(prepared):
-        col_group.extend([g] * len(stacks))
-        all_stacks.extend(stacks)
-    n_cols = len(all_stacks)
-    cg = np.asarray(col_group, dtype=np.intp)
-    n_nets = max(trace.depth for trace, _ in prepared) - 1
-
-    demote = np.zeros((n_nets, n_cols))
-    promote = np.zeros((n_nets, n_cols))
-    lanes = [[1] * n_cols for _ in range(n_nets)]
-    for c, stack in enumerate(all_stacks):
-        for k, net in enumerate(stack.networks()):
-            demote[k, c] = net.demote_time_s
-            promote[k, c] = net.promote_time_s
-            lanes[k][c] = max(1, round(net.effective_concurrency))
-    # One (columns, lanes) free-time array per network, inf-padded for
-    # narrower configs; columns of shallower stacks simply never touch
-    # the networks beyond their depth.
-    free_t = []
-    for k in range(n_nets):
-        width = max(lanes[k])
-        arr = np.full((n_cols, width), np.inf)
-        for c in range(n_cols):
-            arr[c, : lanes[k][c]] = 0.0
-        free_t.append(arr)
-    top_op = np.array([stack.levels[0].op_time_s for stack in all_stacks])
-
-    max_misses = max(trace.n_misses for trace, _ in prepared)
-    max_gates = max(len(trace.gate_ec) for trace, _ in prepared)
-    src_g = np.zeros((max_misses, n_groups), dtype=np.int64)
-    evcl_g = np.zeros((max_misses, n_groups), dtype=np.int64)
-    ec_g = np.zeros((max_gates, n_groups), dtype=np.int64)
-    for g, (trace, _) in enumerate(prepared):
-        n_miss = trace.n_misses
-        src_g[:n_miss, g] = trace.miss_src
-        # evict and cascade length fold into one operand: a cascade
-        # only exists under an eviction, so clen >= 1 implies evict,
-        # and evict-without-cascade is encoded as clen == 0 with the
-        # evict bit carried separately below via the sign-free split
-        # evcl = evict + clen (evict in {0,1}, so evcl == 0 iff no
-        # eviction, and the cascade reached level lvl iff
-        # evcl - 1 >= lvl).
-        evict = (np.asarray(trace.miss_victim, dtype=np.int64) >= 0).astype(np.int64)
-        evcl_g[:n_miss, g] = evict + np.asarray(trace.miss_clen, dtype=np.int64)
-        ec_g[: len(trace.gate_ec), g] = trace.gate_ec
-    # Expand the per-group streams to per-column matrices once, so the
-    # hot loops index views instead of paying a fancy gather per step.
-    src_c = src_g[:, cg]
-    evcl_c = evcl_g[:, cg]
-    durations = ec_g[:, cg] * top_op
-
-    # Pre-masked per-step operands for the all-active fast path below.
-    # ``d_eff[k][m]`` is each column's hop-k demote time, already
-    # zeroed where the column's miss does not hop through network k;
-    # ``hop_f``/``casc_f`` are the same masks as exact 0.0/1.0 factors.
-    # ``*_any[m]`` says whether any group fires the block at step m, so
-    # empty blocks are skipped without a per-column scan.
-    hop_f = [None] * n_nets
-    d_eff = [None] * n_nets
-    casc_f = [None] * n_nets
-    p_eff = [None] * n_nets
-    hop_any = [None] * n_nets
-    casc_any = [None] * n_nets
-    for k in range(1, n_nets):
-        hmask = src_c > k
-        hop_f[k] = hmask.astype(np.float64)
-        d_eff[k] = demote[k] * hop_f[k]
-        cmask = evcl_c > k
-        casc_f[k] = cmask.astype(np.float64)
-        p_eff[k] = promote[k] * casc_f[k]
-        hop_any[k] = (src_g > k).any(axis=1)
-        casc_any[k] = (evcl_g > k).any(axis=1)
-    p0_eff = promote[0] * (evcl_c > 0)
-
-    # ---- phase 1: the miss streams, all columns in lockstep ---------
-    # Each step's arrival vector lands in its own row; the per-gate
-    # arrival maxima fold out of the rows afterwards in one
-    # ``maximum.reduceat`` per group (max is exact and associative, so
-    # the segmented reduction reproduces the sequential fold bit for
-    # bit) — cheaper than a fancy-indexed scatter-max on every step.
-    arrival_rows = np.empty((max_misses, n_cols))
-    zeros_cols = np.zeros(n_cols)
-    prev_buf = np.empty(n_cols)
-    avail_buf = np.empty(n_cols)
-    flatnonzero = np.flatnonzero
+    for stack in stacks:
+        _check_geometry(trace, stack)
     maximum = np.maximum
-    rows = np.arange(n_cols)
-    # Flat views of the lane arrays plus per-network row offsets: a
-    # 1-D gather/scatter at ``row * width + lane`` is several times
-    # cheaper than the 2-D ``arr[rows, lane]`` form in the hot loop.
-    flat_t = [arr.reshape(-1) for arr in free_t]
-    row_off = [rows * arr.shape[1] for arr in free_t]
+    n_cols = len(stacks)
+    networks = [stack.networks() for stack in stacks]
+    demote = []
+    promote = []
+    free = []
+    for k in range(trace.depth - 1):
+        demote.append(np.array([nets[k].demote_time_s for nets in networks]))
+        promote.append(np.array([nets[k].promote_time_s for nets in networks]))
+        lanes = np.array([
+            max(1, round(nets[k].effective_concurrency)) for nets in networks
+        ])
+        arr = np.where(np.arange(lanes.max()) < lanes[:, None], 0.0, np.inf)
+        # Flat view plus row offsets: a 1-D gather/scatter at
+        # ``row * width + lane`` is cheaper than ``arr[rows, lane]``.
+        free.append((arr, arr.reshape(-1), np.arange(n_cols) * arr.shape[1]))
+    top_op = np.array([stack.levels[0].op_time_s for stack in stacks])
     d0 = demote[0]
     p0 = promote[0]
-    arr0 = free_t[0]
-    flat0 = flat_t[0]
-    off0 = row_off[0]
-    # Steps below the shortest group's stream have every column active,
-    # so they run without index subsetting: masked operands make each
-    # op an exact identity on non-participating columns (prev == 0 at a
-    # skipped hop, so max(free, 0) + 0.0 writes ``free`` back; a masked
-    # avail of 0.0 does the same for a skipped cascade level).
-    min_misses = min(trace.n_misses for trace, _ in prepared)
-    for m in range(min_misses):
-        prev = zeros_cols
-        # Hop down: network k serves every column whose miss source
-        # lies above it (k <= src - 1), highest network first —
-        # exactly each column's scalar hop order.
-        for k in range(n_nets - 1, 0, -1):
-            if not hop_any[k][m]:
-                continue
-            slot = free_t[k].argmin(axis=1)
-            slot += row_off[k]
-            flat = flat_t[k]
-            busy = maximum(flat[slot], prev) + d_eff[k][m]
-            flat[slot] = busy
-            prev = busy * hop_f[k][m]
-        slot = arr0.argmin(axis=1)
-        slot += off0
-        arrival = maximum(flat0[slot], prev) + d0
-        # The paired write-back holds the arrival port (the reference's
-        # left-associated start + demote + promote); a non-evicting
-        # miss adds an exact 0.0 instead, which preserves bits.
-        busy = arrival + p0_eff[m]
-        flat0[slot] = busy
-        arrival_rows[m] = arrival
-        if n_nets > 1 and casc_any[1][m]:
-            avail = busy * casc_f[1][m]
-            for lvl in range(1, n_nets):
-                if not casc_any[lvl][m]:
-                    break
-                slot = free_t[lvl].argmin(axis=1)
-                slot += row_off[lvl]
-                flat = flat_t[lvl]
-                nxt = maximum(flat[slot], avail) + p_eff[lvl][m]
-                flat[slot] = nxt
-                if lvl + 1 < n_nets:
-                    avail = nxt * casc_f[lvl + 1][m]
-    # The padded tail: shorter groups have run dry (src == 0), so ops
-    # subset down to the still-active columns.
-    for m in range(min_misses, max_misses):
-        src = src_c[m]
-        prev = prev_buf
-        avail = avail_buf
-        prev[:] = 0.0
-        # A zero row contributes nothing to any gate's arrival maximum
-        # (the accumulators never go negative), so inactive columns are
-        # exact no-ops in the segmented reduction below.
-        arrival_rows[m] = 0.0
-        for k in range(n_nets - 1, 0, -1):
-            idx = flatnonzero(src > k)
-            if idx.size == 0:
-                continue
-            arr = free_t[k]
-            lane = arr.argmin(axis=1)[idx]
-            start = maximum(arr[idx, lane], prev[idx])
-            busy = start + demote[k, idx]
-            arr[idx, lane] = busy
-            prev[idx] = busy
-        idx = flatnonzero(src)
-        if idx.size == 0:
-            continue
-        evcl = evcl_c[m]
-        lane = arr0.argmin(axis=1)[idx]
-        start = maximum(arr0[idx, lane], prev[idx])
-        arrival = start + d0[idx]
-        busy = arrival + p0[idx] * (evcl[idx] > 0)
-        arr0[idx, lane] = busy
-        avail[idx] = busy
-        arrival_rows[m][idx] = arrival
-        for lvl in range(1, n_nets):
-            idx = flatnonzero(evcl > lvl)
-            if idx.size == 0:
-                break
-            arr = free_t[lvl]
-            lane = arr.argmin(axis=1)[idx]
-            start2 = maximum(arr[idx, lane], avail[idx])
-            nxt = start2 + promote[lvl, idx]
-            arr[idx, lane] = nxt
-            avail[idx] = nxt
-
-    # Fold each gate's arrival maximum out of its miss rows.  A gate's
-    # misses occupy consecutive rows (``gate_nmiss`` counts them), so
-    # one segmented max per group reproduces the sequential per-miss
-    # fold exactly.  Trailing miss-free gates are left at zero rather
-    # than passed to ``reduceat`` (whose degenerate segments would read
-    # out of bounds); interior miss-free gates yield degenerate
-    # segments that are overwritten with the 0.0 the reference uses.
-    arrivals = np.zeros((max_gates, n_cols))
-    offset = 0
-    for trace, stacks in prepared:
-        sl = slice(offset, offset + len(stacks))
-        offset += len(stacks)
-        if trace.n_misses == 0:
-            continue
-        nmiss = np.asarray(trace.gate_nmiss, dtype=np.int64)
-        last = int(np.nonzero(nmiss)[0][-1])
-        starts = np.zeros(last + 1, dtype=np.int64)
-        np.cumsum(nmiss[:last], out=starts[1:])
-        seg = np.maximum.reduceat(
-            arrival_rows[: trace.n_misses, sl], starts, axis=0
-        )
-        seg[nmiss[: last + 1] == 0] = 0.0
-        arrivals[: last + 1, sl] = seg
-
-    # ---- phase 2: the gate streams, all columns in lockstep ---------
-    where = np.where
+    arr0, flat0, off0 = free[0]
+    zeros = np.zeros(n_cols)
     compute_free = np.zeros(n_cols)
     transfer_wait = np.zeros(n_cols)
     compute_time = np.zeros(n_cols)
-    for i in range(max_gates):
-        gate_arrivals = arrivals[i]
-        start = maximum(compute_free, gate_arrivals)
-        delta = gate_arrivals - compute_free
+    next_miss = zip(trace.miss_src, trace.miss_victim, trace.miss_clen).__next__
+    durations = {ec: ec * top_op for ec in set(trace.gate_ec)}
+    for ec, nmiss in zip(trace.gate_ec, trace.gate_nmiss):
+        duration = durations[ec]
+        compute_time += duration
+        if not nmiss:
+            compute_free += duration
+            continue
+        arrivals = zeros
+        for _ in range(nmiss):
+            src, victim, clen = next_miss()
+            prev = zeros
+            for k in range(src - 1, 0, -1):
+                arr, flat, off = free[k]
+                slot = arr.argmin(axis=1)
+                slot += off
+                prev = maximum(flat[slot], prev) + demote[k]
+                flat[slot] = prev
+            slot = arr0.argmin(axis=1)
+            slot += off0
+            arrival = maximum(flat0[slot], prev) + d0
+            if victim >= 0:
+                # The paired write-back holds the arrival port.
+                available = arrival + p0
+                flat0[slot] = available
+                for lvl in range(1, clen + 1):
+                    arr, flat, off = free[lvl]
+                    slot = arr.argmin(axis=1)
+                    slot += off
+                    available = maximum(flat[slot], available) + promote[lvl]
+                    flat[slot] = available
+            else:
+                flat0[slot] = arrival
+            arrivals = maximum(arrivals, arrival)
         # Adding 0.0 where there was no wait preserves bits (the
-        # accumulators never go negative, so x + 0.0 == x exactly).
-        transfer_wait += where(delta > 0.0, delta, 0.0)
-        duration = durations[i]
-        compute_free = start + duration
-        compute_time = compute_time + duration
-
-    results: List[List[HierarchyEngineResult]] = []
-    c = 0
-    for trace, stacks in prepared:
-        group_rows = []
-        for stack in stacks:
-            group_rows.append(
-                _result_from_trace(
-                    trace,
-                    stack,
-                    float(compute_free[c]),
-                    float(compute_time[c]),
-                    float(transfer_wait[c]),
-                )
-            )
-            c += 1
-        results.append(group_rows)
-    return results
+        # accumulator never goes negative, so x + 0.0 == x exactly).
+        transfer_wait += maximum(arrivals - compute_free, 0.0)
+        compute_free = maximum(compute_free, arrivals) + duration
+    return [
+        _result_from_trace(trace, stack, float(compute_free[c]),
+                           float(compute_time[c]), float(transfer_wait[c]))
+        for c, stack in enumerate(stacks)
+    ]

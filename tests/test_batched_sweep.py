@@ -326,11 +326,38 @@ class TestAutomaticGrouping:
         assert rows == compute_grid(grid, engine_cell, EngineRow)
 
 
+#: A grid whose traffic groups each hold 32 members (four stacks x
+#: eight transfer widths), at least ``NUMPY_PRICING_CELLS``: its groups
+#: are priced by the vectorized pricer.
+WIDE_GRID_KWARGS = dict(
+    workloads=("draper_adder",), sizes=(16,), depths=(2, 3),
+    policies=("lru",), prefetches=("none",),
+    code_keys=("steane", "bacon_shor"), code_pairs=PAIRS,
+    transfer_options=(3, 4, 5, 6, 8, 10, 12, 16),
+)
+
+
 class TestGroupedEquivalence:
-    def test_store_records_byte_identical(self, tmp_path):
-        grid = engine_grid(**GRID_KWARGS)
+    @pytest.mark.parametrize("grid_kwargs", [GRID_KWARGS, WIDE_GRID_KWARGS],
+                             ids=["mixed", "wide_groups"])
+    def test_store_records_byte_identical(self, tmp_path, monkeypatch,
+                                          grid_kwargs):
+        grid = engine_grid(**grid_kwargs)
+        vectorized = []
+        price_numpy = replay._price_numpy
+
+        def counted(trace, stacks):
+            vectorized.append(len(stacks))
+            return price_numpy(trace, stacks)
+
+        monkeypatch.setattr(replay, "_price_numpy", counted)
         grouped = ResultStore(tmp_path / "grouped")
         rows = compute_grid(grid, engine_cell, EngineRow, store=grouped)
+        if grid_kwargs is WIDE_GRID_KWARGS:
+            assert sorted(vectorized) == sorted(
+                len(cells) for cells in _groups(grid).values()
+            )
+            assert min(vectorized) >= replay.NUMPY_PRICING_CELLS
         percell = _percell_store(grid, tmp_path / "percell")
         assert rows == _percell_rows(grid)
         assert _record_bytes(grouped) == _record_bytes(percell)

@@ -96,7 +96,7 @@ class TestCheckBaseline:
         data = json.loads(
             (REPO / "benchmarks" / "quick_baseline.json").read_text()
         )
-        assert "engine_3level_policies_512" in data["kernels"]
+        assert "engine_3level_policies_512_x3" in data["kernels"]
         assert "engine_3level_generic_512" in data["kernels"]
         assert "prefetch_3level_next_k_512" in data["kernels"]
         assert "prefetch_3level_fidelity_next_k_512" in data["kernels"]
@@ -104,6 +104,8 @@ class TestCheckBaseline:
         assert "residency_accrual_overhead" in data["kernels"]
         assert "fidelity_replay_speedup" in data["kernels"]
         assert _run_bench().SPEEDUP_FLOORS["fidelity_replay_speedup"] >= 3.0
+        assert "wide_group_pricing_speedup" in data["kernels"]
+        assert _run_bench().SPEEDUP_FLOORS["wide_group_pricing_speedup"] >= 1.3
         assert data["meta"]["calibration_s"] > 0
         # The committed overhead baseline is pinned at zero so the gate
         # is exactly the OVERHEAD_SLACK budget, not a noisy measurement.

@@ -60,7 +60,7 @@ from repro.sim.prefetch import (
 )
 from repro.sim.replay import (
     NUMPY_PRICING_CELLS,
-    _price_multi_numpy,
+    _price_numpy,
     _scan_program,
     extract_movement_trace,
     price_movement_trace,
@@ -125,6 +125,7 @@ class TestTrafficInvariance:
         ]
         scalar = [price_movement_trace(traces[0], stack) for stack in stacks]
         assert scalar == direct
+        assert _price_numpy(traces[0], stacks) == direct
 
     def test_numpy_engine_exact(self):
         # One case through the vectorized pricer, above the threshold:
@@ -146,17 +147,16 @@ class TestTrafficInvariance:
         assert batched == direct
 
 
-class TestMultiGroupPricing:
-    """Multi-group one-pass pricing vs the scalar loop.
+class TestVectorizedPricing:
+    """The vectorized single-trace pricer vs the scalar loop.
 
-    ``_price_multi_numpy`` pads variable-length traces from many
-    traffic groups into one structured batch; it must return rows
-    ``==``-identical to ``price_movement_trace`` run per cell, and so
-    must the public entry points on either side of the threshold.  The
-    group set is deliberately ragged — different
-    workloads, sizes, depths, policies, and *unequal config counts* —
-    so the padding tail, and groups whose trailing gates are miss-free
-    (the ``reduceat`` fold's boundary case), are all exercised.
+    ``_price_numpy`` runs the scalar pricer's walk once with one numpy
+    column per stack; it must return rows ``==``-identical to
+    ``price_movement_trace`` per stack, and so must the public entry
+    on either side of :data:`NUMPY_PRICING_CELLS`.  The groups differ
+    in workload, size, depth, policy and priced-config count, and
+    their transfer widths give the stacks unequal lane counts (the
+    ``inf``-padded lanes of the narrower ones must never be picked).
     """
 
     # (workload, n_bits, depth, policy, widths); qft-12-d2 has ~11
@@ -169,71 +169,90 @@ class TestMultiGroupPricing:
     ]
 
     @staticmethod
-    def _build(specs):
-        groups = []
-        for workload, n_bits, depth, policy, widths in specs:
-            circuit = build_workload(workload, n_bits)
-            stacks = [
-                stack
-                for width in widths
-                for stack in _code_variants(depth, 12, 1.0, width)
-            ]
-            order = simulate_optimized(
-                circuit, stacks[0].levels[0].capacity
-            ).order
-            trace = extract_movement_trace(stacks[0], circuit, policy,
-                                           order=order)
-            groups.append((trace, stacks))
-        return groups
+    def _build(spec):
+        workload, n_bits, depth, policy, widths = spec
+        circuit = build_workload(workload, n_bits)
+        stacks = [
+            stack
+            for width in widths
+            for stack in _code_variants(depth, 12, 1.0, width)
+        ]
+        order = simulate_optimized(
+            circuit, stacks[0].levels[0].capacity
+        ).order
+        trace = extract_movement_trace(stacks[0], circuit, policy,
+                                       order=order)
+        return trace, stacks
 
-    def test_trailing_missfree_gates_present(self):
-        # The boundary case must actually be in the fixture: a group
-        # whose last gates incur no misses (the fold must leave their
-        # arrival rows at zero, not clip into the prior gate's segment).
-        groups = self._build(self.GROUP_SPECS)
+    @staticmethod
+    def _scalar(trace, stacks):
+        return [price_movement_trace(trace, stack) for stack in stacks]
+
+    def test_fixture_covers_boundary_cases(self):
+        # A group whose last gates incur no misses, and a group whose
+        # stacks have unequal lane counts on some network.
+        groups = [self._build(spec) for spec in self.GROUP_SPECS]
         assert any(
             trace.n_misses > 0 and trace.gate_nmiss[-1] == 0
             for trace, _ in groups
         )
+        assert any(
+            len({round(stack.networks()[0].effective_concurrency)
+                 for stack in stacks}) > 1
+            for _, stacks in groups
+        )
 
-    @staticmethod
-    def _scalar(groups):
-        return [
-            [price_movement_trace(trace, stack) for stack in stacks]
-            for trace, stacks in groups
-        ]
+    @pytest.mark.parametrize("spec", GROUP_SPECS,
+                             ids=lambda s: f"{s[0]}-{s[1]}-d{s[2]}-{s[3]}")
+    def test_numpy_exact_vs_scalar(self, spec):
+        trace, stacks = self._build(spec)
+        assert _price_numpy(trace, stacks) == self._scalar(trace, stacks)
 
-    @staticmethod
-    def _priced(pricer, groups):
-        """(groups, rows) through one pricing path: the public entry
-        below the threshold, the public entry at or above it (every
-        group's stacks replicated), or the vectorized pricer directly."""
-        n_cells = sum(len(stacks) for _, stacks in groups)
-        if pricer == "public":
-            assert n_cells < NUMPY_PRICING_CELLS
-        if pricer == "public_vectorized":
-            reps = -(-NUMPY_PRICING_CELLS // n_cells)
-            groups = [(trace, stacks * reps) for trace, stacks in groups]
-        if pricer == "numpy":
-            return groups, _price_multi_numpy(groups)
-        return groups, price_movement_traces_multi(groups)
+    @pytest.mark.parametrize("spec", GROUP_SPECS,
+                             ids=lambda s: f"{s[0]}-{s[1]}-d{s[2]}-{s[3]}")
+    def test_public_entry_both_sides_of_threshold(self, spec):
+        trace, stacks = self._build(spec)
+        assert len(stacks) < NUMPY_PRICING_CELLS
+        assert price_movement_trace_batch(trace, stacks) \
+            == self._scalar(trace, stacks)
+        wide = stacks * -(-NUMPY_PRICING_CELLS // len(stacks))
+        assert price_movement_trace_batch(trace, wide) \
+            == self._scalar(trace, wide)
+        assert price_movement_traces_multi([(trace, stacks), (trace, wide)]) \
+            == [self._scalar(trace, stacks), self._scalar(trace, wide)]
 
-    @pytest.mark.parametrize("pricer", ["public", "public_vectorized",
-                                        "numpy"])
-    def test_exact_vs_per_group(self, pricer):
-        groups, priced = self._priced(pricer, self._build(self.GROUP_SPECS))
-        assert priced == self._scalar(groups)
+    def test_public_entry_selects_by_size(self, monkeypatch):
+        # Below the threshold every stack runs the scalar pricer, from
+        # the threshold up none does.
+        import repro.sim.replay as replay
 
-    @pytest.mark.parametrize("pricer", ["public", "public_vectorized",
-                                        "numpy"])
-    def test_single_group_and_empty(self, pricer):
-        groups, priced = self._priced(pricer,
-                                      self._build(self.GROUP_SPECS[:1]))
-        assert priced == self._scalar(groups)
-        assert price_movement_trace_batch(*groups[0]) == priced[0]
-        trace = groups[0][0]
+        trace, stacks = self._build(self.GROUP_SPECS[0])
+        calls = []
+        scalar = replay.price_movement_trace
+
+        def counted(trace, stack, recorder=None):
+            calls.append(stack)
+            return scalar(trace, stack, recorder)
+
+        monkeypatch.setattr(replay, "price_movement_trace", counted)
+        price_movement_trace_batch(trace, stacks)
+        assert len(calls) == len(stacks)
+        calls.clear()
+        price_movement_trace_batch(trace, stacks[:1] * NUMPY_PRICING_CELLS)
+        assert calls == []
+
+    def test_empty_inputs(self):
+        trace, _ = self._build(self.GROUP_SPECS[0])
+        assert price_movement_trace_batch(trace, []) == []
         assert price_movement_traces_multi([(trace, [])]) == [[]]
         assert price_movement_traces_multi([]) == []
+
+    def test_geometry_checked_on_both_paths(self):
+        trace, stacks = self._build(self.GROUP_SPECS[0])
+        other = _code_variants(2, 12, 1.0, 5)[0]
+        for n in (1, NUMPY_PRICING_CELLS):
+            with pytest.raises(ValueError, match="geometry"):
+                price_movement_trace_batch(trace, stacks[:1] * n + [other])
 
 
 class TestFastSplitEquivalence:
