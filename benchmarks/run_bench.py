@@ -12,9 +12,15 @@ numbers mechanically::
 
 The kernel set covers the two acceptance-criteria paths (optimized
 fetch on the 1024-bit Draper adder, 4000-trial Monte Carlo decoding)
-plus the Table 4/5 sweeps that sit on top of them.  Each kernel runs in
-a fresh in-process state (module caches are cleared between repeats)
-so the numbers reflect cold-path cost, not cache hits.
+plus the Table 4/5 sweeps that sit on top of them.  Module-level caches
+(fetch orders, the shared engine circuit, the level-1 adder run) are
+cleared between repeats, so those are rebuilt cold in every repeat.
+Not every kernel is cold, though: the engine, prefetch and residency
+kernels (``_bench_engine``, ``_bench_prefetch``,
+``_bench_residency_accrual_overhead``) build their circuit once at
+set-up, and :func:`repro.sim.replay._scan_program` caches the scan
+program on that circuit instance, so only their first run builds it
+and their best-of times a warm scan program.
 """
 
 from __future__ import annotations
@@ -155,8 +161,8 @@ def _bench_residency_accrual_overhead(n_bits: int = 512, depth: int = 3,
     their unchanged baselines.  The recorded arm attaches a
     :class:`~repro.sim.residency.ResidencyRecorder` and accrues it,
     timing the movement log plus the residency walk that integrates it
-    (the Monte Carlo calibration is lru_cached per (code, level) and
-    amortizes to zero across a sweep, so a warm-up call excludes it;
+    (the Monte Carlo calibration is lru_cached per (code, trials, seed)
+    and amortizes to zero across a sweep, so a warm-up call excludes it;
     no :class:`~repro.sim.residency.Interval` objects are built on this
     path).  The arms
     alternate so clock drift hits both equally; the committed baseline
@@ -540,8 +546,9 @@ def _bench_service_table_query_overhead(queries: int = 8):
     """Warm-store table query latency through the live service, seconds.
 
     Fills a small sqlite store, binds a :class:`BackgroundService` over
-    it, and times ``GET /v1/table`` end to end (HTTP round trip +
-    store read + render) best-of over several queries.  The value is a
+    it, and times ``GET /v1/table`` end to end best-of over several
+    queries.  The warm-up query renders and memoizes the table, so the
+    timed ones are HTTP round trip + generation-token read + memo hit.  The value is a
     wall-clock latency, not a ratio, but like the other ``_overhead``
     kernels it gates against an absolute budget
     (``OVERHEAD_CEILINGS``): the promise is "a warm table query
@@ -582,7 +589,12 @@ def _bench_service_table_query_overhead(queries: int = 8):
 
 
 def _clear_process_caches() -> None:
-    """Reset in-process caches so every kernel times the cold path."""
+    """Reset the module-level caches between repeats.
+
+    Scan programs cached on a circuit instance survive this: kernels
+    that build their circuit at set-up (engine, prefetch, residency)
+    time a warm scan program after their first run.
+    """
     from repro.core.design_space import _engine_circuit, _fetch_order
     from repro.sim import hierarchy_sim
 

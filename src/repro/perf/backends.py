@@ -53,6 +53,12 @@ backend must satisfy):
 * ``path`` — the backend's anchor on the local filesystem (directory
   for ``fs``, database file for ``sqlite``), used only for *sibling*
   artifacts such as profile dumps, never for record access.
+* ``generation() -> Optional[str]`` — an opaque token that changes
+  after any change to a record or failure record (``None``: unknown,
+  so nothing may be memoized on it).  Readers that memoize store-wide
+  answers read it *before* the data.  On ``sqlite`` triggers bump it on
+  every row change, whoever writes; on ``fs`` each mutating API call
+  bumps it once, so hand edits of files go unseen until the next one.
 
 :class:`SqliteStore` keeps records as the **same JSON text** the
 filesystem backend writes (``json.dumps(record, sort_keys=True)``),
@@ -175,6 +181,23 @@ _SCHEMA = (
         key TEXT PRIMARY KEY,
         meta TEXT NOT NULL
     )""",
+    # The generation token: one row holding a random nonce, which the
+    # triggers below replace on every row change of ``records`` or
+    # ``failures`` (so older writers and hand-run SQL bump it too).
+    # Random rather than a counter, so a re-created database never
+    # repeats a token.
+    """CREATE TABLE IF NOT EXISTS generation (
+        id INTEGER PRIMARY KEY CHECK (id = 0),
+        token TEXT NOT NULL
+    )""",
+    "INSERT OR IGNORE INTO generation(id, token) VALUES(0, lower(hex(randomblob(8))))",
+    *(
+        f"CREATE TRIGGER IF NOT EXISTS {table}_{event.lower()}_generation "
+        f"AFTER {event} ON {table} BEGIN "
+        "UPDATE generation SET token = lower(hex(randomblob(8))); END"
+        for table in ("records", "failures")
+        for event in ("INSERT", "UPDATE", "DELETE")
+    ),
 )
 
 
@@ -354,8 +377,9 @@ class SqliteStore:
         try:
             with flocked(self.path.with_name(self.path.name + ".lock")):
                 conn.execute("PRAGMA journal_mode=WAL")
-                for statement in _SCHEMA:
-                    conn.execute(statement)
+                with conn:
+                    for statement in _SCHEMA:
+                        conn.execute(statement)
             conn.execute("PRAGMA synchronous=NORMAL")
         except BaseException:
             conn.close()
@@ -585,6 +609,16 @@ class SqliteStore:
         self._run(
             lambda conn: conn.execute("DELETE FROM failures WHERE key=?", (key,))
         )
+
+    # -- generation token --------------------------------------------------
+    def generation(self) -> Optional[str]:
+        """The store's generation token (None: no readable database).
+
+        One ``SELECT`` of the row the schema's triggers rewrite on every
+        change to ``records`` or ``failures``.
+        """
+        rows = self._read("SELECT token FROM generation")
+        return rows[0][0] if rows else None
 
     # -- index -----------------------------------------------------------
     def read_index(self) -> Dict[str, Any]:

@@ -33,6 +33,12 @@ Design points:
   Failures never shadow results — ``status`` reports them as
   failed-and-missing, ``resume`` recomputes them, and a success clears
   them — so quarantine is visible without ever poisoning a merge.
+* **A generation token.**  ``generation`` holds a random nonce that
+  every mutating call (``put_many``, ``put_failure``, a standalone
+  ``clear_failure``, ``chaos_tear``) replaces once, after its last
+  file landed; :meth:`ResultStore.generation` reads it.  Readers that
+  memoize store-wide answers (the query service) key them on it.  A
+  file edited by hand is not seen until the next API write bumps it.
 * **One backend of several.**  This filesystem layout is the ``fs``
   backend of the pluggable-store protocol; :mod:`repro.perf.backends`
   defines the locator syntax (``fs:DIR`` / ``sqlite:PATH``), the
@@ -71,6 +77,10 @@ LOCK_NAME = ".index.lock"
 #: Kept out of the record scan's glob so a failure can never be
 #: mistaken for a result.
 FAILURE_DIR = "failures"
+
+#: Generation-token file (and the prefix of its temp names).  Neither
+#: matches ``*.json``, so record scans never see it.
+GENERATION_NAME = "generation"
 
 
 @contextmanager
@@ -221,16 +231,24 @@ class ResultStore:
         """Persist ``(key, value, kernel, params)`` items; key -> meta.
 
         One atomic file write per record, each followed by dropping
-        the key's failure record (a success supersedes a quarantine).
-        The advisory index is left alone: callers batch
-        :meth:`index_add`.
+        the key's failure record (a success supersedes a quarantine),
+        then one generation bump for the whole batch.  The advisory
+        index is left alone: callers batch :meth:`index_add`.
         """
         metas: Dict[str, Dict[str, Any]] = {}
-        for key, value, kernel, params in items:
-            meta = metas[key] = record_meta(kernel, params)
-            record = {"value": value, "meta": meta}
-            atomic_write_text(self.record_path(key), json.dumps(record, sort_keys=True))
-            self.clear_failure(key)
+        written = False
+        try:
+            for key, value, kernel, params in items:
+                meta = metas[key] = record_meta(kernel, params)
+                record = {"value": value, "meta": meta}
+                atomic_write_text(
+                    self.record_path(key), json.dumps(record, sort_keys=True)
+                )
+                written = True
+                self._unlink_failure(key)
+        finally:
+            if written:
+                self._bump_generation()
         return metas
 
     def record(self, key: str) -> Optional[Dict[str, Any]]:
@@ -308,6 +326,7 @@ class ResultStore:
         """
         record = {"failure": dict(failure), "meta": record_meta(kernel, params)}
         atomic_write_text(self.failure_path(key), json.dumps(record, sort_keys=True))
+        self._bump_generation()
         return record
 
     def failure(self, key: str) -> Optional[Dict[str, Any]]:
@@ -335,10 +354,50 @@ class ResultStore:
 
     def clear_failure(self, key: str) -> None:
         """Drop ``key``'s failure record (a later attempt succeeded)."""
+        if self._unlink_failure(key):
+            self._bump_generation()
+
+    def _unlink_failure(self, key: str) -> bool:
+        """Remove ``key``'s failure file; True iff one was removed."""
         try:
-            self.failure_path(key).unlink()
+            os.unlink(self.failure_path(key))
         except OSError:
-            pass
+            return False
+        return True
+
+    # -- generation token --------------------------------------------------
+    def generation(self) -> Optional[str]:
+        """The store's generation token; None when there is none yet.
+
+        Changes after every API write to a record or failure record,
+        so an answer derived from the store stays valid while the token
+        reads the same.  Read it *before* the data the answer derives
+        from: a write racing the read then leaves a newer token behind.
+        """
+        try:
+            with open(os.path.join(self.directory, GENERATION_NAME)) as handle:
+                return handle.read() or None
+        except OSError:
+            return None
+
+    def _bump_generation(self) -> None:
+        """Replace the generation file with a fresh random nonce.
+
+        Temp file plus ``os.replace``, so readers see the old token or
+        the new one, never a torn one; the nonce doubles as the temp
+        name's unique suffix.  No ``fsync``: the token only keys
+        in-memory memos of running processes, which a power loss
+        clears anyway, so durability buys nothing.
+        """
+        nonce = os.urandom(8).hex()
+        path = os.path.join(self.directory, GENERATION_NAME)
+        tmp = f"{path}.{nonce}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+        try:
+            os.write(fd, nonce.encode())
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
 
     # -- fault injection -------------------------------------------------
     def chaos_tear(self, plan, key: str, params: Dict[str, Any]) -> bool:
@@ -347,8 +406,15 @@ class ResultStore:
         The backend-protocol hook behind the chaos harness's torn-write
         fault (:meth:`repro.perf.chaos.ChaosPlan.corrupt_after_write`):
         here the record *is* a file, so the plan tears it in place.
+        Bumps the generation unless the plan left the record alone.
         """
-        return plan.corrupt_after_write(self.record_path(key), params)
+        torn = None
+        try:
+            torn = plan.corrupt_after_write(self.record_path(key), params)
+            return torn
+        finally:
+            if torn is not False:
+                self._bump_generation()
 
     # -- index -----------------------------------------------------------
     def _locked(self):
@@ -443,6 +509,7 @@ BACKEND_SURFACE = (
     "read_index",
     "index_add",
     "rebuild_index",
+    "generation",
 )
 
 

@@ -30,6 +30,12 @@ Endpoints (all JSON unless noted):
   completes or after ``ticks`` polls, so a reader can watch an
   in-flight sharded sweep converge live.
 
+Store-wide answers (the rendered table, the status split behind
+``/v1/status``, ``/v1/cells``, progress ticks and the 409 body) are
+memoized on the store's generation token (``store.generation()``):
+while it reads the same, nothing was written and the last answer is
+served again; a new token, or ``None``, re-derives it from the store.
+
 :class:`BackgroundService` runs the same server on a daemon thread for
 tests, benchmarks and doctests; :func:`run_service` is the blocking
 CLI entry point.
@@ -41,7 +47,7 @@ import asyncio
 import json
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 #: Progress-poll interval bounds (seconds): fast enough to watch a
@@ -83,10 +89,36 @@ class SweepService:
             locator = str(getattr(self.store, "path", store))
         self.locator = locator
         self._keys = list(grid.keys())
+        #: slot -> (generation token, answer) of the last derivation.
+        self._memo: Dict[Any, Tuple[str, Any]] = {}
 
     # -- store reads (executor-side, blocking) ---------------------------
+    def _memoized(self, slot: Any, derive: Callable[[], Any]) -> Any:
+        """``derive()``, or the answer memoized in ``slot`` while the
+        store's generation token still matches.
+
+        The token is read before the data: a write landing in between
+        leaves a newer token, so the memo never outlives the answer.
+        An exception from ``derive`` memoizes nothing.  No lock: racing
+        derivations may overwrite each other's slot, but every hit is
+        checked against a token read first, so a lost update costs a
+        re-derivation, never a stale answer.
+        """
+        token = self.store.generation()
+        memo = self._memo.get(slot)
+        if token is not None and memo is not None and memo[0] == token:
+            return memo[1]
+        answer = derive()
+        if token is not None:
+            self._memo[slot] = (token, answer)
+        return answer
+
+    def _status(self):
+        """The grid's status split, memoized on the generation token."""
+        return self._memoized("status", lambda: self.store.status(self._keys))
+
     def status_payload(self) -> Dict[str, Any]:
-        status = self.store.status(self._keys)
+        status = self._status()
         return {
             "kernel": self.grid.kernel,
             "store": self.locator,
@@ -99,14 +131,22 @@ class SweepService:
         }
 
     def table_text(self, *, allow_missing: bool) -> str:
+        """The rendered table, memoized per ``allow_missing``.
+
+        A :class:`~repro.sweep.runner.MissingCells` render raises, so a
+        409 is never memoized.
+        """
         from ..analysis.tables import render_table_from_store
 
-        return render_table_from_store(
-            self.grid, self.store, allow_missing=allow_missing
+        return self._memoized(
+            ("table", allow_missing),
+            lambda: render_table_from_store(
+                self.grid, self.store, allow_missing=allow_missing
+            ),
         )
 
     def cells_payload(self) -> Dict[str, Any]:
-        status = self.store.status(self._keys)
+        status = self._status()
         missing = set(status.missing_keys)
         return {
             "kernel": self.grid.kernel,
@@ -214,9 +254,7 @@ class SweepService:
                     None, lambda: self.table_text(allow_missing=allow)
                 )
             except MissingCells:
-                status = await loop.run_in_executor(
-                    None, lambda: self.store.status(self._keys)
-                )
+                status = await loop.run_in_executor(None, self._status)
                 await self._respond_json(
                     writer,
                     409,
@@ -269,9 +307,7 @@ class SweepService:
         started = time.monotonic()
         previous: Optional[Tuple[float, int]] = None
         for tick in range(ticks):
-            status = await loop.run_in_executor(
-                None, lambda: self.store.status(self._keys)
-            )
+            status = await loop.run_in_executor(None, self._status)
             now = time.monotonic()
             rate = 0.0
             if previous is not None and now > previous[0]:

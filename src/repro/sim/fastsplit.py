@@ -211,7 +211,8 @@ def simulate_split_fast(
         location[q] = bottom
     if recorder is not None:
         recorder.begin({q: bottom for q in program.touched})
-    rec = None if recorder is None else recorder.transfer
+    # The recorder's movement log, appended to directly (one C call per hop).
+    log = None if recorder is None else recorder.records.append
     moving: dict = {}
     in_flight_up: dict = {}
     pinned: Set[int] = set()
@@ -623,14 +624,14 @@ def simulate_split_fast(
             if owner[0]:  # write-back
                 writebacks[k] += 1
                 q = owner[2]
-                if rec is not None:
-                    rec(q, k, k + 1, t - promote[k], t, k)
+                if log is not None:
+                    log((q, k, k + 1, t - promote[k], t, k))
                 fire = owner[5]
             else:  # fetch hop
                 fetches[k] += 1
                 q = owner[1]
-                if rec is not None:
-                    rec(q, k + 1, k, t - demote[k], t, k)
+                if log is not None:
+                    log((q, k + 1, k, t - demote[k], t, k))
                 if k:
                     nk = k - 1
                     nreq = [t, demote[nk], owner[2], _PENDING, owner, nk]

@@ -647,11 +647,13 @@ def price_movement_trace(
     d0 = demote[0]
     p0 = promote[0]
     h0 = heaps[0]
-    rec = None
+    log = None
     if recorder is not None:
         bottom = trace.depth - 1
         recorder.begin({q: bottom for q in trace.touched})
-        rec = recorder.transfer
+        # The recorder's movement log, appended to directly: one C
+        # call per hop instead of a bound-method call.
+        log = recorder.records.append
         miss_qubit = trace.miss_qubit
         cascade_qubit = trace.cascade_qubit
         mi = ci = 0
@@ -688,19 +690,19 @@ def price_movement_trace(
                         start = free if free > prev else prev
                         prev = start + demote[k]
                         heapreplace(h, prev)
-                        if rec is not None:
-                            rec(miss_qubit[mi], k + 1, k, start, prev, k)
+                        if log is not None:
+                            log((miss_qubit[mi], k + 1, k, start, prev, k))
             free = h0[0]
             start = free if free > prev else prev
             arrival = start + d0
-            if rec is not None:
+            if log is not None:
                 q = miss_qubit[mi]
                 mi += 1
                 if src == 2:
-                    rec(q, 2, 1, hop, prev, 1)
-                rec(q, 1, 0, start, arrival, 0)
+                    log((q, 2, 1, hop, prev, 1))
+                log((q, 1, 0, start, arrival, 0))
                 if victim >= 0:
-                    rec(victim, 0, 1, arrival, arrival + p0, 0)
+                    log((victim, 0, 1, arrival, arrival + p0, 0))
             if victim >= 0:
                 # The paired write-back holds the arrival port
                 # (busy = start + demote + promote = arrival + promote,
@@ -713,8 +715,8 @@ def price_movement_trace(
                     start2 = free if free > available else available
                     available = start2 + promote[1]
                     heapreplace(h, available)
-                    if rec is not None:
-                        rec(cascade_qubit[ci], 1, 2, start2, available, 1)
+                    if log is not None:
+                        log((cascade_qubit[ci], 1, 2, start2, available, 1))
                         ci += 1
                 elif clen:
                     for lvl in range(1, clen + 1):
@@ -723,9 +725,9 @@ def price_movement_trace(
                         start2 = free if free > available else available
                         available = start2 + promote[lvl]
                         heapreplace(h, available)
-                        if rec is not None:
-                            rec(cascade_qubit[ci], lvl, lvl + 1, start2,
-                                available, lvl)
+                        if log is not None:
+                            cq = cascade_qubit[ci]
+                            log((cq, lvl, lvl + 1, start2, available, lvl))
                             ci += 1
             else:
                 heapreplace(h0, arrival)

@@ -44,11 +44,12 @@ Noise derivation
 physical rate (:data:`P_CAL`), scales the Gottesman Equation 1 analytic
 failure rate by the measured-vs-analytic ratio at level 1, and applies
 that scale at the level of interest — an MC-calibrated analytic model,
-deterministic for a fixed ``(trials, seed)``.  A level's coherence time
-is one EC period over its per-cycle error rate; an in-flight qubit on
-network ``k`` is charged at the *worse* endpoint's per-second rate (the
-shallower level — deeper levels are doubly-exponentially more
-reliable).
+deterministic for a fixed ``(trials, seed)``.  The scale depends on the
+code alone, so the Monte Carlo runs once per ``(code, trials, seed)``,
+not once per level.  A level's coherence time is one EC period over its
+per-cycle error rate; an in-flight qubit on network ``k`` is charged at
+the *worse* endpoint's per-second rate (the shallower level — deeper
+levels are doubly-exponentially more reliable).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ecc.concatenated import by_key
@@ -99,7 +101,8 @@ class ResidencyRecorder:
     """Collects per-qubit movement records from one engine run.
 
     Engines call :meth:`begin` with the initial location map, then
-    :meth:`transfer` once per completed hop, then :meth:`finish` with
+    :meth:`transfer` once per completed hop (the hot engines append the
+    same tuple to :attr:`records` directly), then :meth:`finish` with
     the makespan.  :meth:`walk` turns the per-qubit record streams into
     residency spans — for every touched qubit, an exact partition of
     ``[0, horizon]`` (see the module docstring for the per-dialect
@@ -142,7 +145,7 @@ class ResidencyRecorder:
         self._finished = True
         self.makespan = makespan
         self.horizon = max(
-            makespan, max((rec[4] for rec in self.records), default=makespan)
+            makespan, max(map(itemgetter(4), self.records), default=makespan)
         )
         return self
 
@@ -318,6 +321,20 @@ class LevelNoise:
 
 
 @lru_cache(maxsize=None)
+def _mc_scale(code_key: str, trials: int, seed: int) -> float:
+    """Measured-over-analytic level-1 failure rate at :data:`P_CAL`.
+
+    1.0 when the measurement resolves zero failures.  Independent of
+    the level, so every level of one code shares one Monte Carlo run.
+    """
+    code = by_key(code_key)
+    mc = logical_error_rate(code.algebraic_code(), P_CAL, trials=trials, seed=seed)
+    if mc.failures == 0:
+        return 1.0
+    return mc.logical_error_rate / code.failure_rate(1, p0=P_CAL)
+
+
+@lru_cache(maxsize=None)
 def code_noise(
     code_key: str,
     code_level: int,
@@ -334,14 +351,7 @@ def code_noise(
     given trial budget) the analytic rate is kept unscaled.
     """
     code = by_key(code_key)
-    mc = logical_error_rate(
-        code.algebraic_code(), P_CAL, trials=trials, seed=seed
-    )
-    if mc.failures == 0:
-        scale = 1.0
-    else:
-        scale = mc.logical_error_rate / code.failure_rate(1, p0=P_CAL)
-    rate = min(1.0, scale * code.failure_rate(code_level))
+    rate = min(1.0, _mc_scale(code_key, trials, seed) * code.failure_rate(code_level))
     return LevelNoise(
         code_key=code_key,
         code_level=code_level,

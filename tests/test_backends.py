@@ -325,6 +325,132 @@ class TestBackendConformance:
         assert store.has("hit")
 
 
+class TestGenerationToken:
+    """``generation()``: every write to a record or failure record
+    changes it, no read does, and another handle sees the same token."""
+
+    def test_fresh_store_has_no_token_until_written(self, store):
+        assert store.generation() is None
+        store.put("k", 1)
+        assert store.generation() is not None
+
+    def test_every_mutating_method_changes_it(self, store, tmp_path):
+        plan = ChaosPlan.scripted(
+            [{"fault": "corrupt", "match": {"x": 1}, "times": 1}],
+            state_dir=tmp_path / "chaos-state",
+        )
+        writes = [
+            lambda: store.put("a", 1, params={"x": 1}),
+            lambda: store.put("b", 2, index=False),
+            lambda: store.put_many([("c", 3, None, None), ("d", 4, None, None)]),
+            lambda: store.put_failure("e", FAILURE),
+            lambda: store.put_failure("e", {**FAILURE, "attempts": 4}),
+            lambda: store.clear_failure("e"),
+            lambda: store.chaos_tear(plan, "a", {"x": 1}),
+            lambda: store.put("a", 1),
+        ]
+        seen = [store.generation()]
+        for write in writes:
+            write()
+            seen.append(store.generation())
+        assert None not in seen[1:]
+        assert len(set(seen)) == len(seen)
+
+    def test_reads_and_no_op_writes_leave_it(self, store, tmp_path):
+        plan = ChaosPlan.scripted(
+            [{"fault": "corrupt", "match": {"x": 1}, "times": 1}],
+            state_dir=tmp_path / "chaos-state",
+        )
+        store.put("k", 1, kernel="engine_cell")
+        store.put_failure("quarantined", FAILURE)
+        token = store.generation()
+        store.get("k")
+        store.record("k")
+        store.records(["k", "absent"])
+        store.has("k")
+        store.keys()
+        store.status(["k", "quarantined", "absent"])
+        store.failure("quarantined")
+        store.failure_keys()
+        store.read_index()
+        store.clear_failure("never-existed")
+        store.put_many([])
+        assert not store.chaos_tear(plan, "k", {"x": 2})
+        assert store.generation() == token
+
+    def test_a_second_handle_sees_the_same_token(self, backend, tmp_path):
+        locator = make_locator(backend, tmp_path)
+        writer, reader = open_store(locator), open_store(locator)
+        writer.put("k", 1)
+        token = reader.generation()
+        assert token == writer.generation()
+        writer.put("k", 2)
+        assert reader.generation() not in (None, token)
+
+    def test_fs_put_many_bumps_once_per_batch(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        store.put_failure("healed", FAILURE)
+        bumps = []
+        original = ResultStore._bump_generation
+
+        def counted(self):
+            bumps.append(1)
+            original(self)
+
+        monkeypatch.setattr(ResultStore, "_bump_generation", counted)
+        store.put_many((f"k{i}", i, None, None) for i in range(5))
+        store.put_many([("healed", 1, None, None)])
+        assert len(bumps) == 2
+        assert store.failure("healed") is None
+
+    def test_fs_token_file_is_not_a_record(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.put("k", 1)
+        assert store.keys() == ["k"]
+        assert set(store.rebuild_index()) == {"k"}
+        litter = [p.name for p in store.directory.iterdir() if p.suffix == ".tmp"]
+        assert litter == []
+
+    def test_fs_hand_edits_wait_for_the_next_api_write(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        store.put("k", 1)
+        token = store.generation()
+        corrupt_record(store, "k")
+        assert store.generation() == token
+        store.put("other", 2)
+        assert store.generation() != token
+
+    def test_sqlite_hand_run_sql_bumps_it(self, tmp_path):
+        store = SqliteStore(tmp_path / "store.db")
+        store.put("k", 1)
+        store.put_failure("f", FAILURE)
+        seen = [store.generation()]
+        corrupt_record(store, "k")
+        seen.append(store.generation())
+        corrupt_failure(store, "f")
+        seen.append(store.generation())
+        delete_record(store, "k")
+        seen.append(store.generation())
+        assert len(set(seen)) == 4
+
+    def test_sqlite_database_without_the_table_migrates(self, tmp_path):
+        path = tmp_path / "old.db"
+        with closing(sqlite3.connect(str(path))) as conn, conn:
+            conn.execute("CREATE TABLE records (key TEXT PRIMARY KEY, record TEXT NOT NULL)")
+            conn.execute(
+                "INSERT INTO records VALUES('k', ?)",
+                (json.dumps({"meta": {}, "value": 1}, sort_keys=True),),
+            )
+        store = SqliteStore(path)
+        token = store.generation()
+        assert token is not None
+        assert store.get("k") == 1
+        # A writer that knows nothing of the token still bumps it.
+        with closing(sqlite3.connect(str(path))) as conn, conn:
+            conn.execute("UPDATE records SET record='torn' WHERE key='k'")
+        assert store.generation() != token
+
+
 def _hammer_same_cell(args):
     locator, key, rounds = args
     store = open_store(locator)

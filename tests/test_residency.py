@@ -407,6 +407,51 @@ class TestAccrual:
         assert code_noise("steane", 2).cycle_error_rate < noise.cycle_error_rate
         assert 0 < P_CAL < 1
 
+    def test_calibration_runs_once_per_code(self, monkeypatch):
+        """The Monte Carlo scale depends on (code, trials, seed) only: a
+        fidelity grid over two codes and every level runs it twice, and
+        each level's rate equals the per-level calibration."""
+        from repro.ecc.montecarlo import logical_error_rate
+        from repro.sim import residency
+
+        calls = []
+
+        def counted(code, p, *, trials, seed):
+            calls.append((code.name, trials, seed))
+            return logical_error_rate(code, p, trials=trials, seed=seed)
+
+        monkeypatch.setattr(residency, "logical_error_rate", counted)
+        residency._mc_scale.cache_clear()
+        residency.code_noise.cache_clear()
+        try:
+            grid = fidelity_grid(
+                workloads=("qft",), sizes=(N_BITS,), depths=(2, 3),
+                code_keys=("steane", "bacon_shor"),
+                code_pairs=(("bacon_shor", "steane"),),
+                prefetches=("none",), transfer_options=(10,),
+                fidelity_trials=TRIALS, fidelity_seed=SEED,
+            )
+            compute_grid(grid, fidelity_cell, FidelityRow)
+            assert len(calls) == 2
+            assert len(set(calls)) == 2
+            # Several (code, level) points shared those two runs.
+            assert residency.code_noise.cache_info().currsize > 2
+            for code_key in ("steane", "bacon_shor"):
+                code = by_key(code_key)
+                mc = logical_error_rate(
+                    code.algebraic_code(), P_CAL, trials=TRIALS, seed=SEED
+                )
+                scale = (1.0 if mc.failures == 0 else
+                         mc.logical_error_rate / code.failure_rate(1, p0=P_CAL))
+                for code_level in (1, 2, 3):
+                    expected = min(1.0, scale * code.failure_rate(code_level))
+                    noise = code_noise(code_key, code_level, TRIALS, SEED)
+                    assert noise.cycle_error_rate == expected
+            assert len(calls) == 2  # the checks above were memo hits
+        finally:
+            residency._mc_scale.cache_clear()
+            residency.code_noise.cache_clear()
+
     def test_simulate_fidelity_run_result_unchanged(self):
         circuit, order = _order("draper_adder")
         plain = simulate_hierarchy_run(_stack(), circuit, "lru", order=order)

@@ -4,10 +4,16 @@ The service is read-only plumbing over a store backend: every test
 spins a :class:`~repro.service.server.BackgroundService` on a daemon
 thread against a real store (fs or sqlite) and speaks to it through
 :class:`~repro.service.client.ServiceClient` — the same stack the CI
-``sweep-service`` job drives over HTTP from the shell.
+``sweep-service`` job drives over HTTP from the shell.  The one
+exception is the memo race test, which calls a
+:class:`~repro.service.server.SweepService` from many threads in-process.
 """
 
 import json
+import os
+import subprocess
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from urllib.request import urlopen
@@ -21,6 +27,7 @@ from repro.analysis.tables import (
 )
 from repro.perf.backends import open_store
 from repro.service import BackgroundService, ServiceClient, ServiceError
+from repro.service.server import SweepService
 from repro.sweep.grid import Grid
 from repro.sweep.runner import compute_grid, kernel_registry
 
@@ -299,3 +306,188 @@ class TestConcurrentReaders:
                 tables = [pool.submit(client.table) for _ in range(3)]
                 assert stream.result(timeout=10)[-1]["complete"] is True
                 assert len({f.result(timeout=10) for f in tables}) == 1
+
+
+def _locator(backend, tmp_path):
+    if backend == "fs":
+        return f"fs:{tmp_path / 'store'}"
+    return f"sqlite:{tmp_path / 'store.db'}"
+
+
+def _put_cell(locator, grid, cell):
+    """Write ``cell``'s row through a fresh handle in another process."""
+    fn, _ = kernel_registry()[grid.kernel]
+    value = json.dumps(asdict(fn(cell.as_dict())))
+    script = (
+        "import json, sys\n"
+        "from repro.perf.backends import open_store\n"
+        "locator, key, kernel, params, value = sys.argv[1:]\n"
+        "open_store(locator).put(key, json.loads(value), kernel=kernel,"
+        " params=json.loads(params))\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", script, locator, cell.key, grid.kernel,
+         json.dumps(cell.as_dict()), value],
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+
+
+@pytest.mark.parametrize("backend", ("fs", "sqlite"))
+class TestGenerationMemo:
+    """Store-wide answers are memoized on the store's generation token;
+    every write through the store API, from any handle or process,
+    invalidates them."""
+
+    def _partial(self, backend, tmp_path):
+        """A transfer grid with all but its last cell stored."""
+        grid = transfer_grid()
+        locator = _locator(backend, tmp_path)
+        store = open_store(locator)
+        fn, row_type = kernel_registry()[grid.kernel]
+        *rest, last = grid.cells
+        compute_grid(Grid(grid.kernel, tuple(rest)), fn, row_type, store=store)
+        return store, grid, locator, last
+
+    def test_memo_hits_are_byte_identical_and_read_nothing(
+        self, backend, tmp_path, monkeypatch
+    ):
+        locator = _locator(backend, tmp_path)
+        store = open_store(locator)
+        grid = transfer_grid()
+        fill(grid, store)
+        reads = []
+        original = type(store).records
+
+        def counted(self, keys):
+            reads.append(1)
+            return original(self, keys)
+
+        monkeypatch.setattr(type(store), "records", counted)
+        with BackgroundService(store, grid) as svc:
+            client = ServiceClient(svc.url)
+            cold = [client.table(), client.table(allow_missing=True)]
+            assert client.status()["complete"] is True
+            cold_reads = len(reads)
+            hits = [client.table(), client.table(allow_missing=True)] * 2
+            statuses = [client.status() for _ in range(2)]
+            cells = client.cells()
+            hit_reads = len(reads)
+        expected = render_table_from_store(grid, store)
+        assert cold == [expected] * 2
+        assert hits == [expected] * 4
+        assert all(status["complete"] for status in statuses)
+        assert all(cell["done"] for cell in cells["cells"])
+        # The cold answers read the records; every repeat was a memo hit.
+        assert cold_reads >= 2
+        assert hit_reads == cold_reads
+
+    def test_another_process_write_shows_in_the_next_table(
+        self, backend, tmp_path
+    ):
+        store, grid, locator, last = self._partial(backend, tmp_path)
+        with BackgroundService(store, grid) as svc:
+            client = ServiceClient(svc.url)
+            degraded = client.table(allow_missing=True)
+            assert "1 cell(s) missing" in degraded
+            assert client.status()["done"] == 15
+            _put_cell(locator, grid, last)
+            table = client.table()
+            assert client.status()["complete"] is True
+        assert table == render_table_from_store(grid, open_store(locator))
+        assert table != degraded
+
+    def test_chaos_tear_turns_the_next_table_into_a_409(
+        self, backend, tmp_path
+    ):
+        from repro.perf.chaos import ChaosPlan
+
+        locator = _locator(backend, tmp_path)
+        store = open_store(locator)
+        grid = transfer_grid()
+        fill(grid, store)
+        cell = grid.cells[3]
+        plan = ChaosPlan.scripted(
+            [{"fault": "corrupt", "match": cell.as_dict(), "times": 1}],
+            state_dir=tmp_path / "chaos-state",
+        )
+        with BackgroundService(store, grid) as svc:
+            client = ServiceClient(svc.url)
+            assert "Table 3" in client.table()
+            assert client.status()["complete"] is True
+            assert store.chaos_tear(plan, cell.key, cell.as_dict())
+            with pytest.raises(ServiceError) as exc_info:
+                client.table()
+            status = client.status()
+        assert exc_info.value.code == 409
+        assert exc_info.value.payload["done"] == 15
+        assert status["done"] == 15 and status["complete"] is False
+
+    def test_put_failure_shows_in_status(self, backend, tmp_path):
+        store, grid, locator, last = self._partial(backend, tmp_path)
+        with BackgroundService(store, grid) as svc:
+            client = ServiceClient(svc.url)
+            assert client.status()["failed"] == 0
+            open_store(locator).put_failure(last.key, FAILURE)
+            status = client.status()
+            cells = client.cells()
+        assert status["failed"] == 1
+        assert status["failed_keys"] == [last.key]
+        done = {cell["key"]: cell["done"] for cell in cells["cells"]}
+        assert done[last.key] is False
+
+    def test_progress_tick_after_a_write_counts_it(self, backend, tmp_path):
+        store, grid, locator, last = self._partial(backend, tmp_path)
+        with BackgroundService(store, grid) as svc:
+            client = ServiceClient(svc.url)
+            before = list(client.progress(interval=0.05, ticks=1))
+            _put_cell(locator, grid, last)
+            after = list(client.progress(interval=0.05, ticks=1))
+        assert before[-1]["done"] == 15 and not before[-1]["complete"]
+        assert after[-1]["done"] == 16 and after[-1]["complete"]
+
+
+@pytest.mark.parametrize("backend", ("fs", "sqlite"))
+def test_memo_under_racing_readers_and_a_writer(backend, tmp_path):
+    """Eight reader threads hammer the memoized answers while a writer
+    lands the grid cell by cell; once the writer is done, every answer
+    is the complete one."""
+    grid = transfer_grid()
+    store = open_store(_locator(backend, tmp_path))
+    service = SweepService(store, grid)
+    fn, _ = kernel_registry()[grid.kernel]
+    rows = {cell.key: asdict(fn(cell.as_dict())) for cell in grid.cells}
+    writing = threading.Event()
+    writing.set()
+    errors = []
+
+    def reader():
+        try:
+            while writing.is_set():
+                service.table_text(allow_missing=True)
+                service.status_payload()
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        writer = open_store(_locator(backend, tmp_path))
+        for cell in grid.cells:
+            writer.put(cell.key, rows[cell.key], kernel=grid.kernel,
+                       params=cell.as_dict())
+        writing.clear()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        writing.clear()
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert service.status_payload()["complete"] is True
+    expected = render_table_from_store(grid, store)
+    assert service.table_text(allow_missing=False) == expected
+    assert service.table_text(allow_missing=True) == expected
