@@ -11,7 +11,8 @@ the generic accelerators they share:
   ``BrokenProcessPool`` recovery, and classified terminal failures for
   quarantine;
 * :mod:`repro.perf.store` — a durable, content-addressed result store
-  (atomic per-cell JSON records, ``flock``-guarded index) that sharded
+  (per-cell JSON records in one atomic segment file per write batch,
+  ``flock``-guarded index) that sharded
   sweep workers on many hosts fill concurrently and ``merge`` reads
   back; a sweep given ``store=`` reads through it, so a warm re-run
   recomputes nothing;

@@ -28,7 +28,7 @@ backend must satisfy):
 * ``put_many(items) -> {key: meta}`` — ``(key, value, kernel, params)``
   items written as ``put`` writes them, each dropping the key's stale
   failure record; the advisory index is left alone.  One transaction
-  on ``sqlite``; per-file atomic writes on ``fs``.  ``put`` is a
+  on ``sqlite``; one atomic segment file on ``fs``.  ``put`` is a
   one-item ``put_many`` plus the index upsert.
 * ``record(key)`` / ``get(key)`` / ``has(key)`` — corruption-tolerant:
   an unreadable, truncated, or wrong-shape record reads as *missing*
@@ -74,7 +74,6 @@ import json
 import os
 import re
 import sqlite3
-import tempfile
 import threading
 import time
 import weakref
@@ -82,7 +81,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .store import ResultStore, StoreStatus, flocked, record_meta
+from .store import (
+    ResultStore,
+    StoreStatus,
+    chaos_torn_text,
+    flocked,
+    record_meta,
+)
 
 #: Locator schemes with a registered backend.
 STORE_SCHEMES = ("fs", "sqlite")
@@ -292,7 +297,7 @@ class SqliteStore:
     """Content-addressed result store in a single SQLite database.
 
     One row per cell in ``records``, holding the *exact* JSON text the
-    filesystem backend would write to ``<key>.json`` — so records are
+    filesystem backend writes as the key's segment line — so records are
     bit-identical across backends, and the same corruption-tolerance
     rule applies: a row whose text is not the expected JSON shape reads
     as missing, never as an error.  Failure (quarantine) records live
@@ -674,28 +679,18 @@ class SqliteStore:
     def chaos_tear(self, plan, key: str, params: Dict[str, Any]) -> bool:
         """Apply a scripted ``"corrupt"`` fault to ``key``; True if torn.
 
-        The plan's tear logic (and its cross-process ``times``
-        accounting) operates on files, so the record text round-trips
-        through a temp file: whatever the plan leaves there — the
-        truncated JSON modelling a tear that survived persistence — is
-        stored back, after which the record reads as missing exactly
-        like a torn filesystem record.
+        The plan truncates the record's text
+        (:func:`repro.perf.store.chaos_torn_text`) and the torn JSON,
+        modelling a tear that survived persistence, is stored back for
+        this one row, after which the record reads as missing exactly
+        like a torn line of an ``fs`` segment.
         """
         text = self._select("records", [key]).get(key)
         if text is None:
             return False
-        fd, tmp = tempfile.mkstemp(prefix=".chaos-", suffix=".json")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            if not plan.corrupt_after_write(tmp, params):
-                return False
-            torn_text = Path(tmp).read_text()
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        torn_text = chaos_torn_text(plan, text, params)
+        if torn_text is None:
+            return False
         self._run(
             lambda conn: conn.execute(
                 "UPDATE records SET record=? WHERE key=?", (torn_text, key)

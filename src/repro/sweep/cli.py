@@ -227,7 +227,7 @@ def _maybe_profile(args: argparse.Namespace, label: str) -> Iterator[None]:
 
     The dump lands *next to* the store directory (a sibling file, never
     inside it) so profiling artifacts can't perturb the record set a
-    ``merge`` or ``diff -r`` inspects.
+    ``merge`` or a store dump inspects.
     """
     if not getattr(args, "profile", False):
         yield

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.design_space import transfer_grid
+import storefiles
 from repro.perf.backends import (
     STORE_SCHEMES,
     SqliteStore,
@@ -61,7 +62,7 @@ def corrupt_record(store, key, text='{"value": [1, 2'):
                 "UPDATE records SET record=? WHERE key=?", (text, key)
             )
     else:
-        store.record_path(key).write_text(text)
+        storefiles.plant(store, key, text)
 
 
 def corrupt_failure(store, key, text='{"failure": [torn'):
@@ -79,7 +80,7 @@ def delete_record(store, key):
         with closing(sqlite3.connect(str(store.path))) as conn, conn:
             conn.execute("DELETE FROM records WHERE key=?", (key,))
     else:
-        store.record_path(key).unlink()
+        storefiles.remove(store, key)
 
 
 @pytest.fixture(params=BACKENDS)
@@ -684,7 +685,7 @@ class TestCrossBackendIdentity:
         assert sorted(sq_text) == fs.keys()
         for key in fs.keys():
             # The *persisted bytes*, not just the parsed values, match.
-            assert fs.record_path(key).read_text() == sq_text[key]
+            assert storefiles.record_text(fs, key) == sq_text[key]
 
     def test_put_many_writes_the_bytes_put_writes(self, tmp_path):
         item = ("k", {"speedup": 2.5}, "engine_cell", {"n_bits": 16})
@@ -700,7 +701,7 @@ class TestCrossBackendIdentity:
                 else:
                     store.put_many([item])
                 if backend == "fs":
-                    texts.append(store.record_path("k").read_text())
+                    texts.append(storefiles.record_text(store, "k"))
                 else:
                     with closing(sqlite3.connect(str(store.path))) as conn:
                         rows = conn.execute("SELECT record FROM records")

@@ -19,6 +19,7 @@ from dataclasses import asdict
 import pytest
 
 import repro.core.design_space as design_space
+import storefiles
 import repro.sim.replay as replay
 from repro.core.design_space import (
     EngineRow,
@@ -56,11 +57,7 @@ SINGLETON_KWARGS = {k: v for k, v in GRID_KWARGS.items() if k != "code_pairs"}
 
 
 def _record_bytes(store: ResultStore) -> dict:
-    return {
-        path.name: path.read_bytes()
-        for path in store.directory.glob("*.json")
-        if path.name != "index.json"
-    }
+    return storefiles.record_texts(store)
 
 
 def _groups(grid):
@@ -213,7 +210,7 @@ class TestAutomaticGrouping:
         store = _percell_store(grid, tmp_path / "store")
         reference = _record_bytes(store)
         for group in _groups(grid).values():
-            store.record_path(group[0].key).unlink()
+            storefiles.remove(store, group[0].key)
         compute_grid(grid, engine_cell, EngineRow, store=store)
         assert kernel_calls == {"extract": 0, "groups": []}
         assert _record_bytes(store) == reference

@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+import storefiles
 from repro.core.design_space import (
     hierarchy_sweep,
     specialization_grid,
@@ -42,7 +43,7 @@ class TestSweepWiring:
         good = specialization_sweep(sizes=(32,), store=tmp_path)
         store = ResultStore(tmp_path)
         for key in specialization_grid(sizes=(32,)).keys():
-            store.record_path(key).write_text('{"value": "garbage"}')
+            storefiles.plant(store, key, '{"value": "garbage"}')
         again = specialization_sweep(sizes=(32,), store=tmp_path)
         assert again == good
 

@@ -31,6 +31,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
+import storefiles
 from oracles.levels import simulate_hierarchy_run_audited
 from repro.circuits.workloads import build_workload
 from repro.core.design_space import (
@@ -610,11 +611,7 @@ class TestGroupedReplay:
 
     @staticmethod
     def _records(store):
-        return {
-            path.name: path.read_bytes()
-            for path in store.directory.glob("*.json")
-            if path.name != "index.json"
-        }
+        return storefiles.record_texts(store)
 
     def test_grouped_records_byte_identical_to_percell(self, tmp_path):
         # All five policies (four specialized extractors + the generic

@@ -201,19 +201,23 @@ class TestEndpoints:
         assert table == render_table_from_store(grid, store)
 
     def test_table_query_reads_each_record_once(self, tmp_path, monkeypatch):
-        from repro.perf.store import ResultStore
+        from repro.perf import store as fs_store
 
         grid = transfer_grid()
         store = open_store(f"fs:{tmp_path / 'store'}")
         fill(grid, store)
+        # Records carry their params, not their key: map back through them.
+        key_of = {json.dumps(c.as_dict(), sort_keys=True): c.key for c in grid}
         reads = []
-        original = ResultStore.record
+        original = fs_store._parse_record
 
-        def counted(self, key):
-            reads.append(key)
-            return original(self, key)
+        def counted(text):
+            record = original(text)
+            params = json.dumps(record["meta"]["params"], sort_keys=True)
+            reads.append(key_of[params])
+            return record
 
-        monkeypatch.setattr(ResultStore, "record", counted)
+        monkeypatch.setattr(fs_store, "_parse_record", counted)
         with BackgroundService(store, grid) as svc:
             ServiceClient(svc.url).table()
         assert sorted(reads) == sorted(grid.keys())

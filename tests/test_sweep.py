@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import storefiles
 from repro.core import design_space
 from repro.core.design_space import (
     EngineRow,
@@ -178,13 +179,13 @@ class TestComputeGrid:
         # The batched advisory index still covers the survivors.
         assert len(store.read_index()) == 3
         # And a resume-style pass completes without touching them.
-        mtimes = {
-            key: store.record_path(key).stat().st_mtime_ns
+        locations = {
+            key: storefiles.location(store, key)
             for key in grid.keys() if store.has(key)
         }
         full = compute_grid(grid, engine_cell, EngineRow, store=store)
-        for key, mtime in mtimes.items():
-            assert store.record_path(key).stat().st_mtime_ns == mtime
+        for key, location in locations.items():
+            assert storefiles.location(store, key) == location
         assert rows_from_store(grid, EngineRow, store) == full
 
 
@@ -443,7 +444,7 @@ class TestSweepStoreReadThrough:
         first = sweep(store=tmp_path)
         grid = build()
         victim = grid.cells[len(grid) // 2]
-        ResultStore(tmp_path).record_path(victim.key).unlink()
+        storefiles.remove(tmp_path, victim.key)
         recomputed = _spy_cells(monkeypatch, cell_fns)
         again = sweep(store=tmp_path)
         assert again == first
@@ -458,8 +459,8 @@ class TestSweepStoreReadThrough:
         plain = sweep()
         sweep(store=tmp_path)
         victim = build().cells[0]
-        record = ResultStore(tmp_path).record_path(victim.key)
-        record.write_text(record.read_text()[:20])
+        text = storefiles.record_text(tmp_path, victim.key)
+        storefiles.plant(tmp_path, victim.key, text[:20])
         assert sweep(store=tmp_path) == plain
         for fn in cell_fns:
             monkeypatch.setattr(design_space, fn, _explodes)
@@ -612,14 +613,14 @@ class TestResume:
         store = ResultStore(store_dir)
         grid = engine_grid(**GRID_KWARGS)
         done_before = {
-            key: store.record_path(key).stat().st_mtime_ns
+            key: storefiles.location(store, key)
             for key in grid.keys() if store.has(key)
         }
         assert 0 < len(done_before) < len(grid)
         # A non-atomic writer dying mid-write would leave these; the
         # atomic store never does, but resume must shrug either off.
         torn_key = next(k for k in grid.keys() if k not in done_before)
-        store.record_path(torn_key).write_text('{"value": {"work')
+        storefiles.plant(store, torn_key, '{"value": {"work')
         (store_dir / ".deadbeef-000.tmp").write_text("half a record")
         capsys.readouterr()
         assert sweep_main(["resume", "--store", str(store_dir),
@@ -628,8 +629,8 @@ class TestResume:
         assert f"{len(done_before)} already stored" in out
         assert f"{len(grid) - len(done_before)} computed" in out
         # Finished cells were not rewritten...
-        for key, mtime in done_before.items():
-            assert store.record_path(key).stat().st_mtime_ns == mtime
+        for key, location in done_before.items():
+            assert storefiles.location(store, key) == location
         # ...and the completed store merges bit-identically.
         assert rows_from_store(grid, EngineRow, store) == engine_sweep(
             **GRID_KWARGS
@@ -656,10 +657,7 @@ class TestResume:
             while time.monotonic() < deadline:
                 if proc.poll() is not None:
                     break  # finished before we could kill: still a valid run
-                if store_dir.is_dir() and len(
-                    [p for p in store_dir.glob("*.json")
-                     if p.name != "index.json"]
-                ) >= 2:
+                if len(storefiles.record_texts(store_dir)) >= 2:
                     proc.send_signal(signal.SIGKILL)
                     break
                 time.sleep(0.005)
@@ -671,13 +669,13 @@ class TestResume:
         store = ResultStore(store_dir)
         grid = engine_grid(**kwargs)
         survivors = {
-            key: store.record_path(key).stat().st_mtime_ns
+            key: storefiles.location(store, key)
             for key in grid.keys() if store.has(key)
         }
         assert survivors  # the poll above saw >= 2 records
         assert sweep_main(["resume", "--store", str(store_dir), *args]) == 0
-        for key, mtime in survivors.items():
-            assert store.record_path(key).stat().st_mtime_ns == mtime
+        for key, location in survivors.items():
+            assert storefiles.location(store, key) == location
         assert rows_from_store(grid, EngineRow, store) == engine_sweep(
             **kwargs
         )
@@ -736,7 +734,8 @@ def _cell_with(grid, **wanted):
 
 
 def _record_bytes(store, keys):
-    return {key: store.record_path(key).read_bytes() for key in keys}
+    texts = storefiles.record_texts(store)
+    return {key: texts[key] for key in keys}
 
 
 class TestSupervisedComputeGrid:
@@ -836,7 +835,7 @@ class TestSupervisedComputeGrid:
         store = ResultStore(tmp_path)
         rows = compute_grid(grid, engine_cell, EngineRow, store=store)
         victim = grid.cells[3]
-        store.record_path(victim.key).unlink()
+        storefiles.remove(store, victim.key)
         with pytest.raises(MissingCells):
             rows_from_store(grid, EngineRow, store)
         degraded = rows_from_store(grid, EngineRow, store, allow_missing=True)
@@ -1031,7 +1030,7 @@ class TestDegradedTables:
         grid = transfer_grid()
         store = ResultStore(tmp_path)
         compute_grid(grid, transfer_cell, TransferRow, store=store)
-        store.record_path(grid.cells[5].key).unlink()
+        storefiles.remove(store, grid.cells[5].key)
         with pytest.raises(MissingCells):
             table3_text_from_store(store)
         text = table3_text_from_store(store, allow_missing=True)
