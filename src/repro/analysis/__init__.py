@@ -15,7 +15,6 @@ its builder and pinning test.
 from . import paper_values, sensitivity
 from .summary import Headline, compute_headline, headline_text
 from .figures import (
-    all_figures_text,
     fig2,
     fig2_text,
     fig6a,
@@ -56,7 +55,6 @@ from .tables import (
 __all__ = [
     "EcMetricRow",
     "Headline",
-    "all_figures_text",
     "all_tables_text",
     "compute_headline",
     "engine_table",

@@ -199,10 +199,3 @@ FIGURE_BUILDERS = {
     "fig2": fig2, "fig6a": fig6a, "fig6b": fig6b,
     "fig7": fig7, "fig8a": fig8a, "fig8b": fig8b,
 }
-
-
-def all_figures_text() -> str:
-    return "\n\n".join([
-        fig2_text(), fig6a_text(), fig6b_text(),
-        fig7_text(), fig8a_text(), fig8b_text(),
-    ])

@@ -413,38 +413,6 @@ def engine_table_text_from_store(
 # Extension — time-vs-fidelity pareto (noise-aware residency)
 # ----------------------------------------------------------------------
 
-def fidelity_table(**kwargs) -> List[FidelityRow]:
-    """Rows of the noise-aware engine sweep (the ``fidelity`` axis).
-
-    Keyword arguments pass straight through to
-    :func:`repro.core.design_space.engine_sweep`; ``fidelity`` defaults
-    to ``True`` (the shared Monte Carlo calibration budget) instead of
-    off.
-    """
-    kwargs.setdefault("fidelity", True)
-    return engine_sweep(**kwargs)
-
-
-def fidelity_table_from_store(
-    store, *, allow_missing: bool = False, **grid_kwargs
-) -> List[FidelityRow]:
-    """Fidelity-sweep rows read straight from a sharded-sweep store.
-
-    ``grid_kwargs`` select the grid exactly as for
-    :func:`repro.core.design_space.fidelity_grid` (including the
-    ``fidelity_trials``/``fidelity_seed`` budget, which is part of cell
-    identity).  Missing-cell semantics match
-    :func:`engine_table_from_store`.
-    """
-    from ..core.design_space import fidelity_grid
-    from ..sweep.runner import rows_from_store
-
-    return rows_from_store(
-        fidelity_grid(**grid_kwargs), FidelityRow, store,
-        allow_missing=allow_missing,
-    )
-
-
 def _render_fidelity_table(
     rows: List[Optional[FidelityRow]], grid=None, store=None
 ) -> str:
@@ -516,28 +484,6 @@ def _render_fidelity_table(
         if footer:
             text += "\n" + "\n".join(footer)
     return text
-
-
-def fidelity_table_text(**kwargs) -> str:
-    """The time-vs-fidelity design space rendered like the paper tables.
-
-    Each row prices one engine cell in both domains: ``makespan`` is
-    the unchanged engine completion time, ``logical err`` the
-    residency-accrued failure probability, and ``*`` marks the rows on
-    the group's time-vs-fidelity Pareto front.
-    """
-    return _render_fidelity_table(fidelity_table(**kwargs))
-
-
-def fidelity_table_text_from_store(
-    store, *, allow_missing: bool = False, **grid_kwargs
-) -> str:
-    """:func:`fidelity_table_text`, but rendered from stored records only."""
-    from ..core.design_space import fidelity_grid
-
-    return render_table_from_store(
-        fidelity_grid(**grid_kwargs), store, allow_missing=allow_missing
-    )
 
 
 #: Grid kernels with a registered table renderer (grid, rows -> text).

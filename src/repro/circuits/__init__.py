@@ -13,7 +13,7 @@ encoding choices enter only when a circuit meets a
 """
 
 from .circuit import Circuit
-from .dag import CircuitDag, operand_stream, parallelism_series
+from .dag import CircuitDag, parallelism_series
 from .draper import (
     AdderLayout,
     AdderStats,
@@ -81,7 +81,6 @@ __all__ = [
     "h_gate",
     "modexp_addition_trace",
     "modexp_logical_qubits",
-    "operand_stream",
     "parallelism_series",
     "qft_circuit",
     "qft_gate_counts",

@@ -186,7 +186,3 @@ class TraceIndex:
             return NEVER_USED
         idx = bisect_right(uses, pos)
         return uses[idx] if idx < len(uses) else NEVER_USED
-
-    def use_count(self, qubit: int) -> int:
-        """Total uses of ``qubit`` across the whole trace."""
-        return len(self.positions.get(qubit, ()))

@@ -10,10 +10,9 @@ per-gate priorities for list scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from .circuit import Circuit
-from .gates import Gate
 
 
 @dataclass
@@ -129,8 +128,3 @@ class CircuitDag:
 def parallelism_series(circuit: Circuit) -> List[int]:
     """Convenience wrapper: Figure 2 profile for a circuit."""
     return CircuitDag.build(circuit).parallelism_profile()
-
-
-def operand_stream(circuit: Circuit) -> Sequence[Gate]:
-    """The gate sequence in program order (cache-simulator input)."""
-    return tuple(circuit.gates)

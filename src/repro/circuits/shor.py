@@ -31,10 +31,6 @@ class ShorEstimate:
         return self.modexp_time_s + self.qft_time_s
 
     @property
-    def total_time_hours(self) -> float:
-        return self.total_time_s / 3600.0
-
-    @property
     def total_time_days(self) -> float:
         return self.total_time_s / 86400.0
 

@@ -179,15 +179,6 @@ def symplectic_gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (left.astype(np.int64) @ swapped.T.astype(np.int64)) & 1
 
 
-def batch_weights(batch: np.ndarray) -> np.ndarray:
-    """Pauli weights of each row of a ``(trials, 2n)`` symplectic batch."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.uint8))
-    if batch.shape[1] % 2:
-        raise ValueError("symplectic batch must have even width")
-    n = batch.shape[1] // 2
-    return ((batch[:, :n] | batch[:, n:]) != 0).sum(axis=1)
-
-
 def enumerate_errors(n: int, max_weight: int) -> Iterator[Pauli]:
     """All non-identity Paulis on ``n`` qubits of weight <= max_weight.
 

@@ -47,11 +47,6 @@ class ControlBudget:
     electrode_signals: int
 
     @property
-    def total_power(self) -> float:
-        """Aggregate laser power in single-target units."""
-        return float(self.total_fanout)
-
-    @property
     def power_per_bank(self) -> float:
         return self.total_fanout / self.laser_banks if self.laser_banks else 0.0
 

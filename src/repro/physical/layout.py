@@ -136,12 +136,6 @@ class TileGeometry:
     def area_mm2(self, params: PhysicalParams = DEFAULT_PARAMS) -> float:
         return self.area_um2(params) / 1.0e6
 
-    @property
-    def side_regions(self) -> int:
-        """Side length of the (near-square) tile in regions."""
-        g = self.grid()
-        return max(g.rows, g.cols)
-
     def mean_hop_distance(self) -> float:
         """Mean Manhattan distance between random regions of the tile.
 

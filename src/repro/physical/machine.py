@@ -225,11 +225,6 @@ class TrapMachine:
             return [MicroOp(Op.DOUBLE_GATE, ions)]
         raise ValueError("gate_step takes one or two ions")
 
-    def bring_together(self, mover: str, target: str) -> List[List[MicroOp]]:
-        """Steps moving ``mover`` into the region of ``target``."""
-        dest = self._positions[target]
-        return [[MicroOp(Op.MOVE, (mover,), dest=dest)]]
-
 
 def interaction_cost_cycles(
     grid: GridSpec,

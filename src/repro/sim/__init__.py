@@ -13,9 +13,9 @@ and a makespan:
   greedy port reservations, :mod:`repro.sim.fastsplit` for split
   transactions that pipeline hops;
 * :mod:`repro.sim.policies` / :mod:`repro.sim.prefetch` — the
-  eviction-policy and exact-prefetcher registries;
-  :mod:`repro.sim.flatpolicy` is the replacement kernel both engines
-  run over the policy registry;
+  shipped eviction-policy and exact-prefetcher names and the registries
+  of user ones; :mod:`repro.sim.flatpolicy` is the replacement kernel
+  both engines run (the shipped policies exist only there);
 * :mod:`repro.sim.cache` — the two-level optimized-fetch cache
   simulator of Figure 7 (the fetch scheduler every engine run reuses);
 * :mod:`repro.sim.hierarchy_sim` — the legacy Table 5 surface

@@ -75,7 +75,7 @@ from ..circuits.circuit import Circuit, TraceIndex
 from .levels import HierarchyEngineResult, HierarchyStack, LevelStat
 from .flatpolicy import flat_policy
 from .policies import available_policies
-from .prefetch import available_prefetchers, make_prefetcher
+from .prefetch import SHIPPED_PREFETCHERS, available_prefetchers, make_prefetcher
 from .replay import _scan_program
 
 __all__ = ["simulate_split_fast", "supports_fast_split"]
@@ -84,7 +84,8 @@ __all__ = ["simulate_split_fast", "supports_fast_split"]
 _DEMAND, _WRITEBACK, _PREFETCH = 0, 1, 2
 _PIN_MARGIN = 4
 
-#: The shipped prefetcher parameters (``NextKPrefetcher()`` defaults).
+#: The shipped walks' parameters (the reference ``NextKPrefetcher()``
+#: defaults in ``tests/oracles/prefetch.py``).
 _PREFETCH_K = 64
 _PREFETCH_HORIZON = 512
 
@@ -101,9 +102,10 @@ _PENDING, _ACTIVE, _WITHDRAWN = 0, 1, 2
 # successor — the reference engine's trigger subscriptions, flattened
 # (each trigger ever has at most one subscriber).
 
-#: Prefetchers with a hand-flattened walk; every other registered
-#: prefetcher runs through its real ``Prefetcher`` object.
-_SPECIALIZED_PREFETCHERS = frozenset({"distance", "next_k"})
+#: Prefetchers with a hand-flattened walk (the shipped ones but
+#: ``none``); every other registered prefetcher runs through its real
+#: ``Prefetcher`` object.
+_SPECIALIZED_PREFETCHERS = frozenset(SHIPPED_PREFETCHERS) - {"none"}
 
 
 def supports_fast_split(policy: str, prefetch: str) -> bool:

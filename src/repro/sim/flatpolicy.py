@@ -2,10 +2,13 @@
 
 Movement-trace extraction (:mod:`repro.sim.replay`) and the
 split-transaction engine (:mod:`repro.sim.fastsplit`) make the same
-replacement decisions as :class:`~repro.sim.policies.EvictionPolicy`
-objects behind a resident set, without paying for the objects in their
-hot loops.  :func:`flat_policy` builds that state once per run; each
-engine binds its fields into locals:
+replacement decisions through this one kernel: the five shipped
+policies (:data:`~repro.sim.policies.SHIPPED_POLICIES`) exist only as
+the flattened state below, and user-registered ones through their
+:class:`~repro.sim.policies.EvictionPolicy` objects.  The reference
+classes the flattened state is pinned against are test oracles
+(``tests/oracles/policies.py``).  :func:`flat_policy` builds that state
+once per run; each engine binds its fields into locals:
 
 * one insertion-ordered dict per finite level, doubling as resident
   set and recency order (a hit that refreshes reinserts, matching
@@ -35,7 +38,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, NamedTuple, Sequence, Set, Tuple
 
-from .policies import SCORE_WINDOW, EvictionPolicy, make_policy
+from .policies import SCORE_WINDOW, SHIPPED_POLICIES, EvictionPolicy, make_policy
 
 __all__ = ["FlatPolicy", "flat_policy"]
 
@@ -236,7 +239,7 @@ def flat_policy(
         "fidelity": victim_belady,
     }
     pols: List[EvictionPolicy] = []
-    if policy not in flattened:
+    if policy not in SHIPPED_POLICIES:
         pols = [make_policy(policy) for _ in range(n_finite)]
         for pol, cap in zip(pols, caps):
             pol.reset(cap, trace)
@@ -246,7 +249,7 @@ def flat_policy(
 
     return FlatPolicy(
         orders=orders,
-        refresh_on_hit=policy in ("lru", "score", "belady", "fidelity"),
+        refresh_on_hit=policy in SHIPPED_POLICIES and policy != "fifo",
         track_nu=track_nu,
         keybase=keybase,
         qkb=qkb,

@@ -1,19 +1,20 @@
 """Pluggable eviction policies for the memory-hierarchy engine.
 
 Replacement at every finite level of a :class:`~repro.sim.levels.HierarchyStack`
-is delegated to an :class:`EvictionPolicy` looked up in a registry by
-name.  Five policies ship with the engine:
+is named by a policy string.  Five policies ship with the engine
+(:data:`SHIPPED_POLICIES`):
 
 * ``lru`` — least recently used, the policy of the paper's Section 5.2
   cache study (and of the original two-level simulator, to which it is
   bit-identical);
 * ``fifo`` — first-in first-out, the no-recency baseline;
 * ``score`` — evict the resident qubit *least referenced by upcoming
-  instructions*, reusing the statically-known-program insight behind
-  the incremental resident-operand scores of :mod:`repro.sim.cache`:
-  quantum programs are fully scheduled at compile time, so a bounded
-  lookahead over the fetch-ordered operand trace is legitimate
-  compile-time information, not an oracle;
+  instructions* (the next :data:`SCORE_WINDOW` operand accesses, ties
+  toward the least recently used), reusing the statically-known-program
+  insight behind the incremental resident-operand scores of
+  :mod:`repro.sim.cache`: quantum programs are fully scheduled at
+  compile time, so a bounded lookahead over the fetch-ordered operand
+  trace is legitimate compile-time information, not an oracle;
 * ``belady`` — Belady's optimal offline replacement (evict the qubit
   whose next use is farthest in the future), the upper bound every
   online policy is measured against;
@@ -22,26 +23,26 @@ name.  Five policies ship with the engine:
   in-flight error under :mod:`repro.sim.residency`), ties broken
   Belady-style toward the farthest next use.
 
-Policies observe the flattened operand *trace* of the scheduled program
-at reset time and receive the current trace position with every event,
-which is what lets the lookahead policies stay incremental.  The
-production engines run the five shipped policies as flattened state
-and any user-registered policy through its objects
-(:mod:`repro.sim.flatpolicy`); the shipped classes here are the
-reference the flattened state is pinned against.
+The shipped policies have no policy objects: the production engines
+run them as the flattened state of :mod:`repro.sim.flatpolicy`, pinned
+against reference classes kept as test oracles
+(``tests/oracles/policies.py``).  A user policy subclasses
+:class:`EvictionPolicy`, registers with :func:`register_policy`, and
+runs through its real objects, one per finite level.  Policies observe
+the flattened operand *trace* of the scheduled program at reset time
+and receive the current trace position with every event, which is what
+lets lookahead policies stay incremental.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Collection, Dict, Sequence, Tuple, Type
 
-from ..circuits.circuit import NEVER_USED, TraceIndex
+#: The policies the engines run as flattened state, without policy
+#: objects; :func:`register_policy` refuses these names.
+SHIPPED_POLICIES = ("lru", "fifo", "score", "belady", "fidelity")
 
-#: Sentinel "never used again" distance for Belady victim selection.
-_NEVER = NEVER_USED
-
-#: ``score``'s default lookahead, in operand accesses.
+#: ``score``'s lookahead, in operand accesses.
 SCORE_WINDOW = 256
 
 
@@ -88,10 +89,17 @@ _REGISTRY: Dict[str, Callable[[], EvictionPolicy]] = {}
 
 
 def register_policy(cls: Type[EvictionPolicy]) -> Type[EvictionPolicy]:
-    """Class decorator adding an :class:`EvictionPolicy` to the registry."""
+    """Class decorator adding a user :class:`EvictionPolicy` to the
+    registry."""
     name = cls.name
     if not name or name == "abstract":
         raise ValueError("policy classes must set a concrete `name`")
+    if name in SHIPPED_POLICIES:
+        raise ValueError(
+            f"eviction policy {name!r} ships with the engine, which runs "
+            "it as flattened state; a class registered under that name "
+            "would never run"
+        )
     if name in _REGISTRY:
         raise ValueError(f"eviction policy {name!r} is already registered")
     _REGISTRY[name] = cls
@@ -99,8 +107,8 @@ def register_policy(cls: Type[EvictionPolicy]) -> Type[EvictionPolicy]:
 
 
 def validate_policy(name: str) -> None:
-    """Raise ValueError unless ``name`` is a registered policy."""
-    if name not in _REGISTRY:
+    """Raise ValueError unless ``name`` is a shipped or registered policy."""
+    if name not in SHIPPED_POLICIES and name not in _REGISTRY:
         raise ValueError(
             f"unknown eviction policy {name!r}; registered policies: "
             f"{', '.join(available_policies())}"
@@ -108,229 +116,17 @@ def validate_policy(name: str) -> None:
 
 
 def make_policy(name: str) -> EvictionPolicy:
-    """A fresh policy instance for one hierarchy level."""
+    """A fresh instance of the user policy registered as ``name``."""
+    if name in SHIPPED_POLICIES:
+        raise ValueError(
+            f"eviction policy {name!r} ships with the engine as flattened "
+            "state (repro.sim.flatpolicy) and has no policy object"
+        )
     validate_policy(name)
     return _REGISTRY[name]()
 
 
 def available_policies() -> Tuple[str, ...]:
-    """All registered policy names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-# ----------------------------------------------------------------------
-# shipped policies
-# ----------------------------------------------------------------------
-
-class _RecencyOrdered(EvictionPolicy):
-    """Shared recency bookkeeping: an OrderedDict of residents, hits
-    refreshed to the back.  Subclasses inherit LRU recency (which the
-    lookahead policies use for tie-breaking); FIFO opts out."""
-
-    def reset(self, capacity: int, trace: Sequence[int]) -> None:
-        self._order: "OrderedDict[int, None]" = OrderedDict()
-
-    def on_insert(self, qubit: int, pos: int) -> None:
-        self._order[qubit] = None
-
-    def on_hit(self, qubit: int, pos: int) -> None:
-        self._order.move_to_end(qubit)
-
-    def on_remove(self, qubit: int) -> None:
-        del self._order[qubit]
-
-    def victim(self, pos: int, pinned: Collection[int] = ()) -> int:
-        for qubit in self._order:
-            if qubit not in pinned:
-                return qubit
-        return next(iter(self._order))  # unsatisfiable pin: fall back
-
-
-@register_policy
-class LruPolicy(_RecencyOrdered):
-    """Least recently used — evict the longest-untouched resident."""
-
-    name = "lru"
-
-
-@register_policy
-class FifoPolicy(_RecencyOrdered):
-    """First-in first-out — hits do not refresh a resident's age."""
-
-    name = "fifo"
-
-    def on_hit(self, qubit: int, pos: int) -> None:
-        pass
-
-
-@register_policy
-class ScorePolicy(_RecencyOrdered):
-    """Evict the resident qubit least used in the next ``window`` accesses.
-
-    Scores are occurrence counts over a sliding lookahead window of the
-    operand trace, maintained incrementally (two counter updates per
-    trace step).  Ties break toward the least recently used resident,
-    so with an empty window the policy degenerates to LRU.
-    """
-
-    name = "score"
-
-    def __init__(self, window: int = SCORE_WINDOW) -> None:
-        if window < 1:
-            raise ValueError("score lookahead window must be positive")
-        self.window = window
-
-    def reset(self, capacity: int, trace: Sequence[int]) -> None:
-        super().reset(capacity, trace)
-        self._trace = trace
-        self._pos = -1
-        self._counts: Dict[int, int] = {}
-        for q in trace[: self.window]:
-            self._counts[q] = self._counts.get(q, 0) + 1
-
-    def _sync(self, pos: int) -> None:
-        """Slide the window so it covers trace[pos+1 : pos+1+window]."""
-        trace, counts, window = self._trace, self._counts, self.window
-        while self._pos < pos:
-            self._pos += 1
-            leaving = trace[self._pos]
-            remaining = counts.get(leaving, 0) - 1
-            if remaining > 0:
-                counts[leaving] = remaining
-            else:
-                counts.pop(leaving, None)
-            entering = self._pos + window
-            if entering < len(trace):
-                q = trace[entering]
-                counts[q] = counts.get(q, 0) + 1
-
-    def victim(self, pos: int, pinned: Collection[int] = ()) -> int:
-        self._sync(pos)
-        counts = self._counts
-        best = None
-        best_score = None
-        for qubit in self._order:  # LRU-first iteration breaks ties
-            if qubit in pinned:
-                continue
-            score = counts.get(qubit, 0)
-            if best_score is None or score < best_score:
-                best, best_score = qubit, score
-                if score == 0:
-                    break
-        if best is None:  # unsatisfiable pin: fall back
-            return next(iter(self._order))
-        return best
-
-
-@register_policy
-class BeladyPolicy(_RecencyOrdered):
-    """Belady's optimal offline replacement (farthest next use).
-
-    The full access trace is available — the program schedule is static
-    — so this is the exact replacement-optimal upper bound, not an
-    approximation.  Residents that are never used again evict first
-    (ties toward the least recently used).
-    """
-
-    name = "belady"
-
-    def reset(self, capacity: int, trace: Sequence[int]) -> None:
-        super().reset(capacity, trace)
-        # The same static-schedule lookahead metadata the prefetchers
-        # use (one shared implementation of "when is q needed next?").
-        self._index = TraceIndex.build(trace)
-
-    def _next_use(self, qubit: int, pos: int) -> float:
-        return self._index.next_use(qubit, pos)
-
-    def victim(self, pos: int, pinned: Collection[int] = ()) -> int:
-        best = None
-        best_dist = -1.0
-        for qubit in self._order:  # LRU-first iteration breaks ties
-            if qubit in pinned:
-                continue
-            dist = self._next_use(qubit, pos)
-            if dist == _NEVER:
-                return qubit
-            if dist > best_dist:
-                best, best_dist = qubit, dist
-        if best is None:  # unsatisfiable pin: fall back
-            return next(iter(self._order))
-        return best
-
-
-@register_policy
-class FidelityPolicy(_RecencyOrdered):
-    """Evict the qubit that can best afford the trip.
-
-    Under noise-aware residency (:mod:`repro.sim.residency`) every
-    transfer costs fidelity: an in-flight qubit accrues error at the
-    worse endpoint's rate, so the qubit with the fewest accumulated
-    trips has the most error budget left for one more.  Victims are
-    ranked by (insertion count so far, then *farthest* next use, then
-    LRU order) — the last two mirror Belady so the policy spends its
-    fidelity-driven choices where the time cost is smallest.  Like
-    ``score``/``belady``, the trip counts derive from the static
-    schedule the engine replays, not from runtime oracle knowledge.
-    """
-
-    name = "fidelity"
-
-    def reset(self, capacity: int, trace: Sequence[int]) -> None:
-        super().reset(capacity, trace)
-        self._index = TraceIndex.build(trace)
-        #: Lifetime insertion counts — the ledger persists across
-        #: evictions so a re-fetched qubit is charged its history.
-        self._trips: Dict[int, int] = {}
-        #: trip count -> number of *current* residents at it, so the
-        #: minimal trip class is known without scanning the order.
-        self._resident_trips: Dict[int, int] = {}
-
-    def on_insert(self, qubit: int, pos: int) -> None:
-        super().on_insert(qubit, pos)
-        # Every insertion at this level is one completed (or issued)
-        # climb of the hierarchy — the trip ledger the victim ranking
-        # charges against.
-        count = self._trips.get(qubit, 0) + 1
-        self._trips[qubit] = count
-        tally = self._resident_trips
-        tally[count] = tally.get(count, 0) + 1
-
-    def on_remove(self, qubit: int) -> None:
-        super().on_remove(qubit)
-        count = self._trips[qubit]
-        tally = self._resident_trips
-        remaining = tally[count] - 1
-        if remaining:
-            tally[count] = remaining
-        else:
-            del tally[count]
-
-    def victim(self, pos: int, pinned: Collection[int] = ()) -> int:
-        # The tally pins down the minimal trip class, so the next-use
-        # lookups (the expensive part) only run for its members — a
-        # pinned resident can hide the class, in which case the scan
-        # recomputes the minimum the slow way.
-        trips = self._trips
-        if pinned:
-            fewest = None
-            for qubit in self._order:
-                if qubit not in pinned:
-                    count = trips[qubit]
-                    if fewest is None or count < fewest:
-                        fewest = count
-            if fewest is None:  # unsatisfiable pin: fall back
-                return next(iter(self._order))
-        else:
-            fewest = min(self._resident_trips)
-        best = None
-        best_dist = -1.0
-        for qubit in self._order:  # LRU-first iteration breaks ties
-            if qubit in pinned or trips[qubit] != fewest:
-                continue
-            dist = self._index.next_use(qubit, pos)
-            if dist == _NEVER:
-                return qubit
-            if dist > best_dist:
-                best, best_dist = qubit, dist
-        return best
+    """Every policy name the engines accept (shipped and registered),
+    sorted."""
+    return tuple(sorted(SHIPPED_POLICIES + tuple(_REGISTRY)))

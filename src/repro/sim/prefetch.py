@@ -12,7 +12,7 @@ eviction victim would be needed *sooner* than the prefetched qubit
 reorder transfers but never inject a miss the demand schedule would not
 have taken.
 
-Three prefetchers ship with the engine:
+Three prefetchers ship with the engine (:data:`SHIPPED_PREFETCHERS`):
 
 * ``none`` — demand fetching only (the reference behavior);
 * ``next_k`` — promote the next ``k`` distinct upcoming operands that
@@ -21,8 +21,13 @@ Three prefetchers ship with the engine:
   distance: the deepest qubits issue first, so the slow bottom
   networks see their requests earliest.
 
-Register new prefetchers with :func:`register_prefetcher`; the engine
-instantiates one fresh prefetcher per run via :func:`make_prefetcher`.
+The shipped prefetchers have no prefetcher objects: the
+split-transaction engine (:mod:`repro.sim.fastsplit`) runs ``none`` as
+demand fetching and the two walks hand-flattened, pinned against
+reference classes kept as test oracles (``tests/oracles/prefetch.py``).
+A user prefetcher subclasses :class:`Prefetcher` and registers with
+:func:`register_prefetcher`; the engine instantiates one fresh object
+per run via :func:`make_prefetcher`.
 """
 
 from __future__ import annotations
@@ -33,11 +38,17 @@ from ..circuits.circuit import TraceIndex
 
 __all__ = [
     "Prefetcher",
+    "SHIPPED_PREFETCHERS",
     "available_prefetchers",
     "make_prefetcher",
     "register_prefetcher",
     "validate_prefetcher",
 ]
+
+
+#: The prefetchers the engine runs without prefetcher objects;
+#: :func:`register_prefetcher` refuses these names.
+SHIPPED_PREFETCHERS = ("none", "next_k", "distance")
 
 
 class Prefetcher:
@@ -80,10 +91,17 @@ _REGISTRY: Dict[str, Callable[[], Prefetcher]] = {}
 
 
 def register_prefetcher(cls: Type[Prefetcher]) -> Type[Prefetcher]:
-    """Class decorator adding a :class:`Prefetcher` to the registry."""
+    """Class decorator adding a user :class:`Prefetcher` to the
+    registry."""
     name = cls.name
     if not name or name == "abstract":
         raise ValueError("prefetcher classes must set a concrete `name`")
+    if name in SHIPPED_PREFETCHERS:
+        raise ValueError(
+            f"prefetcher {name!r} ships with the engine, which runs it "
+            "without a prefetcher object; a class registered under that "
+            "name would never run"
+        )
     if name in _REGISTRY:
         raise ValueError(f"prefetcher {name!r} is already registered")
     _REGISTRY[name] = cls
@@ -91,8 +109,9 @@ def register_prefetcher(cls: Type[Prefetcher]) -> Type[Prefetcher]:
 
 
 def validate_prefetcher(name: str) -> None:
-    """Raise ValueError unless ``name`` is a registered prefetcher."""
-    if name not in _REGISTRY:
+    """Raise ValueError unless ``name`` is a shipped or registered
+    prefetcher."""
+    if name not in SHIPPED_PREFETCHERS and name not in _REGISTRY:
         raise ValueError(
             f"unknown prefetcher {name!r}; registered prefetchers: "
             f"{', '.join(available_prefetchers())}"
@@ -100,115 +119,18 @@ def validate_prefetcher(name: str) -> None:
 
 
 def make_prefetcher(name: str) -> Prefetcher:
-    """A fresh prefetcher instance for one engine run."""
+    """A fresh instance of the user prefetcher registered as ``name``,
+    for one engine run."""
+    if name in SHIPPED_PREFETCHERS:
+        raise ValueError(
+            f"prefetcher {name!r} ships with the engine "
+            "(repro.sim.fastsplit) and has no prefetcher object"
+        )
     validate_prefetcher(name)
     return _REGISTRY[name]()
 
 
 def available_prefetchers() -> Tuple[str, ...]:
-    """All registered prefetcher names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-# ----------------------------------------------------------------------
-# shipped prefetchers
-# ----------------------------------------------------------------------
-
-@register_prefetcher
-class NonePrefetcher(Prefetcher):
-    """Demand fetching only — never proposes a promotion."""
-
-    name = "none"
-
-    def candidates(
-        self, pos: int, location: Mapping[int, int]
-    ) -> List[int]:
-        return []
-
-
-class _OrderWalker(Prefetcher):
-    """Shared scan: the next ``k`` distinct *non-resident* qubits.
-
-    The walk measures depth in prefetch candidates, not raw operand
-    slots: a stretch of the schedule that is already resident costs no
-    lookahead (the window would otherwise stop sliding whenever a
-    long-latency miss stalls the issue pointer, collapsing the
-    pipeline to one transfer per round trip).  ``horizon`` bounds the
-    scan so a run never goes quadratic in the trace length.
-    """
-
-    def __init__(self, k: int, horizon_factor: int = 8,
-                 min_horizon: int = 512) -> None:
-        if k < 1:
-            raise ValueError("prefetch depth must be positive")
-        self.k = k
-        self.horizon = max(horizon_factor * k, min_horizon)
-
-    def _walk(
-        self, pos: int, location: Mapping[int, int]
-    ) -> List[Tuple[int, int]]:
-        """(trace offset, qubit) of upcoming non-resident operands."""
-        found: List[Tuple[int, int]] = []
-        seen = set()
-        for j, q in enumerate(self._trace[pos + 1: pos + 1 + self.horizon]):
-            if q in seen:
-                continue
-            seen.add(q)
-            if location.get(q, 0) != 0:
-                found.append((j, q))
-                if len(found) >= self.k:
-                    break
-        return found
-
-
-@register_prefetcher
-class NextKPrefetcher(_OrderWalker):
-    """Promote the next ``k`` distinct non-resident operands, in trace
-    order — the straight exact-prefetch walk down the fetch schedule.
-
-    ``k`` bounds how many prefetches are proposed per issue point; it
-    should comfortably exceed the stack's total port count or the
-    ports starve between gates.
-    """
-
-    name = "next_k"
-
-    def __init__(self, k: int = 64) -> None:
-        super().__init__(k)
-
-    def candidates(
-        self, pos: int, location: Mapping[int, int]
-    ) -> List[int]:
-        return [q for _, q in self._walk(pos, location)]
-
-
-@register_prefetcher
-class DistancePrefetcher(Prefetcher):
-    """The ``next_k`` walk re-ranked by hop distance: deepest first.
-
-    A qubit more levels down crosses more (and slower) networks, so
-    its transfer chain is started earliest; ties break toward trace
-    order.  Same candidate set as ``next_k`` — only the issue order
-    differs.
-    """
-
-    name = "distance"
-
-    def __init__(self, k: int = 64) -> None:
-        self._walker = _OrderWalker(k)
-
-    def reset(
-        self, trace: Sequence[int], index: TraceIndex, depth: int
-    ) -> None:
-        super().reset(trace, index, depth)
-        self._walker.reset(trace, index, depth)
-
-    def candidates(
-        self, pos: int, location: Mapping[int, int]
-    ) -> List[int]:
-        ranked = [
-            (-location.get(q, 0), j, q)
-            for j, q in self._walker._walk(pos, location)
-        ]
-        ranked.sort()
-        return [q for _, _, q in ranked]
+    """Every prefetcher name the engine accepts (shipped and
+    registered), sorted."""
+    return tuple(sorted(SHIPPED_PREFETCHERS + tuple(_REGISTRY)))

@@ -49,10 +49,6 @@ class ScheduleResult:
             return 0.0
         return self.busy / (self.n_blocks * self.makespan)
 
-    @property
-    def average_parallelism(self) -> float:
-        return self.busy / self.makespan if self.makespan else 0.0
-
 
 def list_schedule(
     circuit: Circuit,

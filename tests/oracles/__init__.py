@@ -13,6 +13,12 @@ path in ``src/``; the equivalence tests compare the two with ``==``:
 * ``policycache`` — ``PolicyCache``, the policy-driven resident set
   each of those engines keeps per finite level (the production engines
   flatten it through ``repro.sim.flatpolicy``);
+* ``policies`` — the reference classes of the five shipped eviction
+  policies (oracles for ``repro.sim.flatpolicy``) and the
+  ``oracle_policy`` name lookup;
+* ``prefetch`` — the reference classes of the shipped prefetchers
+  (oracles for the ``next_k``/``distance`` walks in
+  ``repro.sim.fastsplit``) and the ``oracle_prefetcher`` name lookup;
 * ``cache`` — the O(ready) rescan fetch scheduler (oracle for
   ``repro.sim.cache.simulate_optimized``);
 * ``hierarchy_sim`` — the original two-level Table 5 loop (oracle for
@@ -22,5 +28,6 @@ path in ``src/``; the equivalence tests compare the two with ``==``:
 
 Test modules import them as ``oracles.<module>`` (pytest puts
 ``tests/`` on ``sys.path``).  Nothing under ``src/`` imports this
-package.
+package (``tests/test_layering.py`` walks every ``src/repro`` module
+to check).
 """

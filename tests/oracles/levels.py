@@ -13,7 +13,8 @@ pinned against:
   event kernel's :class:`~oracles.events.PortServer`;
 * :class:`_SplitTransactionRun` — the split-transaction model as an
   event kernel driving closure-based continuation chains, with the
-  real prefetcher and policy registry objects;
+  reference policy and prefetcher objects (``oracles.policies``,
+  ``oracles.prefetch``; the registry's for user-registered names);
 * :func:`simulate_hierarchy_run_audited` — either event-kernel engine
   plus the :class:`EngineAudit` invariant counters (port occupancy,
   pinned evictions, conservation, residency partition).
@@ -38,11 +39,12 @@ from repro.sim.levels import (
     _resolve_order,
     _resolve_workload,
 )
-from repro.sim.policies import make_policy
-from repro.sim.prefetch import make_prefetcher, validate_prefetcher
+from repro.sim.prefetch import validate_prefetcher
 
 from .events import EventKernel, PortServer
+from .policies import oracle_policy
 from .policycache import PolicyCache
+from .prefetch import oracle_prefetcher
 
 __all__ = [
     "EngineAudit",
@@ -112,7 +114,7 @@ def simulate_hierarchy_run_audited(
     top = stack.levels[0]
     # One policy instance per finite level, built before the (much more
     # expensive) fetch scheduling so a bad policy name fails fast.
-    level_policies = [make_policy(policy) for _ in stack.levels[:-1]]
+    level_policies = [oracle_policy(policy) for _ in stack.levels[:-1]]
     order = _resolve_order(circuit, top.capacity, window, fetch, order)
     trace = circuit.operand_trace(order)
     if pipeline:
@@ -456,7 +458,7 @@ class _SplitTransactionRun:
         #: Prefetched qubits not yet demanded: pinned against eviction.
         self.pinned: Set[int] = set()
         self.index = TraceIndex.build(trace)
-        self.prefetcher = make_prefetcher(prefetch_name)
+        self.prefetcher = oracle_prefetcher(prefetch_name)
         self.prefetcher.reset(trace, self.index, stack.depth)
         self.fetches = [0] * len(networks)
         self.writebacks = [0] * len(networks)
@@ -807,7 +809,7 @@ def simulate_hierarchy_run_reference(
         )
     gates = circuit.gates
     top = stack.levels[0]
-    level_policies = [make_policy(policy) for _ in stack.levels[:-1]]
+    level_policies = [oracle_policy(policy) for _ in stack.levels[:-1]]
     if order is not None:
         if sorted(order) != list(range(len(gates))):
             raise ValueError(

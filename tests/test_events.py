@@ -19,12 +19,17 @@ from oracles.levels import simulate_hierarchy_run_audited
 from repro.circuits.workloads import available_workloads, build_workload
 from repro.sim.cache import simulate_optimized
 from repro.sim.levels import simulate_hierarchy_run, standard_stack
+from repro.sim import prefetch as prefetch_mod
 from repro.sim.policies import available_policies
 from repro.sim.prefetch import (
+    SHIPPED_PREFETCHERS,
+    Prefetcher,
     available_prefetchers,
     make_prefetcher,
+    register_prefetcher,
     validate_prefetcher,
 )
+from oracles.prefetch import ORACLE_PREFETCHERS, oracle_prefetcher
 
 #: The engine-study geometry (small enough to pressure the caches).
 STACK = dict(compute_qubits=12, cache_factor=1.0)
@@ -191,9 +196,7 @@ class TestSplitTransactionDispatch:
 
 class TestPrefetchRegistry:
     def test_shipped_prefetchers_registered(self):
-        names = available_prefetchers()
-        for expected in ("none", "next_k", "distance"):
-            assert expected in names
+        assert available_prefetchers() == ("distance", "next_k", "none")
 
     def test_unknown_prefetcher_raises(self):
         with pytest.raises(ValueError, match="unknown prefetcher"):
@@ -201,8 +204,36 @@ class TestPrefetchRegistry:
         with pytest.raises(ValueError, match="unknown prefetcher"):
             make_prefetcher("oracle")
 
+    @pytest.mark.parametrize("name", SHIPPED_PREFETCHERS)
+    def test_shipped_prefetcher_has_no_object(self, name):
+        with pytest.raises(ValueError, match="no prefetcher object"):
+            make_prefetcher(name)
+
     def test_fresh_instances(self):
-        assert make_prefetcher("next_k") is not make_prefetcher("next_k")
+        assert oracle_prefetcher("next_k") is not oracle_prefetcher("next_k")
+
+    @pytest.mark.parametrize("name", SHIPPED_PREFETCHERS)
+    def test_shipped_name_registration_rejected(self, name):
+        shadow = type("Shadow", (Prefetcher,), {"name": name})
+        with pytest.raises(ValueError, match="ships with the engine"):
+            register_prefetcher(shadow)
+        assert name not in prefetch_mod._REGISTRY
+
+    def test_duplicate_registration_rejected(self, monkeypatch):
+        monkeypatch.setattr(prefetch_mod, "_REGISTRY", {})
+
+        class Mine(ORACLE_PREFETCHERS["next_k"]):
+            name = "test_dup"
+
+        assert register_prefetcher(Mine) is Mine
+        assert isinstance(make_prefetcher("test_dup"), Mine)
+        assert "test_dup" in available_prefetchers()
+        with pytest.raises(ValueError, match="already registered"):
+            register_prefetcher(Mine)
+
+    def test_abstract_name_rejected(self):
+        with pytest.raises(ValueError, match="concrete"):
+            register_prefetcher(Prefetcher)
 
 
 def _audited(workload, prefetch, policy="lru", depth=3):

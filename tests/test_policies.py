@@ -10,19 +10,25 @@ workload.
 import pytest
 
 from repro.circuits.workloads import build_workload
+from repro.sim import fastsplit, policies
 from repro.sim.cache import LruCache
 from repro.sim.levels import (
     simulate_hierarchy_run,
     standard_stack,
     two_level_stack,
 )
-from oracles.policycache import PolicyCache
 from repro.sim.policies import (
+    SHIPPED_POLICIES,
     EvictionPolicy,
     available_policies,
     make_policy,
     register_policy,
 )
+from repro.sim.prefetch import SHIPPED_PREFETCHERS, Prefetcher
+from oracles import policies as oracle_policies
+from oracles import prefetch as oracle_prefetch
+from oracles.policies import ORACLE_POLICIES, oracle_policy
+from oracles.policycache import PolicyCache
 
 #: Small stacks keep the resident set under pressure so replacement
 #: decisions actually differ between policies.
@@ -42,23 +48,40 @@ def _trace(workload, n_bits):
 
 class TestRegistry:
     def test_shipped_policies_registered(self):
-        names = available_policies()
-        for expected in ("belady", "fifo", "lru", "score"):
-            assert expected in names
+        assert available_policies() == (
+            "belady", "fidelity", "fifo", "lru", "score",
+        )
 
     def test_unknown_policy_raises(self):
         with pytest.raises(ValueError, match="unknown eviction policy"):
             make_policy("clairvoyant")
 
+    @pytest.mark.parametrize("name", SHIPPED_POLICIES)
+    def test_shipped_policy_has_no_object(self, name):
+        with pytest.raises(ValueError, match="flattened state"):
+            make_policy(name)
+
     def test_fresh_instance_per_call(self):
-        assert make_policy("lru") is not make_policy("lru")
+        assert oracle_policy("lru") is not oracle_policy("lru")
 
-    def test_duplicate_registration_rejected(self):
-        class Dup(EvictionPolicy):
-            name = "lru"
+    @pytest.mark.parametrize("name", SHIPPED_POLICIES)
+    def test_shipped_name_registration_rejected(self, name):
+        shadow = type("Shadow", (EvictionPolicy,), {"name": name})
+        with pytest.raises(ValueError, match="ships with the engine"):
+            register_policy(shadow)
+        assert name not in policies._REGISTRY
 
+    def test_duplicate_registration_rejected(self, monkeypatch):
+        monkeypatch.setattr(policies, "_REGISTRY", {})
+
+        class Mine(ORACLE_POLICIES["lru"]):
+            name = "test_dup"
+
+        assert register_policy(Mine) is Mine
+        assert isinstance(make_policy("test_dup"), Mine)
+        assert "test_dup" in available_policies()
         with pytest.raises(ValueError, match="already registered"):
-            register_policy(Dup)
+            register_policy(Mine)
 
     def test_abstract_name_rejected(self):
         class Anon(EvictionPolicy):
@@ -66,6 +89,36 @@ class TestRegistry:
 
         with pytest.raises(ValueError, match="concrete"):
             register_policy(Anon)
+
+
+def _named_classes(module, base):
+    """The classes ``module`` defines with their own concrete ``name``."""
+    return {
+        obj.name
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, base)
+        and obj.__module__ == module.__name__ and "name" in vars(obj)
+    }
+
+
+class TestShippedNames:
+    """``SHIPPED_POLICIES``/``SHIPPED_PREFETCHERS`` are the one list of
+    shipped names: fastsplit's walks and the oracle classes agree with
+    them (``TestGenericAdapterExactness`` in
+    ``tests/test_replay_property.py`` pins that ``flat_policy`` takes
+    the flattened path for every shipped policy and the real-object
+    path for its registered twin)."""
+
+    def test_fastsplit_walks_the_shipped_prefetchers(self):
+        assert (set(SHIPPED_PREFETCHERS) - {"none"}
+                == fastsplit._SPECIALIZED_PREFETCHERS)
+
+    def test_oracle_classes_cover_exactly_the_shipped_names(self):
+        assert (_named_classes(oracle_policies, EvictionPolicy)
+                == set(SHIPPED_POLICIES) == set(ORACLE_POLICIES))
+        assert (_named_classes(oracle_prefetch, Prefetcher)
+                == set(SHIPPED_PREFETCHERS)
+                == set(oracle_prefetch.ORACLE_PREFETCHERS))
 
 
 class TestResidentSetInvariant:
@@ -76,7 +129,7 @@ class TestResidentSetInvariant:
     ):
         trace = _trace(workload, n_bits)
         capacity = 8
-        cache = PolicyCache(capacity, make_policy(policy_name), trace)
+        cache = PolicyCache(capacity, oracle_policy(policy_name), trace)
         for pos, q in enumerate(trace):
             cache.access_evicting(q, pos)
             assert len(cache) <= capacity
@@ -87,7 +140,7 @@ class TestResidentSetInvariant:
 
     def test_capacity_below_two_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            PolicyCache(1, make_policy("lru"), [])
+            PolicyCache(1, oracle_policy("lru"), [])
 
 
 class TestLruMatchesLegacyCache:
@@ -95,7 +148,7 @@ class TestLruMatchesLegacyCache:
     def test_stats_identical_to_lrucache(self, workload, n_bits):
         trace = _trace(workload, n_bits)
         legacy = LruCache(16)
-        policy = PolicyCache(16, make_policy("lru"), trace)
+        policy = PolicyCache(16, oracle_policy("lru"), trace)
         for pos, q in enumerate(trace):
             legacy_hit = legacy.access(q)
             policy_hit, _ = policy.access_evicting(q, pos)

@@ -33,6 +33,8 @@ import pytest
 from repro.circuits.workloads import build_workload
 from repro.core.design_space import ENGINE_CACHE_FACTOR, ENGINE_COMPUTE_QUBITS
 from oracles.levels import simulate_hierarchy_run_audited
+from oracles.policies import ORACLE_POLICIES
+from oracles.prefetch import NextKPrefetcher
 from repro.sim import fastsplit, policies
 from repro.sim import prefetch as prefetch_mod
 from repro.sim.cache import simulate_optimized
@@ -45,19 +47,11 @@ from repro.sim.levels import (
 )
 from repro.sim.flatpolicy import flat_policy
 from repro.sim.policies import (
-    BeladyPolicy,
+    SHIPPED_POLICIES,
     EvictionPolicy,
-    FidelityPolicy,
-    FifoPolicy,
-    LruPolicy,
-    ScorePolicy,
     available_policies,
 )
-from repro.sim.prefetch import (
-    NextKPrefetcher,
-    Prefetcher,
-    available_prefetchers,
-)
+from repro.sim.prefetch import Prefetcher, available_prefetchers
 from repro.sim.replay import (
     NUMPY_PRICING_CELLS,
     _price_numpy,
@@ -455,14 +449,14 @@ class TestFastSplitUserExtensions:
         assert not supports_fast_split("no_such_policy", "next_k")
 
 
-#: Each shipped policy with flattened state, re-registered under a new
-#: name so that it runs through its real objects instead.
+#: Each shipped policy's reference class (``tests/oracles/policies.py``),
+#: registered under a new name so that it runs through the kernel's
+#: real-object path instead of the flattened state.
 _ADAPTER_TWINS = {
-    shipped: type(f"_Adapter{cls.__name__}", (cls,),
+    shipped: type(f"_Adapter{ORACLE_POLICIES[shipped].__name__}",
+                  (ORACLE_POLICIES[shipped],),
                   {"name": f"test_adapter_{shipped}"})
-    for shipped, cls in (("lru", LruPolicy), ("fifo", FifoPolicy),
-                         ("score", ScorePolicy), ("belady", BeladyPolicy),
-                         ("fidelity", FidelityPolicy))
+    for shipped in SHIPPED_POLICIES
 }
 
 
