@@ -547,8 +547,9 @@ def _bench_service_table_query_overhead(queries: int = 8):
 
     Fills a small sqlite store, binds a :class:`BackgroundService` over
     it, and times ``GET /v1/table`` end to end best-of over several
-    queries.  The warm-up query renders and memoizes the table, so the
-    timed ones are HTTP round trip + generation-token read + memo hit.  The value is a
+    queries.  The warm-up query opens the client's persistent
+    connection and renders and memoizes the table, so the timed ones
+    are HTTP round trip + generation-token read + memo hit.  The value is a
     wall-clock latency, not a ratio, but like the other ``_overhead``
     kernels it gates against an absolute budget
     (``OVERHEAD_CEILINGS``): the promise is "a warm table query
@@ -573,14 +574,14 @@ def _bench_service_table_query_overhead(queries: int = 8):
             store = open_store(f"sqlite:{Path(tmp) / 'bench.db'}")
             compute_grid(grid, transfer_cell, TransferRow, store=store)
             with BackgroundService(store, grid) as svc:
-                client = ServiceClient(svc.url)
-                client.table()  # connection + import warm-up
-                best = None
-                for _ in range(queries):
-                    t0 = time.perf_counter()
-                    client.table()
-                    elapsed = time.perf_counter() - t0
-                    best = elapsed if best is None else min(best, elapsed)
+                with ServiceClient(svc.url) as client:
+                    client.table()  # connection + import warm-up
+                    best = None
+                    for _ in range(queries):
+                        t0 = time.perf_counter()
+                        client.table()
+                        elapsed = time.perf_counter() - t0
+                        best = elapsed if best is None else min(best, elapsed)
             return best
         finally:
             shutil.rmtree(tmp, ignore_errors=True)

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterator,
     Mapping,
@@ -222,7 +221,7 @@ class ChaosPlan:
     def before_cell(self, params: Mapping[str, Any]) -> None:
         """Run the scripted in-cell fault, if any (worker side).
 
-        Called by :class:`ChaosWrapped` before the real kernel;
+        Called by the sweep runner before each cell's kernel;
         ``"corrupt"`` faults do nothing here (they fire after the store
         write, via :meth:`corrupt_after_write`).
         """
@@ -261,42 +260,6 @@ class ChaosPlan:
         text = path.read_text()
         path.write_text(text[: max(1, len(text) // 2)])
         return True
-
-
-@dataclass
-class ChaosWrapped:
-    """A picklable kernel wrapper consulting the env plan at call time.
-
-    Wrapping keeps the kernel itself chaos-free: the plan is read from
-    the environment *inside the worker process*, so pool workers (and
-    workers restarted after a reap) see the same script the supervisor
-    does.
-    """
-
-    fn: Callable[[Mapping[str, Any]], Any]
-
-    def __call__(self, params: Mapping[str, Any]) -> Any:
-        plan = active_plan()
-        if plan is not None:
-            plan.before_cell(params)
-        return self.fn(params)
-
-
-def wrap(fn: Callable[[Mapping[str, Any]], Any]) -> ChaosWrapped:
-    """Wrap a cell kernel so scripted faults fire before it runs."""
-    return ChaosWrapped(fn)
-
-
-def wrap_if_active(
-    fn: Callable[[Mapping[str, Any]], Any],
-) -> Callable[[Mapping[str, Any]], Any]:
-    """``wrap(fn)`` when a plan is installed, else ``fn`` unchanged.
-
-    The runner calls this on every grid execution; with no plan in the
-    environment the kernel passes through untouched, so production runs
-    pay nothing.
-    """
-    return wrap(fn) if os.environ.get(CHAOS_ENV) else fn
 
 
 #: One-entry parse cache: (env text, parsed plan).

@@ -19,8 +19,8 @@ without ever touching a cell kernel.
 * :class:`repro.service.server.BackgroundService` — the same server on
   a daemon thread, for in-process tests, benchmarks and doctests;
 * :class:`repro.service.client.ServiceClient` — the stdlib client, one
-  method per endpoint, with ``progress()`` as a generator over the
-  chunked stream.
+  method per endpoint over one persistent connection per thread, with
+  ``progress()`` as a generator over the chunked stream.
 
 ``docs/sweep-service.md`` documents the endpoint contract with
 request/response examples and the multi-host walkthrough;

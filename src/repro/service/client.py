@@ -1,22 +1,30 @@
 """Stdlib HTTP client for the sweep service.
 
-A thin, dependency-free wrapper over :mod:`urllib.request` mirroring
-the server's endpoint surface (:mod:`repro.service.server`), one
-method per route.  ``progress()`` is a generator over the chunked
-NDJSON stream — :mod:`http.client` de-chunks transparently, so each
-``readline`` yields one complete progress tick.  Used by the service
-tests, the CI ``sweep-service`` job, and the
-``service_table_query_overhead`` benchmark kernel; any HTTP client
-(curl included) speaks the same protocol.
+A thin, dependency-free wrapper over :mod:`http.client` mirroring the
+server's endpoint surface (:mod:`repro.service.server`), one method
+per route.  Each thread keeps one persistent connection per client and
+sends every request over it; ``close()`` (or leaving a ``with`` block)
+closes the calling thread's connection.  ``progress()`` is a generator
+over the chunked NDJSON stream on a connection of its own —
+:mod:`http.client` de-chunks transparently, so each ``readline``
+yields one complete progress tick.  Used by the service tests, the CI
+``sweep-service`` job, and the ``service_table_query_overhead``
+benchmark kernel; any HTTP client (curl included) speaks the same
+protocol.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+from http.client import HTTPConnection, RemoteDisconnected
 from typing import Any, Dict, Iterator, Optional
-from urllib.error import HTTPError
-from urllib.parse import quote, urlencode
-from urllib.request import urlopen
+from urllib.parse import quote, urlencode, urlsplit
+
+#: Failures showing that the server closed a reused connection before
+#: answering (for instance after its idle bound): the request is sent
+#: once more on a new connection.
+_STALE_CONNECTION = (RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
 class ServiceError(RuntimeError):
@@ -28,32 +36,89 @@ class ServiceError(RuntimeError):
         super().__init__(f"service answered {code}: {payload}")
 
 
+def _error_payload(body: bytes) -> Any:
+    """An error body as JSON, or as text when it is not JSON."""
+    text = body.decode("utf-8", "replace")
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
 class ServiceClient:
-    """Synchronous client bound to one service base URL."""
+    """Synchronous client bound to one service base URL.
+
+    Safe to share across threads: each thread talks over its own
+    connection.
+    """
 
     def __init__(self, base_url: str, *, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        split = urlsplit(self.base_url)
+        if split.scheme != "http":
+            raise ValueError(f"not an http:// URL: {base_url!r}")
+        self._netloc = split.netloc
+        self._prefix = split.path
+        self._local = threading.local()
 
-    def _open(self, path: str, query: Optional[Dict[str, Any]] = None):
-        url = self.base_url + path
-        if query:
-            url += "?" + urlencode(query)
-        try:
-            return urlopen(url, timeout=self.timeout)
-        except HTTPError as exc:
-            body = exc.read().decode("utf-8", "replace")
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the calling thread's connection; the next request opens
+        a new one."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+
+    def _target(self, path: str, query: Optional[Dict[str, Any]]) -> str:
+        return self._prefix + path + ("?" + urlencode(query) if query else "")
+
+    def _get(self, path: str, query: Optional[Dict[str, Any]] = None) -> bytes:
+        """The body of a 2xx answer to ``GET path``, over this thread's
+        connection; :class:`ServiceError` on any other answer.
+
+        A reused connection the server has closed fails before any
+        response byte arrives; that request is sent once more on a new
+        connection.  Every other failure propagates, and drops the
+        connection so that the next request starts clean.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = HTTPConnection(self._netloc, timeout=self.timeout)
+            self._local.connection = connection
+        target = self._target(path, query)
+        retry = connection.sock is not None
+        while True:
             try:
-                payload = json.loads(body)
-            except ValueError:
-                payload = body
-            raise ServiceError(exc.code, payload) from None
+                connection.request("GET", target)
+                response = connection.getresponse()
+                break
+            except _STALE_CONNECTION:
+                connection.close()
+                if not retry:
+                    raise
+                retry = False
+            except BaseException:
+                connection.close()
+                raise
+        try:
+            body = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if not 200 <= response.status < 300:
+            raise ServiceError(response.status, _error_payload(body))
+        return body
 
     def _get_json(
         self, path: str, query: Optional[Dict[str, Any]] = None
     ) -> Any:
-        with self._open(path, query) as response:
-            return json.loads(response.read().decode())
+        return json.loads(self._get(path, query).decode())
 
     def healthz(self) -> Dict[str, Any]:
         """Liveness probe: kernel, cell count, store locator."""
@@ -68,8 +133,7 @@ class ServiceClient:
         the store is incomplete unless ``allow_missing`` opts into a
         degraded render."""
         query = {"allow_missing": "1"} if allow_missing else None
-        with self._open("/v1/table", query) as response:
-            return response.read().decode()
+        return self._get("/v1/table", query).decode()
 
     def cells(self) -> Dict[str, Any]:
         """Every grid cell's key, parameters and done flag."""
@@ -89,13 +153,21 @@ class ServiceClient:
         """Yield progress ticks from the chunked stream as dicts.
 
         The stream (and this generator) ends when the grid completes
-        or after ``ticks`` polls.
+        or after ``ticks`` polls.  It runs on a connection of its own,
+        closed when the generator ends.
         """
         query: Dict[str, Any] = {"interval": interval}
         if ticks is not None:
             query["ticks"] = ticks
-        with self._open("/v1/progress", query) as response:
+        connection = HTTPConnection(self._netloc, timeout=self.timeout)
+        try:
+            connection.request("GET", self._target("/v1/progress", query))
+            response = connection.getresponse()
+            if not 200 <= response.status < 300:
+                raise ServiceError(response.status, _error_payload(response.read()))
             for line in response:
                 line = line.strip()
                 if line:
                     yield json.loads(line.decode())
+        finally:
+            connection.close()

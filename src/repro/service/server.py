@@ -6,7 +6,11 @@ read-only queries straight from the warm records — no cell is ever
 computed here.  The protocol is plain HTTP/1.1 GET over an
 :func:`asyncio.start_server` loop; store reads run in the default
 executor so many concurrent readers never serialize behind one
-directory scan or table render.
+directory scan or table render.  Connections are persistent: one
+handler answers a client's requests in order until the client closes
+the connection, asks to close it (``Connection: close``, HTTP/1.0
+without ``keep-alive``), or leaves it idle for
+:data:`KEEPALIVE_IDLE_S` seconds.
 
 Endpoints (all JSON unless noted):
 
@@ -54,6 +58,11 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 #: sweep, slow enough that a stream cannot busy-spin a store scan.
 MIN_INTERVAL_S = 0.05
 MAX_INTERVAL_S = 10.0
+
+#: Seconds a persistent connection may wait for its next request
+#: before the server closes it, so abandoned clients cannot pin
+#: handler tasks.
+KEEPALIVE_IDLE_S = 30.0
 
 #: Default and ceiling for the number of progress ticks per stream.
 DEFAULT_TICKS = 3600
@@ -180,24 +189,53 @@ class SweepService:
     async def handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One connection: parse a GET, route it, close."""
+        """One connection: answer its GETs in order until it closes.
+
+        The connection closes after a response when the request asks
+        for it (``Connection: close``, or HTTP/1.0 without
+        ``keep-alive``), carries a body (it is never read, so it would
+        desync the stream), is not a GET, or is a progress stream; on a
+        malformed request line; and once the client has sent nothing
+        for :data:`KEEPALIVE_IDLE_S` seconds.
+        """
+        loop = asyncio.get_running_loop()
         try:
-            method, target = await self._read_request(reader)
-            if method is None:
-                return
-            if method != "GET":
-                await self._respond_json(
-                    writer, 405, {"error": f"method {method} not allowed"}
-                )
-                return
-            await self._route(writer, target)
+            while True:
+                # Closing the transport ends a pending read at EOF.
+                idle = loop.call_later(KEEPALIVE_IDLE_S, writer.close)
+                try:
+                    request = await self._read_request(reader)
+                finally:
+                    idle.cancel()
+                if request is None:
+                    return
+                method, target, keep_alive = request
+                if method != "GET":
+                    await self._respond(
+                        writer,
+                        *_json(405, {"error": f"method {method} not allowed"}),
+                        keep_alive=False,
+                    )
+                    return
+                split = urlsplit(target)
+                path = unquote(split.path)
+                query = dict(parse_qsl(split.query))
+                if path == "/v1/progress":
+                    await self._stream_progress(writer, query)
+                    return
+                response = await self._route(path, query)
+                await self._respond(writer, *response, keep_alive=keep_alive)
+                if not keep_alive:
+                    return
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-response; nothing to salvage
         except asyncio.CancelledError:
             pass  # server shutdown mid-request; exit the handler quietly
         except Exception as exc:  # pragma: no cover - defensive surface
             try:
-                await self._respond_json(writer, 500, {"error": str(exc)})
+                await self._respond(
+                    writer, *_json(500, {"error": str(exc)}), keep_alive=False
+                )
             except (ConnectionError, OSError):
                 pass
         finally:
@@ -208,28 +246,38 @@ class SweepService:
                 pass
 
     @staticmethod
-    async def _read_request(reader) -> Tuple[Optional[str], str]:
-        request_line = await reader.readline()
-        if not request_line:
-            return None, ""
-        parts = request_line.decode("latin-1").split()
+    async def _read_request(reader) -> Optional[Tuple[str, str, bool]]:
+        """``(method, target, keep_alive)`` of the next request, or
+        None at end of stream or on a malformed request line."""
+        parts = (await reader.readline()).decode("latin-1").split()
         if len(parts) < 2:
-            return None, ""
-        # Drain headers; GET requests carry no body we care about.
+            return None
+        headers = {}
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
-        return parts[0], parts[1]
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip().lower()
+        tokens = {
+            token.strip() for token in headers.get("connection", "").split(",")
+        }
+        if parts[2:3] == ["HTTP/1.1"]:
+            keep_alive = "close" not in tokens
+        else:
+            keep_alive = "keep-alive" in tokens
+        has_body = "transfer-encoding" in headers or headers.get(
+            "content-length", "0"
+        ) != "0"
+        return parts[0], parts[1], keep_alive and not has_body
 
-    async def _route(self, writer, target: str) -> None:
-        split = urlsplit(target)
-        path = unquote(split.path)
-        query = dict(parse_qsl(split.query))
+    async def _route(
+        self, path: str, query: Dict[str, str]
+    ) -> Tuple[int, str, bytes]:
+        """``(code, content type, body)`` of a GET on ``path``."""
         loop = asyncio.get_running_loop()
         if path == "/healthz":
-            await self._respond_json(
-                writer,
+            return _json(
                 200,
                 {
                     "ok": True,
@@ -238,11 +286,8 @@ class SweepService:
                     "store": self.locator,
                 },
             )
-            return
         if path == "/v1/status":
-            payload = await loop.run_in_executor(None, self.status_payload)
-            await self._respond_json(writer, 200, payload)
-            return
+            return _json(200, await loop.run_in_executor(None, self.status_payload))
         if path == "/v1/table":
             from ..sweep.runner import MissingCells
 
@@ -255,8 +300,7 @@ class SweepService:
                 )
             except MissingCells:
                 status = await loop.run_in_executor(None, self._status)
-                await self._respond_json(
-                    writer,
+                return _json(
                     409,
                     {
                         "error": "store incomplete",
@@ -266,32 +310,25 @@ class SweepService:
                         "hint": "pass allow_missing=1 for a degraded table",
                     },
                 )
-                return
-            await self._respond_text(writer, 200, text)
-            return
+            return 200, "text/plain; charset=utf-8", text.encode()
         if path == "/v1/cells":
-            payload = await loop.run_in_executor(None, self.cells_payload)
-            await self._respond_json(writer, 200, payload)
-            return
+            return _json(200, await loop.run_in_executor(None, self.cells_payload))
         if path.startswith("/v1/cell/"):
             key = path[len("/v1/cell/") :]
-            code, payload = await loop.run_in_executor(
-                None, lambda: self.cell_payload(key)
+            return _json(
+                *await loop.run_in_executor(None, lambda: self.cell_payload(key))
             )
-            await self._respond_json(writer, code, payload)
-            return
-        if path == "/v1/progress":
-            await self._stream_progress(writer, query)
-            return
-        await self._respond_json(writer, 404, {"error": f"no route {path}"})
+        return _json(404, {"error": f"no route {path}"})
 
     async def _stream_progress(self, writer, query: Dict[str, str]) -> None:
         try:
             interval = float(query.get("interval", "1.0"))
             ticks = int(query.get("ticks", str(DEFAULT_TICKS)))
         except ValueError:
-            await self._respond_json(
-                writer, 400, {"error": "interval/ticks must be numeric"}
+            await self._respond(
+                writer,
+                *_json(400, {"error": "interval/ticks must be numeric"}),
+                keep_alive=False,
             )
             return
         interval = min(max(interval, MIN_INTERVAL_S), MAX_INTERVAL_S)
@@ -337,30 +374,22 @@ class SweepService:
 
     @staticmethod
     async def _respond(
-        writer, code: int, content_type: str, body: bytes
+        writer, code: int, content_type: str, body: bytes, *, keep_alive: bool
     ) -> None:
         reason = _REASONS.get(code, "?")
         head = (
             f"HTTP/1.1 {code} {reason}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
         )
         writer.write(head.encode() + body)
         await writer.drain()
 
-    async def _respond_json(self, writer, code: int, payload: Any) -> None:
-        await self._respond(
-            writer,
-            code,
-            "application/json",
-            json.dumps(payload, sort_keys=True).encode(),
-        )
 
-    async def _respond_text(self, writer, code: int, text: str) -> None:
-        await self._respond(
-            writer, code, "text/plain; charset=utf-8", text.encode()
-        )
+def _json(code: int, payload: Any) -> Tuple[int, str, bytes]:
+    """A JSON response as ``(code, content type, body)``."""
+    return code, "application/json", json.dumps(payload, sort_keys=True).encode()
 
 
 async def start_service(
@@ -378,6 +407,27 @@ async def start_service(
     """
     service = SweepService(store, grid, locator=locator)
     return await asyncio.start_server(service.handle, host, port)
+
+
+async def _serve_until_cancelled(server: asyncio.AbstractServer) -> None:
+    """Serve until cancelled, then close ``server`` and its connections.
+
+    A client that keeps its connection open parks a handler on
+    ``readline``.  Every handler is cancelled and awaited before the
+    server's ``wait_closed`` (which on Python 3.12.1+ waits for every
+    connection to close), so no task is left pending when the loop
+    closes.
+    """
+    try:
+        await asyncio.get_running_loop().create_future()
+    finally:
+        server.close()
+        current = asyncio.current_task()
+        handlers = [task for task in asyncio.all_tasks() if task is not current]
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        await server.wait_closed()
 
 
 def run_service(
@@ -399,8 +449,7 @@ def run_service(
             f"{service.locator} on http://{bound[0]}:{bound[1]}",
             flush=True,
         )
-        async with server:
-            await server.serve_forever()
+        await _serve_until_cancelled(server)
 
     try:
         asyncio.run(main())
@@ -413,8 +462,8 @@ class BackgroundService:
     """A :class:`SweepService` on a daemon thread, for in-process use.
 
     Context manager: entering starts the event loop and binds an
-    ephemeral port, ``.url`` is the base URL, exiting stops the loop
-    and joins the thread.  This is what the service tests, the
+    ephemeral port, ``.url`` is the base URL, exiting closes every
+    open connection, stops the loop and joins the thread.  This is what the service tests, the
     ``service_table_query_overhead`` benchmark kernel, and the
     ``docs/sweep-service.md`` doctests run against.
     """
@@ -463,8 +512,7 @@ class BackgroundService:
             bound = server.sockets[0].getsockname()
             self.url = f"http://{bound[0]}:{bound[1]}"
             self._ready.set()
-            async with server:
-                await server.serve_forever()
+            await _serve_until_cancelled(server)
 
         try:
             self._loop.run_until_complete(main())

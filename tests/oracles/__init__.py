@@ -24,7 +24,10 @@ path in ``src/``; the equivalence tests compare the two with ``==``:
 * ``hierarchy_sim`` — the original two-level Table 5 loop (oracle for
   ``repro.sim.hierarchy_sim.simulate_l1_run``);
 * ``montecarlo`` — the scalar Monte Carlo estimator (oracle for
-  ``repro.ecc.montecarlo.logical_error_rate``).
+  ``repro.ecc.montecarlo.logical_error_rate``);
+* ``chaos`` — ``ChaosWrapped``, the sweep runner dispatcher's chaos
+  hook around a bare cell function, for the supervisor tests that
+  bypass the runner.
 
 Test modules import them as ``oracles.<module>`` (pytest puts
 ``tests/`` on ``sys.path``).  Nothing under ``src/`` imports this

@@ -4,6 +4,7 @@ import json
 import os
 
 import pytest
+from oracles.chaos import ChaosWrapped
 
 from repro.perf import chaos
 from repro.perf.chaos import (
@@ -13,6 +14,7 @@ from repro.perf.chaos import (
     ChaosTransientError,
     Fault,
 )
+from repro.sweep.runner import _BatchKernel
 
 
 def _square(params):
@@ -164,9 +166,20 @@ class TestCorruptAfterWrite:
 
 
 class TestActivation:
-    def test_wrap_if_active_is_identity_without_plan(self):
+    def test_runner_hook_fires_only_under_a_plan(self):
+        """The sweep runner's dispatcher is the one production hook: it
+        runs ``before_cell`` on every cell, and on every member of a
+        traffic group, while a plan is installed."""
+        kernel = _BatchKernel(_square, lambda group: [_square(p) for p in group])
+        plan = ChaosPlan.scripted([{"fault": "raise", "match": {"x": 1}}])
         assert CHAOS_ENV not in os.environ
-        assert chaos.wrap_if_active(_square) is _square
+        assert kernel(("cell", {"x": 1})) == [1]
+        with chaos.active(plan):
+            with pytest.raises(ChaosFault):
+                kernel(("cell", {"x": 1}))
+            with pytest.raises(ChaosFault):
+                kernel(("group", ({"x": 3}, {"x": 1})))
+            assert kernel(("group", ({"x": 2}, {"x": 3}))) == [4, 9]
 
     def test_active_installs_and_restores_env(self):
         plan = ChaosPlan.scripted([{"fault": "raise", "match": {"x": 1}}])
@@ -174,8 +187,7 @@ class TestActivation:
         with chaos.active(plan):
             assert os.environ[CHAOS_ENV] == plan.to_json()
             assert chaos.active_plan() == plan
-            wrapped = chaos.wrap_if_active(_square)
-            assert wrapped is not _square
+            wrapped = ChaosWrapped(_square)
             with pytest.raises(ChaosFault):
                 wrapped({"x": 1})
             assert wrapped({"x": 3}) == 9
@@ -187,11 +199,11 @@ class TestActivation:
         with chaos.active(plan):
             with chaos.active(None):
                 assert chaos.active_plan() is None
-                chaos.wrap(_square)({"x": 1})  # wrapped but inert
+                ChaosWrapped(_square)({"x": 1})  # wrapped but inert
             assert chaos.active_plan() == plan
 
     def test_wrapped_kernel_is_chaos_free_without_env(self):
-        wrapped = chaos.wrap(_square)
+        wrapped = ChaosWrapped(_square)
         assert wrapped({"x": 5}) == 25
 
     def test_malformed_plan_raises_loudly(self, monkeypatch):

@@ -4,18 +4,28 @@ The service is read-only plumbing over a store backend: every test
 spins a :class:`~repro.service.server.BackgroundService` on a daemon
 thread against a real store (fs or sqlite) and speaks to it through
 :class:`~repro.service.client.ServiceClient` — the same stack the CI
-``sweep-service`` job drives over HTTP from the shell.  The one
-exception is the memo race test, which calls a
-:class:`~repro.service.server.SweepService` from many threads in-process.
+``sweep-service`` job drives over HTTP from the shell.  The exceptions
+are the memo race test, which calls a
+:class:`~repro.service.server.SweepService` from many threads
+in-process, the connection tests that speak raw HTTP over a socket,
+and the ``serve`` CLI shutdown test.
 """
 
+import gc
 import json
+import logging
 import os
+import re
+import signal
+import socket
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
+from urllib.parse import urlsplit
 from urllib.request import urlopen
 
 import pytest
@@ -27,6 +37,7 @@ from repro.analysis.tables import (
 )
 from repro.perf.backends import open_store
 from repro.service import BackgroundService, ServiceClient, ServiceError
+from repro.service import server
 from repro.service.server import SweepService
 from repro.sweep.grid import Grid
 from repro.sweep.runner import compute_grid, kernel_registry
@@ -47,6 +58,15 @@ def fill(grid, store):
     return compute_grid(grid, fn, row_type, store=store)
 
 
+@contextmanager
+def served(store, grid, **kwargs):
+    """A client of a :class:`BackgroundService` over ``store``; its
+    connection closes before the service stops."""
+    with BackgroundService(store, grid, **kwargs) as svc:
+        with ServiceClient(svc.url) as client:
+            yield client
+
+
 @pytest.fixture(params=("fs", "sqlite"))
 def warm(request, tmp_path):
     """A completed transfer grid in either backend, plus its locator."""
@@ -63,8 +83,8 @@ def warm(request, tmp_path):
 class TestEndpoints:
     def test_healthz_names_the_deployment(self, warm):
         store, grid, locator = warm
-        with BackgroundService(store, grid, locator=locator) as svc:
-            health = ServiceClient(svc.url).healthz()
+        with served(store, grid, locator=locator) as client:
+            health = client.healthz()
         assert health == {
             "ok": True,
             "kernel": "transfer_cell",
@@ -74,8 +94,8 @@ class TestEndpoints:
 
     def test_status_reports_the_grid_split(self, warm):
         store, grid, _ = warm
-        with BackgroundService(store, grid) as svc:
-            status = ServiceClient(svc.url).status()
+        with served(store, grid) as client:
+            status = client.status()
         assert status["total"] == 16
         assert status["done"] == 16
         assert status["missing"] == 0
@@ -84,8 +104,8 @@ class TestEndpoints:
 
     def test_status_carries_only_the_grid_split(self, warm):
         store, grid, locator = warm
-        with BackgroundService(store, grid, locator=locator) as svc:
-            status = ServiceClient(svc.url).status()
+        with served(store, grid, locator=locator) as client:
+            status = client.status()
         assert sorted(status) == [
             "complete", "done", "failed", "failed_keys", "kernel",
             "missing", "store", "total",
@@ -96,8 +116,8 @@ class TestEndpoints:
         store, grid, _ = warm
         from repro.analysis.tables import render_table_from_store
 
-        with BackgroundService(store, grid) as svc:
-            table = ServiceClient(svc.url).table()
+        with served(store, grid) as client:
+            table = client.table()
         assert table == render_table_from_store(grid, store)
         assert "Table 3" in table
 
@@ -105,14 +125,14 @@ class TestEndpoints:
         grid = engine_grid(**GRID_KWARGS)
         store = open_store(f"sqlite:{tmp_path / 'engine.db'}")
         fill(grid, store)
-        with BackgroundService(store, grid) as svc:
-            table = ServiceClient(svc.url).table()
+        with served(store, grid) as client:
+            table = client.table()
         assert table == engine_table_text_from_store(store, **GRID_KWARGS)
 
     def test_cells_lists_every_design_point(self, warm):
         store, grid, _ = warm
-        with BackgroundService(store, grid) as svc:
-            payload = ServiceClient(svc.url).cells()
+        with served(store, grid) as client:
+            payload = client.cells()
         assert payload["total"] == 16
         assert len(payload["cells"]) == 16
         assert all(cell["done"] for cell in payload["cells"])
@@ -121,17 +141,17 @@ class TestEndpoints:
     def test_cell_lookup_roundtrips_the_record(self, warm):
         store, grid, _ = warm
         key = next(iter(grid.keys()))
-        with BackgroundService(store, grid) as svc:
-            payload = ServiceClient(svc.url).cell(key)
+        with served(store, grid) as client:
+            payload = client.cell(key)
         assert payload["key"] == key
         assert payload["value"] == store.get(key)
         assert payload["meta"]["kernel"] == "transfer_cell"
 
     def test_unknown_cell_is_404(self, warm):
         store, grid, _ = warm
-        with BackgroundService(store, grid) as svc:
+        with served(store, grid) as client:
             with pytest.raises(ServiceError) as exc_info:
-                ServiceClient(svc.url).cell("no-such-cell")
+                client.cell("no-such-cell")
         assert exc_info.value.code == 404
         assert exc_info.value.payload["error"] == "missing"
         assert exc_info.value.payload["failure"] is None
@@ -141,17 +161,16 @@ class TestEndpoints:
         store = open_store(f"sqlite:{tmp_path / 'store.db'}")
         key = next(iter(grid.keys()))
         store.put_failure(key, FAILURE)
-        with BackgroundService(store, grid) as svc:
+        with served(store, grid) as client:
             with pytest.raises(ServiceError) as exc_info:
-                ServiceClient(svc.url).cell(key)
+                client.cell(key)
         assert exc_info.value.code == 404
         assert exc_info.value.payload["failure"] == FAILURE
 
     def test_incomplete_store_answers_409_then_degrades(self, tmp_path):
         grid = transfer_grid()
         store = open_store(f"fs:{tmp_path / 'store'}")
-        with BackgroundService(store, grid) as svc:
-            client = ServiceClient(svc.url)
+        with served(store, grid) as client:
             with pytest.raises(ServiceError) as exc_info:
                 client.table()
             assert exc_info.value.code == 409
@@ -167,8 +186,7 @@ class TestEndpoints:
         sweep finishes, without restarting the service."""
         grid = transfer_grid()
         store = open_store(f"sqlite:{tmp_path / 'store.db'}")
-        with BackgroundService(store, grid) as svc:
-            client = ServiceClient(svc.url)
+        with served(store, grid) as client:
             assert client.status()["done"] == 0
             fill(grid, store)
             assert client.status()["complete"] is True
@@ -184,8 +202,7 @@ class TestEndpoints:
         fn, row_type = kernel_registry()[grid.kernel]
         last, *rest = grid.cells
         compute_grid(Grid(grid.kernel, tuple(rest)), fn, row_type, store=store)
-        with BackgroundService(store, grid) as svc:
-            client = ServiceClient(svc.url)
+        with served(store, grid) as client:
             with pytest.raises(ServiceError) as exc_info:
                 client.table()
             assert exc_info.value.code == 409
@@ -218,25 +235,23 @@ class TestEndpoints:
             return record
 
         monkeypatch.setattr(fs_store, "_parse_record", counted)
-        with BackgroundService(store, grid) as svc:
-            ServiceClient(svc.url).table()
+        with served(store, grid) as client:
+            client.table()
         assert sorted(reads) == sorted(grid.keys())
 
     def test_unknown_route_is_404(self, warm):
         store, grid, _ = warm
-        with BackgroundService(store, grid) as svc:
+        with served(store, grid) as client:
             with pytest.raises(ServiceError) as exc_info:
-                ServiceClient(svc.url)._get_json("/v1/nope")
+                client._get_json("/v1/nope")
         assert exc_info.value.code == 404
 
 
 class TestProgressStream:
     def test_complete_store_streams_one_final_tick(self, warm):
         store, grid, _ = warm
-        with BackgroundService(store, grid) as svc:
-            ticks = list(
-                ServiceClient(svc.url).progress(interval=0.05, ticks=50)
-            )
+        with served(store, grid) as client:
+            ticks = list(client.progress(interval=0.05, ticks=50))
         assert len(ticks) == 1
         assert ticks[0]["complete"] is True
         assert ticks[0]["done"] == 16
@@ -247,8 +262,7 @@ class TestProgressStream:
         store = open_store(f"sqlite:{tmp_path / 'store.db'}")
         fn, row_type = kernel_registry()[grid.kernel]
         cells = list(grid.cells)
-        with BackgroundService(store, grid) as svc:
-            client = ServiceClient(svc.url)
+        with served(store, grid) as client:
             stream = client.progress(interval=0.05, ticks=1000)
             seen = []
             for tick in stream:
@@ -284,14 +298,18 @@ class TestProgressStream:
 
 
 class TestConcurrentReaders:
+    """One client shared across threads: each thread reads over its own
+    connection and closes it when done."""
+
     def test_many_simultaneous_readers_agree(self, warm):
         store, grid, _ = warm
-        with BackgroundService(store, grid) as svc:
-            url = svc.url
+        with served(store, grid) as client:
 
             def read(_):
-                client = ServiceClient(url)
-                return client.table(), client.status()["done"]
+                try:
+                    return client.table(), client.status()["done"]
+                finally:
+                    client.close()
 
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(read, range(8)))
@@ -301,15 +319,229 @@ class TestConcurrentReaders:
 
     def test_readers_do_not_block_the_progress_stream(self, warm):
         store, grid, _ = warm
-        with BackgroundService(store, grid) as svc:
-            client = ServiceClient(svc.url)
+        with served(store, grid) as client:
+
+            def read_table():
+                try:
+                    return client.table()
+                finally:
+                    client.close()
+
             with ThreadPoolExecutor(max_workers=4) as pool:
                 stream = pool.submit(
                     lambda: list(client.progress(interval=0.05))
                 )
-                tables = [pool.submit(client.table) for _ in range(3)]
+                tables = [pool.submit(read_table) for _ in range(3)]
                 assert stream.result(timeout=10)[-1]["complete"] is True
                 assert len({f.result(timeout=10) for f in tables}) == 1
+
+
+@pytest.fixture
+def accepted(monkeypatch):
+    """One entry per connection any :class:`SweepService` accepts; the
+    entry is an event set once the connection's handler has returned."""
+    connections = []
+    handle = SweepService.handle
+
+    async def counted(self, reader, writer):
+        done = threading.Event()
+        connections.append(done)
+        try:
+            await handle(self, reader, writer)
+        finally:
+            done.set()
+
+    monkeypatch.setattr(SweepService, "handle", counted)
+    return connections
+
+
+def exchange(url, request):
+    """Send raw ``request`` bytes to the service at ``url`` and return
+    everything it sends back before it closes the connection (a socket
+    timeout if it never does)."""
+    split = urlsplit(url)
+    with socket.create_connection((split.hostname, split.port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def answers(reply):
+    """``(status code, Connection header)`` of each response in ``reply``."""
+    found = re.findall(
+        rb"HTTP/1\.1 (\d+) [^\r]*\r\n(?:[^\r]*\r\n)*?Connection: ([\w-]+)\r\n",
+        reply,
+    )
+    return [(int(code), connection.decode()) for code, connection in found]
+
+
+GET = b"GET /healthz HTTP/1.1\r\nHost: svc\r\n"
+
+
+class TestConnections:
+    """Persistent HTTP/1.1: one TCP connection per client thread."""
+
+    def test_one_connection_serves_every_call(self, warm, accepted):
+        store, grid, _ = warm
+        keys = list(grid.keys())[:5]
+        with served(store, grid) as client:
+            client.healthz()
+            client.status()
+            client.table()
+            client.cells()
+            for key in keys:
+                assert client.cell(key)["key"] == key
+        assert len(accepted) == 1
+
+    def test_error_answers_leave_the_connection_usable(self, tmp_path, accepted):
+        grid = transfer_grid()
+        store = open_store(f"fs:{tmp_path / 'store'}")
+        with served(store, grid) as client:
+            with pytest.raises(ServiceError) as missing_cell:
+                client.cell("no-such-cell")
+            with pytest.raises(ServiceError) as incomplete:
+                client.table()
+            assert client.healthz()["ok"] is True
+        assert (missing_cell.value.code, incomplete.value.code) == (404, 409)
+        assert len(accepted) == 1
+
+    def test_urlopen_gets_connection_close(self, warm):
+        store, grid, _ = warm
+        with BackgroundService(store, grid) as svc:
+            with urlopen(svc.url + "/healthz") as response:
+                assert response.headers["Connection"] == "close"
+                assert json.loads(response.read())["ok"] is True
+
+    @pytest.mark.parametrize(
+        "request_bytes, expected",
+        [
+            # HTTP/1.0 closes unless it asks for keep-alive.
+            (b"GET /healthz HTTP/1.0\r\n\r\n", [(200, "close")]),
+            (
+                b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                b"GET /healthz HTTP/1.0\r\n\r\n",
+                [(200, "keep-alive"), (200, "close")],
+            ),
+            # HTTP/1.1 stays open until a request says close.
+            (
+                GET + b"\r\n" + GET + b"Connection: close\r\n\r\n",
+                [(200, "keep-alive"), (200, "close")],
+            ),
+            # A request with a body is answered, then the connection
+            # closes: the body is never read.
+            (GET + b"Content-Length: 5\r\n\r\nhello" + GET + b"\r\n",
+             [(200, "close")]),
+            (
+                GET + b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+                [(200, "close")],
+            ),
+            # Not a GET, or an unknown route.
+            (b"POST /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n" + GET,
+             [(405, "close")]),
+            (b"GET /v1/nope HTTP/1.1\r\n\r\n" + GET + b"Connection: close\r\n\r\n",
+             [(404, "keep-alive"), (200, "close")]),
+            # A malformed request line closes without an answer.
+            (b"nonsense\r\n\r\n" + GET + b"\r\n", []),
+        ],
+        ids=[
+            "http10", "http10-keepalive", "http11", "content-length",
+            "chunked-body", "post", "unknown-route", "malformed",
+        ],
+    )
+    def test_raw_requests(self, warm, request_bytes, expected):
+        store, grid, _ = warm
+        with BackgroundService(store, grid) as svc:
+            reply = exchange(svc.url, request_bytes)
+        assert answers(reply) == expected
+
+    def test_progress_stream_closes_its_connection(self, warm):
+        store, grid, _ = warm
+        with BackgroundService(store, grid) as svc:
+            reply = exchange(
+                svc.url,
+                b"GET /v1/progress?interval=0.05 HTTP/1.1\r\n\r\n" + GET + b"\r\n",
+            )
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"Connection: close\r\n" in reply
+        assert reply.endswith(b"\r\n0\r\n\r\n")  # the terminal chunk
+        assert b'"ok"' not in reply  # the pipelined GET went unanswered
+
+    def test_idle_connection_closes_and_the_client_reconnects(
+        self, warm, accepted, monkeypatch
+    ):
+        store, grid, _ = warm
+        monkeypatch.setattr(server, "KEEPALIVE_IDLE_S", 0.05)
+        with served(store, grid) as client:
+            assert client.healthz()["ok"] is True
+            assert accepted[0].wait(timeout=10)  # the server hung up
+            assert client.healthz()["ok"] is True
+        assert len(accepted) == 2
+
+    def test_a_fresh_connection_is_not_retried(self):
+        """A server hanging up on a new connection is an error; only a
+        reused connection is sent its request again."""
+        accepted = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def hang_up():
+                connection, _ = listener.accept()
+                accepted.append(connection)
+                with connection:
+                    connection.recv(65536)
+
+            thread = threading.Thread(target=hang_up)
+            thread.start()
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            with ServiceClient(url, timeout=5) as client:
+                with pytest.raises(ConnectionResetError):
+                    client.healthz()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(accepted) == 1
+
+
+class TestShutdown:
+    @pytest.mark.filterwarnings("error")
+    def test_exit_with_an_idle_client_connection(self, warm, caplog):
+        store, grid, _ = warm
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            with BackgroundService(store, grid) as service:
+                client = ServiceClient(service.url)
+                assert client.healthz()["ok"] is True  # stays open, idle
+                thread = service._thread
+                started = time.monotonic()
+            stopped = time.monotonic() - started
+            client.close()
+            del service
+            gc.collect()
+        assert not thread.is_alive()
+        assert stopped < 5.0
+        assert caplog.records == []
+
+    def test_serve_cli_exits_on_ctrl_c_with_an_idle_connection(self, tmp_path):
+        process = subprocess.Popen(
+            [sys.executable, "-W", "error", "-m", "repro.sweep", "serve",
+             "--store", f"sqlite:{tmp_path / 'store.db'}", "--port", "0",
+             "--kernel", "transfer_cell"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        try:
+            banner = process.stdout.readline()
+            url = re.search(r"http://\S+", banner).group(0)
+            with ServiceClient(url) as client:
+                assert client.healthz()["ok"] is True
+                process.send_signal(signal.SIGINT)
+                _, stderr = process.communicate(timeout=10)
+        finally:
+            process.kill()
+            process.communicate()
+        assert process.returncode == 0
+        assert stderr == ""
 
 
 def _locator(backend, tmp_path):
@@ -368,8 +600,7 @@ class TestGenerationMemo:
             return original(self, keys)
 
         monkeypatch.setattr(type(store), "records", counted)
-        with BackgroundService(store, grid) as svc:
-            client = ServiceClient(svc.url)
+        with served(store, grid) as client:
             cold = [client.table(), client.table(allow_missing=True)]
             assert client.status()["complete"] is True
             cold_reads = len(reads)
@@ -390,8 +621,7 @@ class TestGenerationMemo:
         self, backend, tmp_path
     ):
         store, grid, locator, last = self._partial(backend, tmp_path)
-        with BackgroundService(store, grid) as svc:
-            client = ServiceClient(svc.url)
+        with served(store, grid) as client:
             degraded = client.table(allow_missing=True)
             assert "1 cell(s) missing" in degraded
             assert client.status()["done"] == 15
@@ -415,8 +645,7 @@ class TestGenerationMemo:
             [{"fault": "corrupt", "match": cell.as_dict(), "times": 1}],
             state_dir=tmp_path / "chaos-state",
         )
-        with BackgroundService(store, grid) as svc:
-            client = ServiceClient(svc.url)
+        with served(store, grid) as client:
             assert "Table 3" in client.table()
             assert client.status()["complete"] is True
             assert store.chaos_tear(plan, cell.key, cell.as_dict())
@@ -429,8 +658,7 @@ class TestGenerationMemo:
 
     def test_put_failure_shows_in_status(self, backend, tmp_path):
         store, grid, locator, last = self._partial(backend, tmp_path)
-        with BackgroundService(store, grid) as svc:
-            client = ServiceClient(svc.url)
+        with served(store, grid) as client:
             assert client.status()["failed"] == 0
             open_store(locator).put_failure(last.key, FAILURE)
             status = client.status()
@@ -442,8 +670,7 @@ class TestGenerationMemo:
 
     def test_progress_tick_after_a_write_counts_it(self, backend, tmp_path):
         store, grid, locator, last = self._partial(backend, tmp_path)
-        with BackgroundService(store, grid) as svc:
-            client = ServiceClient(svc.url)
+        with served(store, grid) as client:
             before = list(client.progress(interval=0.05, ticks=1))
             _put_cell(locator, grid, last)
             after = list(client.progress(interval=0.05, ticks=1))

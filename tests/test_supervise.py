@@ -8,6 +8,7 @@ replayable — no flaky sleeps racing real failures.
 import time
 
 import pytest
+from oracles.chaos import ChaosWrapped
 
 from repro.perf import chaos
 from repro.perf.supervise import (
@@ -28,7 +29,7 @@ def _square(params):
 
 #: Module-level so pool workers can unpickle it; reads the chaos plan
 #: from the environment inside the worker.
-_chaos_square = chaos.wrap(_square)
+_chaos_square = ChaosWrapped(_square)
 
 
 def _sleep_then_square(params):
