@@ -196,10 +196,7 @@ def _render_table3(rows: List[Optional[TransferRow]]) -> str:
         title="Table 3: transfer network latency, "
               "measured (paper) in seconds",
     )
-    holes = len(rows) - len(present)
-    if holes:
-        text += f"\n({holes} cell(s) missing/quarantined, rendered as —)"
-    return text
+    return text + _holes_footer(rows)
 
 
 def table3_text() -> str:
@@ -319,6 +316,44 @@ def engine_table_from_store(
     )
 
 
+def _code_label(code_key, memory_code_key) -> str:
+    """The ``code`` column: the compute family, ``/memory`` if mixed."""
+    if memory_code_key != code_key:
+        return f"{code_key}/{memory_code_key}"
+    return code_key
+
+
+def _missing_axes(grid, index: int) -> list:
+    """A missing row's axis columns, from its cell in ``grid`` if known."""
+    params = grid.cells[index].as_dict() if grid is not None else {}
+    code = params.get("code_key", "?")
+    return [
+        params.get("workload", "?"), params.get("n_bits", "?"),
+        _code_label(code, params.get("memory_code_key", code)),
+        params.get("depth", "?"), params.get("policy", "?"),
+        params.get("prefetch", "?"),
+    ]
+
+
+def _holes_footer(rows, grid=None, store=None) -> str:
+    """The degraded-table footer: the hole count, then with ``grid``
+    and ``store`` each hole's key and failure reason (the data of
+    :func:`repro.sweep.runner.missing_report`)."""
+    holes = [index for index, row in enumerate(rows) if row is None]
+    if not holes:
+        return ""
+    text = f"\n({len(holes)} cell(s) missing/quarantined, rendered as —)"
+    if grid is None or store is None:
+        return text
+    from ..sweep.runner import failure_reason, missing_report
+
+    failures = {cell.key: record for cell, record in missing_report(grid, store)}
+    keys = [grid.cells[index].key for index in holes]
+    return text + "".join(
+        f"\n  missing {key}: {failure_reason(failures.get(key))}" for key in keys
+    )
+
+
 def _render_engine_table(
     rows: List[Optional[EngineRow]], grid=None, store=None
 ) -> str:
@@ -330,42 +365,16 @@ def _render_engine_table(
     quarantine reason for the footer when it holds a failure record.
     """
     body = []
-    footer = []
     for index, row in enumerate(rows):
-        if row is not None:
-            code = row.code_key
-            if row.memory_code_key != row.code_key:
-                code = f"{row.code_key}/{row.memory_code_key}"
-            body.append([
-                row.workload, row.n_bits, code, row.depth, row.policy,
-                row.prefetch, row.hit_rate, row.speedup,
-                row.transfer_bound_fraction, row.transfers, row.makespan_s,
-            ])
+        if row is None:
+            body.append(_missing_axes(grid, index) + ["—"] * 5)
             continue
-        params = grid.cells[index].as_dict() if grid is not None else {}
-        code = params.get("code_key", "?")
-        if params.get("memory_code_key", code) != code:
-            code = f"{code}/{params['memory_code_key']}"
         body.append([
-            params.get("workload", "?"), params.get("n_bits", "?"), code,
-            params.get("depth", "?"), params.get("policy", "?"),
-            params.get("prefetch", "?"), "—", "—", "—", "—", "—",
+            row.workload, row.n_bits,
+            _code_label(row.code_key, row.memory_code_key), row.depth,
+            row.policy, row.prefetch, row.hit_rate, row.speedup,
+            row.transfer_bound_fraction, row.transfers, row.makespan_s,
         ])
-        if grid is not None and store is not None:
-            from ..perf.store import resolve_store
-
-            record = resolve_store(store).failure(grid.cells[index].key)
-            failure = (record or {}).get("failure", {})
-            footer.append(
-                f"  missing {grid.cells[index].key}: "
-                + (
-                    f"{failure.get('kind', '?')} "
-                    f"({failure.get('exception_type', '?')} after "
-                    f"{failure.get('attempts', '?')} attempt(s))"
-                    if record
-                    else "no record (never computed, or torn)"
-                )
-            )
     text = format_table(
         ["workload", "bits", "code", "depth", "policy", "prefetch",
          "hit rate", "speedup", "xfer-bound", "transfers", "makespan"],
@@ -374,12 +383,7 @@ def _render_engine_table(
                "(depth x policy x workload x prefetch; "
                "code is compute[/memory] family)"),
     )
-    holes = sum(1 for row in rows if row is None)
-    if holes:
-        text += f"\n({holes} cell(s) missing/quarantined, rendered as —)"
-        if footer:
-            text += "\n" + "\n".join(footer)
-    return text
+    return text + _holes_footer(rows, grid, store)
 
 
 def engine_table_text(**kwargs) -> str:
@@ -432,43 +436,17 @@ def _render_fidelity_table(
     for group in groups.values():
         on_front.update(id(row) for row in pareto_rows(group))
     body = []
-    footer = []
     for index, row in enumerate(rows):
-        if row is not None:
-            code = row.code_key
-            if row.memory_code_key != row.code_key:
-                code = f"{row.code_key}/{row.memory_code_key}"
-            body.append([
-                row.workload, row.n_bits, code, row.depth, row.policy,
-                row.prefetch, row.makespan_s, row.logical_error,
-                row.transit_error,
-                "*" if id(row) in on_front else "",
-            ])
+        if row is None:
+            body.append(_missing_axes(grid, index) + ["—", "—", "—", ""])
             continue
-        params = grid.cells[index].as_dict() if grid is not None else {}
-        code = params.get("code_key", "?")
-        if params.get("memory_code_key", code) != code:
-            code = f"{code}/{params['memory_code_key']}"
         body.append([
-            params.get("workload", "?"), params.get("n_bits", "?"), code,
-            params.get("depth", "?"), params.get("policy", "?"),
-            params.get("prefetch", "?"), "—", "—", "—", "",
+            row.workload, row.n_bits,
+            _code_label(row.code_key, row.memory_code_key), row.depth,
+            row.policy, row.prefetch, row.makespan_s, row.logical_error,
+            row.transit_error,
+            "*" if id(row) in on_front else "",
         ])
-        if grid is not None and store is not None:
-            from ..perf.store import resolve_store
-
-            record = resolve_store(store).failure(grid.cells[index].key)
-            failure = (record or {}).get("failure", {})
-            footer.append(
-                f"  missing {grid.cells[index].key}: "
-                + (
-                    f"{failure.get('kind', '?')} "
-                    f"({failure.get('exception_type', '?')} after "
-                    f"{failure.get('attempts', '?')} attempt(s))"
-                    if record
-                    else "no record (never computed, or torn)"
-                )
-            )
     text = format_table(
         ["workload", "bits", "code", "depth", "policy", "prefetch",
          "makespan", "logical err", "transit err", "pareto"],
@@ -478,12 +456,7 @@ def _render_fidelity_table(
     )
     text += ("\n(* marks rows no other design in the group beats on both "
              "makespan and logical error)")
-    holes = sum(1 for row in rows if row is None)
-    if holes:
-        text += f"\n({holes} cell(s) missing/quarantined, rendered as —)"
-        if footer:
-            text += "\n" + "\n".join(footer)
-    return text
+    return text + _holes_footer(rows, grid, store)
 
 
 #: Grid kernels with a registered table renderer (grid, rows -> text).
@@ -507,7 +480,8 @@ def render_table_from_store(grid, store, *, allow_missing: bool = False) -> str:
     accepts — a directory, an ``fs:DIR`` / ``sqlite:PATH`` locator, or
     a backend instance — and ``grid`` selects both the cell enumeration
     and the renderer (``engine_cell`` -> the engine design-space table,
-    ``transfer_cell`` -> Table 3).  Identical records render to
+    ``fidelity_cell`` -> the time-vs-fidelity table, ``transfer_cell``
+    -> Table 3).  Identical records render to
     byte-identical text whichever backend holds them; the CI
     ``sweep-service`` job asserts exactly that across fs and sqlite.
     """
@@ -519,6 +493,6 @@ def render_table_from_store(grid, store, *, allow_missing: bool = False) -> str:
         )
     from ..sweep.runner import kernel_registry, rows_from_store
 
-    _, row_type = kernel_registry()[grid.kernel]
+    row_type = kernel_registry()[grid.kernel].row_type
     rows = rows_from_store(grid, row_type, store, allow_missing=allow_missing)
     return renderer(grid, rows, store)

@@ -18,6 +18,14 @@ Every sweep enumerates its cells through one shared abstraction: a
 optional durable :class:`repro.perf.store.ResultStore` (``store=``)
 before computing, so a sweep can be sharded across processes and hosts
 (``python -m repro.sweep``) and still reassemble bit-identically.
+
+Each grid kernel is one :class:`repro.sweep.runner.SweepKernel` record
+(:func:`repro.sweep.runner.kernel_registry`): cell function, row type,
+grid builder and, for the engine and fidelity kernels, a group
+function.  The group function computes every row of its grid — a
+traffic group (:func:`engine_traffic_key`) from one movement trace,
+a time-coupled (prefetching) cell alone on the split-transaction
+engine — and the cell function is its one-member case.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..sim.residency import FIDELITY_SEED, FIDELITY_TRIALS
 from ..sweep.grid import Cell, Grid, stable_key
-from ..sweep.runner import TRAFFIC_GROUPED_KERNELS, compute_grid
+from ..sweep.runner import compute_grid, kernel_registry
 from .cqla import CqlaDesign
 from .hierarchy import MemoryHierarchy
 
@@ -473,20 +481,11 @@ def _engine_row(params: Mapping[str, Any], run) -> EngineRow:
 
 
 def engine_cell(params: Mapping[str, Any]) -> EngineRow:
-    """One engine cell; module-level so worker processes can pickle it."""
-    from ..sim.levels import simulate_hierarchy_run
+    """One engine cell: the one-member case of :func:`engine_batch_cell`.
 
-    circuit = _engine_circuit(params["workload"], params["n_bits"])
-    stack = _engine_stack(params)
-    order = _fetch_order(
-        params["workload"], params["n_bits"],
-        params["compute_qubits"], params["cache_factor"],
-    )
-    run = simulate_hierarchy_run(
-        stack, circuit, policy=params["policy"], order=order,
-        prefetch=params["prefetch"],
-    )
-    return _engine_row(params, run)
+    Module-level so worker processes can pickle it.
+    """
+    return engine_batch_cell((params,))[0]
 
 
 # ----------------------------------------------------------------------
@@ -527,23 +526,43 @@ def engine_traffic_key(params: Mapping[str, Any]) -> Optional[str]:
     return stable_key("engine_traffic", **traffic)
 
 
+def _workload(params: Mapping[str, Any]):
+    """``(circuit, fetch order)`` of one engine or fidelity cell."""
+    return _engine_circuit(params["workload"], params["n_bits"]), _fetch_order(
+        params["workload"], params["n_bits"],
+        params["compute_qubits"], params["cache_factor"],
+    )
+
+
+def _time_coupled(group: Sequence[Mapping[str, Any]]) -> bool:
+    """Whether ``group`` is one time-coupled (prefetching) cell.
+
+    Such a cell has no :func:`engine_traffic_key` and runs the
+    split-transaction engine on its own; a group of two or more of
+    them has nothing to share and is refused.
+    """
+    if engine_traffic_key(group[0]) is not None:
+        return False
+    if len(group) > 1:
+        raise ValueError(
+            "a time-coupled (prefetching) cell runs alone; got a "
+            f"{len(group)}-cell group"
+        )
+    return True
+
+
 def _group_trace(group: Sequence[Mapping[str, Any]]):
     """One traffic group's (trace, stacks), from one extraction.
 
-    Validates that every member shares one :func:`engine_traffic_key`,
-    builds each member's stack, and runs the replacement simulation
-    once against the first member's geometry to produce the group's
-    movement trace.
+    Validates that every member shares the first member's
+    :func:`engine_traffic_key`, builds each member's stack, and runs
+    the replacement simulation once against the first member's
+    geometry to produce the group's movement trace.
     """
     from ..sim.replay import extract_movement_trace
 
     first = group[0]
     key = engine_traffic_key(first)
-    if key is None:
-        raise ValueError(
-            "a traffic group requires batchable cells "
-            "(prefetch='none'); got a time-coupled cell"
-        )
     for params in group[1:]:
         if engine_traffic_key(params) != key:
             raise ValueError(
@@ -551,11 +570,7 @@ def _group_trace(group: Sequence[Mapping[str, Any]]):
                 "(the shard planner groups by it)"
             )
     stacks = [_engine_stack(params) for params in group]
-    circuit = _engine_circuit(first["workload"], first["n_bits"])
-    order = _fetch_order(
-        first["workload"], first["n_bits"],
-        first["compute_qubits"], first["cache_factor"],
-    )
+    circuit, order = _workload(first)
     trace = extract_movement_trace(stacks[0], circuit, first["policy"], order=order)
     return trace, stacks
 
@@ -567,46 +582,25 @@ def engine_batch_cell(group: Sequence[Mapping[str, Any]]) -> List[EngineRow]:
     replacement machinery runs once against the group's shared
     geometry, then :func:`repro.sim.replay.price_movement_trace_batch`
     replays the movement trace across every member's codes and port
-    widths.  Each
-    row is bit-identical to :func:`engine_cell` on the same
-    parameters.  Module-level so worker processes can pickle it.
+    widths.  A time-coupled (prefetching) cell is a group of one that
+    runs the split-transaction engine instead.  Every engine row is
+    computed here (:func:`engine_cell` is the one-member case).
+    Module-level so worker processes can pickle it.
     """
+    from ..sim.levels import simulate_hierarchy_run
     from ..sim.replay import price_movement_trace_batch
 
+    if _time_coupled(group):
+        params = group[0]
+        circuit, order = _workload(params)
+        run = simulate_hierarchy_run(
+            _engine_stack(params), circuit, policy=params["policy"],
+            order=order, prefetch=params["prefetch"],
+        )
+        return [_engine_row(params, run)]
     trace, stacks = _group_trace(group)
     runs = price_movement_trace_batch(trace, stacks)
     return [_engine_row(params, run) for params, run in zip(group, runs)]
-
-
-@dataclass(frozen=True)
-class _TrafficGroupKernel:
-    """Picklable per-group kernel of one grid kernel.
-
-    ``kernel`` names the grid kernel whose group function runs
-    (``engine_cell`` or ``fidelity_cell``), looked up at call time so
-    the group functions stay patchable module attributes.
-    """
-
-    kernel: str = "engine_cell"
-
-    def __call__(self, group: Sequence[Mapping[str, Any]]) -> List[EngineRow]:
-        fn = engine_batch_cell if self.kernel == "engine_cell" else fidelity_batch_cell
-        return fn(group)
-
-
-def traffic_group_kernel(kernel: str = "engine_cell") -> _TrafficGroupKernel:
-    """The group kernel of an engine (or fidelity) grid's traffic groups.
-
-    :func:`repro.sweep.runner.compute_grid` runs every traffic group of
-    those grids through it: cells sharing one :func:`engine_traffic_key`
-    run as one group — one extraction re-priced per member by
-    :func:`engine_batch_cell`, or re-priced with a residency recorder
-    and accrued per member by :func:`fidelity_batch_cell` when
-    ``kernel="fidelity_cell"``.
-    """
-    if kernel not in TRAFFIC_GROUPED_KERNELS:
-        raise ValueError(f"kernel {kernel!r} has no traffic groups")
-    return _TrafficGroupKernel(kernel)
 
 
 def _normalize_code_pairs(
@@ -743,19 +737,17 @@ def engine_sweep(
     identities, so one extraction serves every member's residency
     recording.
     """
+    budget = {}
     if fidelity:
         trials, seed = _fidelity_budget(fidelity)
         budget = dict(fidelity_trials=trials, fidelity_seed=seed)
-        build, cell_fn, row_type = fidelity_grid, fidelity_cell, FidelityRow
-    else:
-        budget = {}
-        build, cell_fn, row_type = engine_grid, engine_cell, EngineRow
-    grid = build(
+    kernel = kernel_registry()["fidelity_cell" if fidelity else "engine_cell"]
+    grid = kernel.grid(
         workloads, sizes, code_keys, depths, policies, prefetches,
         transfer_options, compute_qubits, cache_factor, code_pairs, **budget,
     )
     return compute_grid(
-        grid, cell_fn, row_type,
+        grid, kernel.cell, kernel.row_type,
         store=store, workers=workers, supervise=supervise,
     )
 
@@ -801,27 +793,15 @@ def _fidelity_budget(fidelity) -> Tuple[int, int]:
 
 
 def fidelity_cell(params: Mapping[str, Any]) -> FidelityRow:
-    """One fidelity cell; module-level so worker processes can pickle it.
+    """One fidelity cell: the one-member case of :func:`fidelity_batch_cell`.
 
     The engine run underneath is the exact :func:`engine_cell` run —
     the recorder only observes it — so every shared field of the
     resulting row is bit-identical to the ``engine_cell`` row of the
-    same engine parameters.
+    same engine parameters.  Module-level so worker processes can
+    pickle it.
     """
-    from ..sim.residency import simulate_fidelity_run
-
-    circuit = _engine_circuit(params["workload"], params["n_bits"])
-    stack = _engine_stack(params)
-    order = _fetch_order(
-        params["workload"], params["n_bits"],
-        params["compute_qubits"], params["cache_factor"],
-    )
-    run, fid = simulate_fidelity_run(
-        stack, circuit, params["policy"], order=order,
-        prefetch=params["prefetch"],
-        trials=params["fidelity_trials"], seed=params["fidelity_seed"],
-    )
-    return _fidelity_row(params, run, fid)
+    return fidelity_batch_cell((params,))[0]
 
 
 def _fidelity_row(params: Mapping[str, Any], run, fid) -> FidelityRow:
@@ -842,15 +822,30 @@ def fidelity_batch_cell(group: Sequence[Mapping[str, Any]]) -> List[FidelityRow]
     The group's movement trace (extracted once, exactly as the engine
     grid's group extracts it) is re-priced per member with a
     :class:`~repro.sim.residency.ResidencyRecorder` attached: the
-    pricer emits exactly the reservation engine's movement records, so
-    each row is bit-identical to :func:`fidelity_cell` on the same
-    parameters.  A member whose residency walk counts a source-level
+    pricer emits exactly the reservation engine's movement records.  A
+    time-coupled (prefetching) cell is a group of one that runs the
+    split-transaction engine with a recorder instead.  Every fidelity
+    row is computed here (:func:`fidelity_cell` is the one-member
+    case).  A member whose residency walk counts a source-level
     mismatch raises, failing (and under supervision quarantining) the
     group.  Module-level so worker processes can pickle it.
     """
     from ..sim.replay import price_movement_trace
-    from ..sim.residency import ResidencyRecorder, accrue_residency
+    from ..sim.residency import (
+        ResidencyRecorder,
+        accrue_residency,
+        simulate_fidelity_run,
+    )
 
+    if _time_coupled(group):
+        params = group[0]
+        circuit, order = _workload(params)
+        run, fid = simulate_fidelity_run(
+            _engine_stack(params), circuit, params["policy"], order=order,
+            prefetch=params["prefetch"],
+            trials=params["fidelity_trials"], seed=params["fidelity_seed"],
+        )
+        return [_fidelity_row(params, run, fid)]
     trace, stacks = _group_trace(group)
     rows = []
     for params, stack in zip(group, stacks):

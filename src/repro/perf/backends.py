@@ -84,7 +84,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 from .store import (
     ResultStore,
     StoreStatus,
-    chaos_torn_text,
     flocked,
     record_meta,
 )
@@ -680,7 +679,7 @@ class SqliteStore:
         """Apply a scripted ``"corrupt"`` fault to ``key``; True if torn.
 
         The plan truncates the record's text
-        (:func:`repro.perf.store.chaos_torn_text`) and the torn JSON,
+        (:meth:`repro.perf.chaos.ChaosPlan.torn_text`) and the torn JSON,
         modelling a tear that survived persistence, is stored back for
         this one row, after which the record reads as missing exactly
         like a torn line of an ``fs`` segment.
@@ -688,7 +687,7 @@ class SqliteStore:
         text = self._select("records", [key]).get(key)
         if text is None:
             return False
-        torn_text = chaos_torn_text(plan, text, params)
+        torn_text = plan.torn_text(text, params)
         if torn_text is None:
             return False
         self._run(

@@ -223,7 +223,7 @@ class ChaosPlan:
 
         Called by the sweep runner before each cell's kernel;
         ``"corrupt"`` faults do nothing here (they fire after the store
-        write, via :meth:`corrupt_after_write`).
+        write, via :meth:`torn_text`).
         """
         fault = self.fault_for(params)
         if fault is None or fault.kind == "corrupt":
@@ -242,24 +242,20 @@ class ChaosPlan:
         if fault.kind == "exit":  # pragma: no cover - kills the process
             os._exit(fault.exit_code)
 
-    def corrupt_after_write(
-        self, path: Union[str, Path], params: Mapping[str, Any]
-    ) -> bool:
-        """Truncate a just-written record if scripted to; True if torn.
+    def torn_text(self, text: str, params: Mapping[str, Any]) -> Optional[str]:
+        """A just-written record's ``text`` torn if scripted to, else None.
 
-        Models a power-loss-style tear *after* the atomic rename: the
+        Models a power-loss-style tear *after* the atomic write: the
         record exists but is not valid JSON, so readers must treat it
-        as missing and a resume must recompute it.
+        as missing and a resume must recompute it.  Every backend's
+        ``chaos_tear`` stores the returned text in place of the record.
         """
         fault = self.fault_for(params)
         if fault is None or fault.kind != "corrupt":
-            return False
+            return None
         if not self._armed(fault, params):
-            return False
-        path = Path(path)
-        text = path.read_text()
-        path.write_text(text[: max(1, len(text) // 2)])
-        return True
+            return None
+        return text[: max(1, len(text) // 2)]
 
 
 #: One-entry parse cache: (env text, parsed plan).

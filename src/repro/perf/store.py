@@ -179,28 +179,6 @@ def record_meta(
     return meta
 
 
-def chaos_torn_text(plan, text: str, params: Dict[str, Any]) -> Optional[str]:
-    """``text`` as the plan's ``"corrupt"`` fault leaves it, or None.
-
-    The plan's tear logic (and its cross-process ``times`` accounting)
-    operates on files, so the text round-trips through a temp file.
-    None means the plan left it alone.  Shared by every backend's
-    ``chaos_tear``.
-    """
-    fd, tmp = tempfile.mkstemp(prefix=".chaos-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        if not plan.corrupt_after_write(tmp, params):
-            return None
-        return Path(tmp).read_text()
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-
-
 def _stat_identity(stat: os.stat_result) -> Tuple[int, int, int]:
     """``(inode, size, mtime)``: what changes when a segment is replaced
     or damaged in place."""
@@ -709,7 +687,7 @@ class ResultStore:
         """Apply a scripted ``"corrupt"`` fault to ``key``; True if torn.
 
         The backend-protocol hook behind the chaos harness's torn-write
-        fault (:meth:`repro.perf.chaos.ChaosPlan.corrupt_after_write`).
+        fault (:meth:`repro.perf.chaos.ChaosPlan.torn_text`).
         Like :meth:`repro.perf.backends.SqliteStore.chaos_tear`, it
         tears ``key`` alone: the torn text lands as a new one-line
         segment that shadows the intact line, so ``key`` reads as
@@ -719,7 +697,7 @@ class ResultStore:
         record = self.record(key)
         if record is None:
             return False
-        torn = chaos_torn_text(plan, json.dumps(record, sort_keys=True), params)
+        torn = plan.torn_text(json.dumps(record, sort_keys=True), params)
         if torn is None:
             return False
         self._write_segment({key: torn})

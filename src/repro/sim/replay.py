@@ -34,10 +34,13 @@ five shipped policies, the real policy objects for any
 user-registered one).  The equivalence tests pin it to the reference
 reservation engines (test code under ``tests/oracles/``).
 
-Batching is bypassed — cells fall back to per-cell simulation — for
-split-transaction runs with prefetching (``prefetch != "none"``): port
-contention feeds back into the victim-exclusion and veto decisions
-there, so the traffic is *not* code-invariant.  The same bypass will
+Batching is bypassed for split-transaction runs with prefetching
+(``prefetch != "none"``): port contention feeds back into the
+victim-exclusion and veto decisions there, so the traffic is *not*
+code-invariant.  Such a cell has no traffic key
+(:func:`repro.core.design_space.engine_traffic_key`); the sweep runs it
+as a group of one, and its grid's group function simulates it on the
+split-transaction engine instead of extracting a trace.  The same bypass will
 apply to any future policy whose decisions observe time (per-level
 mixed policies with shared state, noise-coupled residency costs).
 """

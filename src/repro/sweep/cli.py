@@ -27,6 +27,9 @@ read-only HTTP query service (:mod:`repro.service`) over a store::
 
 Every subcommand takes the same grid options, so the workers, the
 status probe, and the merge all agree on the canonical cell enumeration.
+``--kernel`` picks a :class:`repro.sweep.runner.SweepKernel` record, and
+the other grid options are keyword parameters of its grid builder: an
+option the builder does not take exits with an error naming it.
 ``merge --verify`` recomputes the whole grid single-process in-memory
 and asserts the reassembled rows are bit-identical — the CI sharding
 job uses it as its correctness gate.
@@ -46,10 +49,10 @@ exist plus a failure footer instead of refusing the whole table.
 Performance: engine and fidelity grids run each *traffic group* —
 cells differing only in priced axes such as ``code_pairs`` — as one
 unit on their own: the movement trace is simulated once and re-priced
-per member (with a residency recorder on fidelity cells), with
-stored records byte-identical to the per-cell path, and sharding keeps
-whole groups on one worker (:func:`repro.sweep.runner.plan_shard`, so
-``status --shards K`` counts the same partition ``run`` computes).
+per member (with a residency recorder on fidelity cells), one store
+record per cell, and sharding keeps whole groups on one worker
+(:func:`repro.sweep.runner.plan_shard`, so ``status --shards K`` counts
+the same partition ``run`` computes).
 ``--profile`` wraps the shard in cProfile and drops a ``.pstats`` dump
 next to the store directory.
 """
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import inspect
 import json
 import sys
 from contextlib import contextmanager
@@ -71,6 +75,7 @@ from .grid import Grid, parse_shard_spec
 from .runner import (
     MissingCells,
     compute_grid,
+    failure_reason,
     kernel_registry,
     missing_report,
     plan_shard,
@@ -78,24 +83,23 @@ from .runner import (
 )
 
 
-#: Engine-only grid options (dest names); passing one of these with a
-#: Table 3/4/5 kernel is an error, not a silent ignore.
-_ENGINE_ONLY = (
-    "workloads",
-    "depths",
-    "policies",
-    "prefetches",
-    "compute_qubits",
-    "cache_factor",
-    "code_pairs",
-)
-
-#: Options the Table 3 (transfer_cell) grid does not take either.
-_TABLE45_ONLY = ("sizes", "transfers")
-
-#: Fidelity-grid-only options (dest names); the other kernels reject
-#: them the same way.
-_FIDELITY_ONLY = ("fidelity_trials", "fidelity_seed")
+#: Grid option (dest name) -> grid-builder keyword.  An option the
+#: selected kernel's builder does not take is an error, not a silent
+#: ignore.
+_GRID_KEYWORDS = {
+    "workloads": "workloads",
+    "sizes": "sizes",
+    "codes": "code_keys",
+    "depths": "depths",
+    "policies": "policies",
+    "prefetches": "prefetches",
+    "transfers": "transfer_options",
+    "compute_qubits": "compute_qubits",
+    "cache_factor": "cache_factor",
+    "code_pairs": "code_pairs",
+    "fidelity_trials": "fidelity_trials",
+    "fidelity_seed": "fidelity_seed",
+}
 
 
 def _parse_code_pair(spec: str):
@@ -129,13 +133,7 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
     )
     grid.add_argument(
         "--kernel",
-        choices=(
-            "engine_cell",
-            "fidelity_cell",
-            "specialization_cell",
-            "hierarchy_cell",
-            "transfer_cell",
-        ),
+        choices=tuple(kernel_registry()),
         default="engine_cell",
         help="which sweep grid to shard (default: the engine design space; "
         "fidelity_cell = the same cells priced in time AND logical error, "
@@ -263,92 +261,34 @@ def _report_quarantine(store, grid: Grid) -> int:
     """Print quarantined cells of ``grid``; returns how many there are."""
     failed = store.status(grid.keys()).failed_keys
     for key in failed:
-        record = store.failure(key) or {}
-        failure = record.get("failure", {})
-        print(
-            f"  quarantined {key}: {failure.get('kind', '?')} "
-            f"({failure.get('exception_type', '?')} after "
-            f"{failure.get('attempts', '?')} attempt(s))"
-        )
+        print(f"  quarantined {key}: {failure_reason(store.failure(key))}")
     return len(failed)
 
 
-def _picked(args: argparse.Namespace, **renames: str) -> dict:
-    """CLI options that were explicitly set, renamed to grid kwargs."""
-    return {
-        kwarg: getattr(args, dest)
-        for dest, kwarg in renames.items()
-        if getattr(args, dest) is not None
-    }
-
-
 def _grid_from_args(args: argparse.Namespace) -> Grid:
-    # Omitted options take the grid builders' defaults, so the CLI and
-    # the in-process sweeps enumerate the same canonical grid.
-    from ..core import design_space
+    """The ``--kernel`` grid, built from the options that were given.
 
-    if args.kernel != "fidelity_cell":
-        stray = [
-            "--" + dest.replace("_", "-")
-            for dest in _FIDELITY_ONLY
-            if getattr(args, dest) is not None
-        ]
-        if stray:
-            raise SystemExit(
-                f"{args.kernel} grids do not take {', '.join(stray)} "
-                f"(fidelity-grid options)"
-            )
-    if args.kernel in ("engine_cell", "fidelity_cell"):
-        picks = _picked(
-            args,
-            workloads="workloads",
-            sizes="sizes",
-            codes="code_keys",
-            depths="depths",
-            policies="policies",
-            prefetches="prefetches",
-            transfers="transfer_options",
-            compute_qubits="compute_qubits",
-            cache_factor="cache_factor",
-            code_pairs="code_pairs",
-        )
-        if args.kernel == "fidelity_cell":
-            picks.update(_picked(
-                args,
-                fidelity_trials="fidelity_trials",
-                fidelity_seed="fidelity_seed",
-            ))
-            return design_space.fidelity_grid(**picks)
-        return design_space.engine_grid(**picks)
-    stray = [
-        "--" + dest.replace("_", "-")
-        for dest in _ENGINE_ONLY
-        if getattr(args, dest) is not None
-    ]
+    Omitted options take the grid builder's defaults, so the CLI and
+    the in-process sweeps enumerate the same canonical grid.
+    """
+    build = kernel_registry()[args.kernel].grid
+    accepted = inspect.signature(build).parameters
+    picks = {}
+    stray = []
+    for dest, keyword in _GRID_KEYWORDS.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if keyword in accepted:
+            picks[keyword] = value
+        else:
+            stray.append("--" + dest.replace("_", "-"))
     if stray:
         raise SystemExit(
             f"{args.kernel} grids do not take {', '.join(stray)} "
-            f"(engine-grid options)"
+            f"(not a parameter of {build.__name__})"
         )
-    if args.kernel == "transfer_cell":
-        stray = [
-            "--" + dest.replace("_", "-")
-            for dest in _TABLE45_ONLY
-            if getattr(args, dest) is not None
-        ]
-        if stray:
-            raise SystemExit(
-                f"transfer_cell grids do not take {', '.join(stray)} "
-                f"(the Table 3 matrix has no size or transfer axis)"
-            )
-        return design_space.transfer_grid(**_picked(args, codes="code_keys"))
-    if args.kernel == "specialization_cell":
-        return design_space.specialization_grid(
-            **_picked(args, sizes="sizes", codes="code_keys")
-        )
-    return design_space.hierarchy_grid(
-        **_picked(args, sizes="sizes", codes="code_keys", transfers="transfer_options")
-    )
+    return build(**picks)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -357,13 +297,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     shard = plan_shard(grid, index, count)
     store = open_store(args.store)
     before = store.status(shard.keys())
-    fn, row_type = kernel_registry()[grid.kernel]
+    kernel = kernel_registry()[grid.kernel]
     try:
         with _maybe_profile(args, f"shard{index}of{count}"):
             compute_grid(
                 shard,
-                fn,
-                row_type,
+                kernel.cell,
+                kernel.row_type,
                 store=store,
                 workers=args.workers,
                 supervise=_supervision_from_args(args),
@@ -385,13 +325,13 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     grid = _grid_from_args(args)
     store = open_store(args.store)
     before = store.status(grid.keys())
-    fn, row_type = kernel_registry()[grid.kernel]
+    kernel = kernel_registry()[grid.kernel]
     try:
         with _maybe_profile(args, "resume"):
             compute_grid(
                 grid,
-                fn,
-                row_type,
+                kernel.cell,
+                kernel.row_type,
                 store=store,
                 workers=args.workers,
                 supervise=_supervision_from_args(args),
@@ -438,10 +378,10 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     # Shard artifacts each shipped their own index.json and only one
     # survives a file-level directory merge; records are the truth.
     store.rebuild_index()
-    fn, row_type = kernel_registry()[grid.kernel]
+    kernel = kernel_registry()[grid.kernel]
     try:
         rows = rows_from_store(
-            grid, row_type, store, allow_missing=args.allow_missing
+            grid, kernel.row_type, store, allow_missing=args.allow_missing
         )
     except MissingCells as exc:
         print(f"merge failed: {exc}", file=sys.stderr)
@@ -457,20 +397,12 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             f"cells missing",
             file=sys.stderr,
         )
-        for cell, failure_record in missing_report(grid, store):
-            failure = (failure_record or {}).get("failure", {})
-            why = (
-                f"{failure.get('kind', '?')}: "
-                f"{failure.get('exception_type', '?')} after "
-                f"{failure.get('attempts', '?')} attempt(s)"
-                if failure_record
-                else "no record (never computed, or torn)"
-            )
-            print(f"  missing {cell.key}: {why}", file=sys.stderr)
+        for cell, record in missing_report(grid, store):
+            print(f"  missing {cell.key}: {failure_reason(record)}", file=sys.stderr)
     if args.verify:
-        # Per-cell on purpose: an independent recomputation cross-checks
-        # records the sharded runs wrote group by group.
-        recomputed = [fn(cell.as_dict()) for cell in grid]
+        # Per cell on purpose: each cell extracts its own trace, an
+        # independent cross-check of records written group by group.
+        recomputed = [kernel.cell(cell.as_dict()) for cell in grid]
         # Under --allow-missing only the cells that exist are checked;
         # a quarantined hole is reported above, not a verify failure.
         mismatched = [

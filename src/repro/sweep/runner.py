@@ -6,9 +6,12 @@ single-process :func:`repro.core.design_space.engine_sweep` call, a
 a crash are all the same loop: skip cells whose record is already in
 the store, run the rest through the supervised executor
 (:func:`repro.perf.supervise.supervised_indexed`), persist each
-finished group with one write, return rows in canonical grid order.
-Engine and fidelity grids run each traffic group of cells as one unit
-(:data:`TRAFFIC_GROUPED_KERNELS`), with one record per cell either way.
+finished work item with one write, return rows in canonical grid order.
+A work item is a tuple of cells: one traffic group of an engine or
+fidelity grid (run by the kernel's group function), or one cell of any
+other grid, with one record per cell either way.  Each grid kernel's
+facts — cell function, row type, grid builder, group function — live
+in one :class:`SweepKernel` record (:func:`kernel_registry`).
 
 Without ``supervise=`` a run is fail-fast
 (:data:`repro.perf.supervise.FAIL_FAST`): the first failed cell raises
@@ -43,10 +46,25 @@ from ..perf.supervise import (
 )
 from .grid import Cell, Grid
 
-#: Grid kernels whose cells run in traffic groups: cells sharing one
-#: :func:`repro.core.design_space.engine_traffic_key` simulate one
-#: movement trace, re-priced per member.  Other kernels run per cell.
-TRAFFIC_GROUPED_KERNELS = ("engine_cell", "fidelity_cell")
+
+@dataclass(frozen=True)
+class SweepKernel:
+    """Everything the sweep machinery knows about one grid kernel.
+
+    ``cell`` maps one cell's parameters to one ``row_type`` row;
+    ``grid`` builds the kernel's canonical :class:`Grid` (its keyword
+    parameters are the grid options the CLI accepts for the kernel).
+    ``group`` maps a tuple of cells sharing one
+    :func:`repro.core.design_space.engine_traffic_key` to their rows —
+    one movement trace re-priced per member — and ``cell`` is its
+    one-member case; it is None for kernels whose cells run one at a
+    time (the Table 3/4/5 grids).
+    """
+
+    cell: Callable[[Dict[str, Any]], Any]
+    row_type: Type
+    grid: Callable[..., Grid]
+    group: Optional[Callable[[Tuple[Dict[str, Any], ...]], List[Any]]] = None
 
 
 class MissingCells(ValueError):
@@ -83,28 +101,26 @@ class CellFailed(RuntimeError):
 class _BatchKernel:
     """Picklable dispatcher for work items.
 
-    A work item is ``("cell", params)`` or ``("group", (params, ...))``
-    (the latter only on traffic-grouped grids); both return a *list*
-    of rows so the runner maps results back uniformly.  Chaos faults
-    fire per member — a scripted fault aimed at any one cell of a group
-    poisons (and on retry, re-poisons) the whole group, which is the
-    unit of supervised work.
+    A work item is a tuple of cell parameter dicts and returns a list
+    of rows, one per member.  With a ``group_fn`` the tuple is one
+    traffic group (one member or more) and runs in one call; without
+    one, every item is a one-tuple run through ``cell_fn``.  Chaos
+    faults fire per member — a scripted fault aimed at any one cell of
+    a group poisons (and on retry, re-poisons) the whole group, which
+    is the unit of supervised work.
     """
 
     cell_fn: Callable[[Dict[str, Any]], Any]
     group_fn: Optional[Callable[[Tuple[Dict[str, Any], ...]], List[Any]]]
 
-    def __call__(self, item: Tuple[str, Any]) -> List[Any]:
-        kind, payload = item
+    def __call__(self, members: Tuple[Dict[str, Any], ...]) -> List[Any]:
         plan = chaos.active_plan()
-        if kind == "cell":
-            if plan is not None:
-                plan.before_cell(payload)
-            return [self.cell_fn(payload)]
         if plan is not None:
-            for params in payload:
+            for params in members:
                 plan.before_cell(params)
-        return list(self.group_fn(payload))
+        if self.group_fn is None:
+            return [self.cell_fn(params) for params in members]
+        return list(self.group_fn(members))
 
 
 def _row_from_record(row_type: Type, value: Any) -> Optional[Any]:
@@ -154,21 +170,21 @@ def compute_grid(
     :class:`CellFailed` raises once every cell finished before the
     failure is stored.
 
-    Engine and fidelity grids (:data:`TRAFFIC_GROUPED_KERNELS`) run
-    through their registered cell function group their cells by
-    :func:`repro.core.design_space.engine_traffic_key`; any other
-    ``fn`` runs per cell.  Each group of two or more pending cells is
-    *one* unit of execution — one pool task, one supervised attempt (a
-    transient fault retries only its group, charged once), one
-    per-group deadline scaled by member count — while the store still
-    receives one record per member cell, byte-identical to the
-    per-cell path, so cell keys, resume, quarantine and
-    ``merge --verify`` are unaffected.  A terminal group failure
-    quarantines every member, each failure record naming the full
-    membership under ``"group_members"``.  Singleton groups and
-    ungroupable cells run through ``fn``.
+    A grid whose kernel has a group function (:class:`SweepKernel`),
+    run through its registered cell function, groups its pending cells
+    by :func:`repro.core.design_space.engine_traffic_key`; a
+    time-coupled (prefetching) cell has no traffic key and is a group
+    of one.  Every group, one member or more, runs through the group
+    function as *one* unit of execution — one pool task, one supervised
+    attempt (a transient fault retries only its group, charged once),
+    one per-group deadline scaled by member count — while the store
+    still receives one record per member cell, so cell keys, resume,
+    quarantine and ``merge --verify`` do not depend on the grouping.  A
+    terminal failure of a group of two or more quarantines every
+    member, each failure record naming the full membership under
+    ``"group_members"``.  Any other ``fn`` runs one cell at a time.
     """
-    group_key, group_fn = _traffic_grouping(grid, fn)
+    group_fn = _group_function(grid, fn)
     resolved: Optional[ResultStore] = resolve_store(store)
     cells = list(grid)
     rows: List[Any] = (
@@ -181,9 +197,7 @@ def compute_grid(
     try:
         _run(
             grid,
-            fn,
-            group_key,
-            group_fn,
+            _BatchKernel(cell_fn=fn, group_fn=group_fn),
             cells,
             todo,
             rows,
@@ -198,30 +212,25 @@ def compute_grid(
     return rows
 
 
-def _traffic_grouping(
-    grid: Grid,
-    fn: Callable[[Dict[str, Any]], Any],
-) -> Tuple[Optional[Callable], Optional[Callable]]:
-    """``(group key, group kernel)``, or ``(None, None)`` to run per cell.
+def _group_function(
+    grid: Grid, fn: Callable[[Dict[str, Any]], Any]
+) -> Optional[Callable[[Tuple[Dict[str, Any], ...]], List[Any]]]:
+    """The group function ``grid`` runs through, or None to run per cell.
 
     Grouping needs ``fn`` to be the grid kernel's registered cell
-    function: the group kernel computes the same rows, so a wrapped
-    or foreign ``fn`` must not be bypassed.  Both returned callables
-    are module-level (picklable), so groups run in pool workers.
+    function: the group function computes the same rows, so a wrapped
+    or foreign ``fn`` must not be bypassed.  The returned function is
+    module-level (picklable), so groups run in pool workers.
     """
-    registered, _ = kernel_registry().get(grid.kernel, (None, None))
-    if grid.kernel not in TRAFFIC_GROUPED_KERNELS or registered is not fn:
-        return None, None
-    from ..core.design_space import engine_traffic_key, traffic_group_kernel
-
-    return engine_traffic_key, traffic_group_kernel(grid.kernel)
+    spec = kernel_registry().get(grid.kernel)
+    if spec is None or spec.cell is not fn:
+        return None
+    return spec.group
 
 
 def _run(
     grid: Grid,
-    fn: Callable[[Dict[str, Any]], Any],
-    group_key: Optional[Callable[[Dict[str, Any]], Optional[str]]],
-    group_fn: Optional[Callable[[Tuple[Dict[str, Any], ...]], List[Any]]],
+    kernel: _BatchKernel,
     cells: List[Cell],
     todo: List[int],
     rows: List[Any],
@@ -233,30 +242,27 @@ def _run(
 ) -> None:
     """The execution loop of :func:`compute_grid`.
 
-    Work items are whole groups of two or more pending cells
-    (first-appearance order, members in canonical grid order); a
-    singleton group or an ungroupable cell (``group_key`` None or
-    returning None) is a ``("cell", params)`` item through the same
-    pipeline, so one sweep can mix both kinds.  Items persist in
-    completion order, not input order: each finished item is persisted
-    immediately, in one write, never queued behind a slower one.
+    Work items are tuples of pending cells: with a group function, one
+    per traffic group (first-appearance order, members in canonical
+    grid order; a time-coupled cell alone); without one, one per cell.
+    Items persist in completion order, not input order: each finished
+    item is persisted immediately, in one write, never queued behind a
+    slower one.
     """
-    members: List[List[int]] = []
-    groups: Dict[str, List[int]] = {}
-    for position in todo:
-        token = None if group_key is None else group_key(cells[position].as_dict())
-        if token is None:
-            members.append([position])
-        elif token in groups:
-            groups[token].append(position)
-        else:
-            groups[token] = [position]
-            members.append(groups[token])
-    items: List[Tuple[str, Any]] = []
-    for positions in members:
-        params = tuple(cells[p].as_dict() for p in positions)
-        items.append(("group", params) if len(params) > 1 else ("cell", params[0]))
-    kernel = _BatchKernel(cell_fn=fn, group_fn=group_fn)
+    if kernel.group_fn is None:
+        members = [[position] for position in todo]
+    else:
+        from ..core.design_space import engine_traffic_key
+
+        groups: Dict[Any, List[int]] = {}
+        for position in todo:
+            token = engine_traffic_key(cells[position].as_dict())
+            # A time-coupled cell has no traffic key: a group of its own.
+            groups.setdefault(position if token is None else token, []).append(
+                position
+            )
+        members = list(groups.values())
+    items = [tuple(cells[p].as_dict() for p in positions) for positions in members]
 
     def emit(offset: int, group_rows: Sequence[Any]) -> None:
         positions = members[offset]
@@ -374,25 +380,49 @@ def missing_report(grid: Grid, store) -> List[Tuple[Cell, Optional[Dict[str, Any
     ]
 
 
-def kernel_registry() -> Dict[str, Tuple[Callable[[Dict[str, Any]], Any], Type]]:
-    """Kernel name -> (cell function, row type).
+def failure_reason(record: Optional[Dict[str, Any]]) -> str:
+    """Why a cell has no row, from its failure record (or None).
 
-    The worker CLI resolves ``--kernel`` through it, and
-    :func:`compute_grid` checks it before grouping.  Imported lazily:
-    the design-space module itself imports this package for
+    The one wording of every failure footer and CLI report, e.g.
+    ``"exception (ChaosFault after 2 attempt(s))"``.
+    """
+    if not record:
+        return "no record (never computed, or torn)"
+    failure = record.get("failure", {})
+    return (
+        f"{failure.get('kind', '?')} ({failure.get('exception_type', '?')} "
+        f"after {failure.get('attempts', '?')} attempt(s))"
+    )
+
+
+def kernel_registry() -> Dict[str, SweepKernel]:
+    """Kernel name -> its :class:`SweepKernel` record.
+
+    The worker CLI resolves ``--kernel`` and its grid options through
+    it, :func:`compute_grid` and :func:`plan_shard` read the group
+    function from it.  Built per call from the design-space module's
+    attributes (so a patched cell or group function is the registered
+    one) and imported lazily: that module itself imports this one for
     :func:`compute_grid`.
     """
-    from ..core import design_space
+    from ..core import design_space as ds
 
     return {
-        "engine_cell": (design_space.engine_cell, design_space.EngineRow),
-        "fidelity_cell": (design_space.fidelity_cell, design_space.FidelityRow),
-        "specialization_cell": (
-            design_space.specialization_cell,
-            design_space.SpecializationRow,
+        "engine_cell": SweepKernel(
+            ds.engine_cell, ds.EngineRow, ds.engine_grid, ds.engine_batch_cell
         ),
-        "hierarchy_cell": (design_space.hierarchy_cell, design_space.HierarchyRow),
-        "transfer_cell": (design_space.transfer_cell, design_space.TransferRow),
+        "fidelity_cell": SweepKernel(
+            ds.fidelity_cell, ds.FidelityRow, ds.fidelity_grid, ds.fidelity_batch_cell
+        ),
+        "specialization_cell": SweepKernel(
+            ds.specialization_cell, ds.SpecializationRow, ds.specialization_grid
+        ),
+        "hierarchy_cell": SweepKernel(
+            ds.hierarchy_cell, ds.HierarchyRow, ds.hierarchy_grid
+        ),
+        "transfer_cell": SweepKernel(
+            ds.transfer_cell, ds.TransferRow, ds.transfer_grid
+        ),
     }
 
 
@@ -400,10 +430,11 @@ def plan_shard(grid: Grid, index: int, count: int) -> Grid:
     """Shard ``index`` of a ``count``-way partition, groups kept whole.
 
     ``run`` computes and ``status`` reports exactly this sub-grid: cells
-    of a traffic-grouped grid (:data:`TRAFFIC_GROUPED_KERNELS`) hash by
-    their traffic key, so a group never splits across workers.
+    of a kernel with a group function hash by their traffic key, so a
+    group never splits across workers.
     """
-    if grid.kernel not in TRAFFIC_GROUPED_KERNELS:
+    spec = kernel_registry().get(grid.kernel)
+    if spec is None or spec.group is None:
         return grid.shard(index, count)
     from ..core.design_space import engine_traffic_key
 

@@ -674,7 +674,8 @@ class TestCrossBackendIdentity:
 
     def test_records_byte_identical(self, tmp_path):
         grid = transfer_grid()
-        fn, row_type = kernel_registry()[grid.kernel]
+        record = kernel_registry()[grid.kernel]
+        fn, row_type = record.cell, record.row_type
         fs = open_store(f"fs:{tmp_path / 'fs-store'}")
         sq = open_store(f"sqlite:{tmp_path / 'store.db'}")
         rows_fs = compute_grid(grid, fn, row_type, store=fs)

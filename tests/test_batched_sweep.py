@@ -4,11 +4,12 @@ The engine design space factorizes: reservation-model replacement
 traffic depends only on the traffic axes (workload, size, depth,
 policy), never on the priced axes (code assignment, transfer width).
 ``compute_grid`` exploits this on its own for engine grids — each
-traffic group of two or more pending cells simulates its movement trace
-once and re-prices it per member — and these tests pin that grouping to
-direct per-cell ``engine_cell`` calls at every observable layer:
-returned rows, stored record bytes, group-shaped supervision and
-quarantine, shard assignment, and the CLI.
+traffic group of pending cells simulates its movement trace once and
+re-prices it per member, and a time-coupled (prefetching) cell is a
+group of one — and these tests pin that grouping to direct per-cell
+``engine_cell`` calls at every observable layer: returned rows, stored
+record bytes, group-shaped supervision and quarantine, shard
+assignment, and the CLI.
 """
 
 import importlib
@@ -32,8 +33,11 @@ from repro.core.design_space import (
 from repro.perf import chaos
 from repro.perf.store import ResultStore
 from repro.perf.supervise import Supervision, RetryPolicy, supervised_indexed
+from repro.sim.levels import simulate_hierarchy_run
+from repro.sim.residency import simulate_fidelity_run
 from repro.sweep.cli import main as sweep_main
-from repro.sweep.runner import compute_grid, plan_shard
+from repro.sweep.grid import Cell, Grid
+from repro.sweep.runner import compute_grid, kernel_registry, plan_shard
 
 PAIRS = (("bacon_shor", "steane"), ("steane", "bacon_shor"))
 
@@ -67,6 +71,11 @@ def _groups(grid):
         if token is not None:
             groups.setdefault(token, []).append(cell)
     return groups
+
+
+def _prefetching(grid) -> list:
+    """The time-coupled cells of ``grid``: each one a group of its own."""
+    return [cell for cell in grid if engine_traffic_key(cell.as_dict()) is None]
 
 
 def _percell_rows(grid, cell_fn=engine_cell) -> list:
@@ -146,15 +155,54 @@ class TestBatchKernel:
         with pytest.raises(ValueError):
             engine_batch_cell((cells[0], different[0]))
 
-    def test_rejects_time_coupled_groups(self):
-        grid = engine_grid(**GRID_KWARGS)
-        prefetched = [cell.as_dict() for cell in grid
-                      if cell.as_dict()["prefetch"] != "none"]
-        with pytest.raises(ValueError):
-            engine_batch_cell((prefetched[0],))
+    @pytest.mark.parametrize("group_fn", [
+        design_space.engine_batch_cell, design_space.fidelity_batch_cell,
+    ])
+    def test_rejects_time_coupled_groups(self, group_fn):
+        # A time-coupled cell runs alone: two of them, or one beside a
+        # batchable cell, are not a group.
+        grid = design_space.fidelity_grid(**GRID_KWARGS)
+        prefetched = [cell.as_dict() for cell in _prefetching(grid)]
+        batchable = [cell.as_dict() for cell in grid
+                     if cell.as_dict()["prefetch"] == "none"]
+        for group in ((prefetched[0], prefetched[1]),
+                      (prefetched[0], batchable[0]),
+                      (batchable[0], prefetched[0])):
+            with pytest.raises(ValueError):
+                group_fn(group)
+
+    def test_one_member_prefetch_group_runs_the_split_engine(
+        self, kernel_calls
+    ):
+        # A one-member time-coupled group is the cell function's own
+        # path: the split-transaction run of that cell, no extraction.
+        grid = design_space.fidelity_grid(
+            fidelity_trials=300, fidelity_seed=7, **GRID_KWARGS)
+        params = _prefetching(grid)[0].as_dict()
+        engine_params = {k: v for k, v in params.items()
+                         if not k.startswith("fidelity_")}
+        stack = design_space._engine_stack(params)
+        circuit = design_space._engine_circuit(params["workload"],
+                                               params["n_bits"])
+        run = simulate_hierarchy_run(stack, circuit, params["policy"],
+                                     prefetch=params["prefetch"])
+        [row] = design_space.engine_batch_cell((engine_params,))
+        assert row == engine_cell(engine_params)
+        assert (row.hit_rate, row.speedup, row.transfers, row.makespan_s) \
+            == (run.hit_rate, run.speedup, run.transfers, run.total_time_s)
+        fid_run, fid = simulate_fidelity_run(
+            stack, circuit, params["policy"], prefetch=params["prefetch"],
+            trials=300, seed=7)
+        [fid_row] = design_space.fidelity_batch_cell((params,))
+        assert fid_row == design_space.fidelity_cell(params)
+        assert fid_row.makespan_s == fid_run.total_time_s == run.total_time_s
+        assert (fid_row.logical_error, fid_row.level_errors,
+                fid_row.transit_error) \
+            == (fid.logical_error, fid.level_errors, fid.transit_error)
+        assert kernel_calls["extract"] == 0
 
 
-class TestGroupKernelLookup:
+class TestKernelRecords:
     @pytest.mark.parametrize("kernel,attribute", [
         ("engine_cell", "engine_batch_cell"),
         ("fidelity_cell", "fidelity_batch_cell"),
@@ -162,15 +210,29 @@ class TestGroupKernelLookup:
     def test_group_function_is_looked_up_at_call_time(
         self, monkeypatch, kernel, attribute
     ):
-        group_kernel = design_space.traffic_group_kernel(kernel)
+        # compute_grid reads the record per call: a patched group
+        # function is the one every work item runs through.
         monkeypatch.setattr(design_space, attribute,
-                            lambda group: ["patched", len(group)])
-        assert group_kernel([{}, {}]) == ["patched", 2]
-        assert pickle.loads(pickle.dumps(group_kernel)) == group_kernel
+                            lambda group: [len(group)] * len(group))
+        record = kernel_registry()[kernel]
+        assert record.group is getattr(design_space, attribute)
+        grid = record.grid(**SINGLETON_KWARGS)
+        rows = compute_grid(grid, record.cell, record.row_type)
+        assert rows == [1] * len(grid)
+        grid = record.grid(**GRID_KWARGS)
+        rows = compute_grid(grid, record.cell, record.row_type)
+        alone = len(_prefetching(grid))
+        assert sorted(rows) == [1] * alone + [3] * (len(grid) - alone)
 
-    def test_table_kernels_have_no_group_kernel(self):
-        with pytest.raises(ValueError, match="no traffic groups"):
-            design_space.traffic_group_kernel("transfer_cell")
+    @pytest.mark.parametrize("kernel", ["specialization_cell",
+                                        "hierarchy_cell", "transfer_cell"])
+    def test_table_kernels_have_no_group_function(self, kernel):
+        assert kernel_registry()[kernel].group is None
+
+    def test_records_pickle_and_name_their_grids(self):
+        for name, record in kernel_registry().items():
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert record.grid().kernel == name
 
 
 class TestAutomaticGrouping:
@@ -181,7 +243,9 @@ class TestAutomaticGrouping:
         groups = _groups(grid)
         rows = engine_sweep(**GRID_KWARGS)
         assert kernel_calls["extract"] == len(groups) > 0
-        assert kernel_calls["groups"] == [3] * len(groups)
+        assert sorted(kernel_calls["groups"]) == (
+            [1] * len(_prefetching(grid)) + [3] * len(groups)
+        )
         assert rows == _percell_rows(grid)
 
     def test_cli_run_extracts_once_per_group(self, tmp_path, kernel_calls):
@@ -192,27 +256,38 @@ class TestAutomaticGrouping:
         reference = _percell_store(grid, tmp_path / "percell")
         assert _record_bytes(ResultStore(store)) == _record_bytes(reference)
 
-    def test_singleton_groups_and_prefetch_cells_run_per_cell(
+    def test_singleton_groups_and_prefetch_cells_are_one_member_groups(
         self, tmp_path, kernel_calls
     ):
+        # Every cell goes through the group function: a singleton
+        # traffic group extracts its own trace, a prefetching cell runs
+        # the split-transaction engine.
         grid = engine_grid(**SINGLETON_KWARGS)
-        assert all(len(group) == 1 for group in _groups(grid).values())
+        groups = _groups(grid)
+        assert all(len(group) == 1 for group in groups.values())
         store = ResultStore(tmp_path / "store")
         compute_grid(grid, engine_cell, EngineRow, store=store)
-        assert kernel_calls == {"extract": 0, "groups": []}
+        assert kernel_calls == {"extract": len(groups),
+                                "groups": [1] * len(grid)}
         reference = _percell_store(grid, tmp_path / "percell")
         assert _record_bytes(store) == _record_bytes(reference)
 
-    def test_one_pending_member_runs_per_cell(self, tmp_path, kernel_calls):
+    def test_one_pending_member_is_a_one_member_group(
+        self, tmp_path, kernel_calls
+    ):
         # Grouping counts *pending* cells: a resume that finds all but
-        # one member of every group stored recomputes the rest per cell.
+        # one member of every group stored recomputes each of the rest
+        # as a one-member group.
         grid = engine_grid(**GRID_KWARGS)
         store = _percell_store(grid, tmp_path / "store")
         reference = _record_bytes(store)
-        for group in _groups(grid).values():
+        groups = _groups(grid)
+        for group in groups.values():
             storefiles.remove(store, group[0].key)
+        kernel_calls["extract"], kernel_calls["groups"] = 0, []
         compute_grid(grid, engine_cell, EngineRow, store=store)
-        assert kernel_calls == {"extract": 0, "groups": []}
+        assert kernel_calls == {"extract": len(groups),
+                                "groups": [1] * len(groups)}
         assert _record_bytes(store) == reference
 
     def test_fidelity_cells_group_by_traffic_key(self, kernel_calls):
@@ -260,7 +335,11 @@ class TestAutomaticGrouping:
         rows = compute_grid(grid, engine_cell, EngineRow, store=store)
         groups = _groups(grid)
         assert kernel_calls["extract"] == len(groups)
-        assert kernel_calls["groups"] == [3] * len(groups)
+        # Each traffic group gains three members; each new prefetching
+        # cell is a group of its own.
+        assert sorted(kernel_calls["groups"]) == (
+            [1] * (len(_prefetching(grid)) // 2) + [3] * len(groups)
+        )
         after = _record_bytes(store)
         assert {name: after[name] for name in before} == before
         assert rows == _percell_rows(grid)
@@ -525,6 +604,12 @@ class TestGroupAwareSharding:
                 if engine_traffic_key(cell.as_dict()) == token
             }
             assert len(owners) == 1, (token, owners)
+
+    def test_unregistered_and_table_kernels_shard_by_cell(self):
+        # No group function, no traffic key: the plain per-cell partition.
+        cells = tuple(Cell.make("probe_cell", x=x) for x in range(8))
+        for grid in (Grid("probe_cell", cells), design_space.transfer_grid()):
+            assert plan_shard(grid, 1, 3).keys() == grid.shard(1, 3).keys()
 
 
 class TestGroupedCli:

@@ -132,54 +132,61 @@ class TestBeforeCell:
         plan.before_cell({"depth": 2, "policy": "lru"})
 
 
-class TestCorruptAfterWrite:
+class TestTornText:
     def test_truncates_matching_record(self, tmp_path):
         plan = ChaosPlan.scripted(
             [{"fault": "corrupt", "match": {"x": 1}}], state_dir=tmp_path
         )
-        record = tmp_path / "cell.json"
-        record.write_text(json.dumps({"value": [1, 2, 3], "meta": {}}))
-        assert plan.corrupt_after_write(record, {"x": 1})
+        text = json.dumps({"value": [1, 2, 3], "meta": {}})
+        torn = plan.torn_text(text, {"x": 1})
+        assert torn == text[: len(text) // 2]
         with pytest.raises(ValueError):
-            json.loads(record.read_text())
+            json.loads(torn)
 
     def test_fires_only_times_times(self, tmp_path):
         plan = ChaosPlan.scripted(
             [{"fault": "corrupt", "match": {"x": 1}, "times": 1}],
             state_dir=tmp_path,
         )
-        record = tmp_path / "cell.json"
-        record.write_text(json.dumps({"value": 1}))
-        assert plan.corrupt_after_write(record, {"x": 1})
-        record.write_text(json.dumps({"value": 1}))
-        assert not plan.corrupt_after_write(record, {"x": 1})
-        assert json.loads(record.read_text()) == {"value": 1}
+        text = json.dumps({"value": 1})
+        assert plan.torn_text(text, {"x": 1}) is not None
+        assert plan.torn_text(text, {"x": 1}) is None
+        # The attempt count lives in the state directory, so a second
+        # plan object (another process, say) sees the fault spent too.
+        again = ChaosPlan.from_json(plan.to_json())
+        assert again.torn_text(text, {"x": 1}) is None
 
     def test_non_matching_record_untouched(self, tmp_path):
         plan = ChaosPlan.scripted(
             [{"fault": "corrupt", "match": {"x": 1}}], state_dir=tmp_path
         )
-        record = tmp_path / "cell.json"
-        record.write_text(json.dumps({"value": 1}))
-        assert not plan.corrupt_after_write(record, {"x": 2})
-        assert json.loads(record.read_text()) == {"value": 1}
+        assert plan.torn_text(json.dumps({"value": 1}), {"x": 2}) is None
+
+    def test_other_fault_kinds_never_tear(self, tmp_path):
+        plan = ChaosPlan.scripted(
+            [{"fault": "transient", "match": {"x": 1}}], state_dir=tmp_path
+        )
+        assert plan.torn_text(json.dumps({"value": 1}), {"x": 1}) is None
 
 
 class TestActivation:
     def test_runner_hook_fires_only_under_a_plan(self):
         """The sweep runner's dispatcher is the one production hook: it
-        runs ``before_cell`` on every cell, and on every member of a
-        traffic group, while a plan is installed."""
-        kernel = _BatchKernel(_square, lambda group: [_square(p) for p in group])
+        runs ``before_cell`` on every member of every work item (a
+        one-tuple per cell, or one traffic group) while a plan is
+        installed."""
+        per_cell = _BatchKernel(_square, None)
+        grouped = _BatchKernel(_square, lambda group: [_square(p) for p in group])
         plan = ChaosPlan.scripted([{"fault": "raise", "match": {"x": 1}}])
         assert CHAOS_ENV not in os.environ
-        assert kernel(("cell", {"x": 1})) == [1]
+        assert per_cell(({"x": 1},)) == grouped(({"x": 1},)) == [1]
         with chaos.active(plan):
+            for kernel in (per_cell, grouped):
+                with pytest.raises(ChaosFault):
+                    kernel(({"x": 1},))
             with pytest.raises(ChaosFault):
-                kernel(("cell", {"x": 1}))
-            with pytest.raises(ChaosFault):
-                kernel(("group", ({"x": 3}, {"x": 1})))
-            assert kernel(("group", ({"x": 2}, {"x": 3}))) == [4, 9]
+                grouped(({"x": 3}, {"x": 1}))
+            assert grouped(({"x": 2}, {"x": 3})) == [4, 9]
 
     def test_active_installs_and_restores_env(self):
         plan = ChaosPlan.scripted([{"fault": "raise", "match": {"x": 1}}])

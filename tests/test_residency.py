@@ -869,7 +869,7 @@ class TestSurfaces:
     def test_cli_rejects_fidelity_options_on_other_kernels(self):
         from repro.sweep.cli import main
 
-        with pytest.raises(SystemExit, match="fidelity-grid options"):
+        with pytest.raises(SystemExit, match="do not take --fidelity-trials"):
             main([
                 "status", "--store", "/tmp/nonexistent-store",
                 "--kernel", "engine_cell", "--fidelity-trials", "10",

@@ -54,7 +54,8 @@ FAILURE = {
 
 
 def fill(grid, store):
-    fn, row_type = kernel_registry()[grid.kernel]
+    record = kernel_registry()[grid.kernel]
+    fn, row_type = record.cell, record.row_type
     return compute_grid(grid, fn, row_type, store=store)
 
 
@@ -199,7 +200,8 @@ class TestEndpoints:
             store = open_store(f"fs:{tmp_path / 'store'}")
         else:
             store = open_store(f"sqlite:{tmp_path / 'store.db'}")
-        fn, row_type = kernel_registry()[grid.kernel]
+        record = kernel_registry()[grid.kernel]
+        fn, row_type = record.cell, record.row_type
         last, *rest = grid.cells
         compute_grid(Grid(grid.kernel, tuple(rest)), fn, row_type, store=store)
         with served(store, grid) as client:
@@ -260,7 +262,8 @@ class TestProgressStream:
     def test_stream_follows_an_inflight_sweep(self, tmp_path):
         grid = transfer_grid()
         store = open_store(f"sqlite:{tmp_path / 'store.db'}")
-        fn, row_type = kernel_registry()[grid.kernel]
+        record = kernel_registry()[grid.kernel]
+        fn, row_type = record.cell, record.row_type
         cells = list(grid.cells)
         with served(store, grid) as client:
             stream = client.progress(interval=0.05, ticks=1000)
@@ -552,7 +555,7 @@ def _locator(backend, tmp_path):
 
 def _put_cell(locator, grid, cell):
     """Write ``cell``'s row through a fresh handle in another process."""
-    fn, _ = kernel_registry()[grid.kernel]
+    fn = kernel_registry()[grid.kernel].cell
     value = json.dumps(asdict(fn(cell.as_dict())))
     script = (
         "import json, sys\n"
@@ -580,7 +583,8 @@ class TestGenerationMemo:
         grid = transfer_grid()
         locator = _locator(backend, tmp_path)
         store = open_store(locator)
-        fn, row_type = kernel_registry()[grid.kernel]
+        record = kernel_registry()[grid.kernel]
+        fn, row_type = record.cell, record.row_type
         *rest, last = grid.cells
         compute_grid(Grid(grid.kernel, tuple(rest)), fn, row_type, store=store)
         return store, grid, locator, last
@@ -686,7 +690,7 @@ def test_memo_under_racing_readers_and_a_writer(backend, tmp_path):
     grid = transfer_grid()
     store = open_store(_locator(backend, tmp_path))
     service = SweepService(store, grid)
-    fn, _ = kernel_registry()[grid.kernel]
+    fn = kernel_registry()[grid.kernel].cell
     rows = {cell.key: asdict(fn(cell.as_dict())) for cell in grid.cells}
     writing = threading.Event()
     writing.set()

@@ -382,8 +382,8 @@ class TestSweepStoreWiring:
     def test_engine_sweep_store(self, tmp_path, monkeypatch):
         plain = engine_sweep(**GRID_KWARGS)
         stored = engine_sweep(**GRID_KWARGS, store=tmp_path)
-        # Traffic groups run through the batch kernel, single cells
-        # through the cell function: a warm pass may call neither.
+        # Every cell runs through the group function (the cell function
+        # is its one-member case): a warm pass may call neither.
         monkeypatch.setattr(design_space, "engine_cell", _explodes)
         monkeypatch.setattr(design_space, "engine_batch_cell", _explodes)
         warm = engine_sweep(**GRID_KWARGS, store=tmp_path)
@@ -391,8 +391,8 @@ class TestSweepStoreWiring:
 
 
 #: name -> (sweep call, its grid, the design_space functions that
-#: compute its cells).  Engine grids run traffic groups through the
-#: batch kernel and singleton groups through the cell function.
+#: compute its cells).  Engine grids run every traffic group, singleton
+#: groups included, through the group function.
 READ_THROUGH_SWEEPS = {
     "specialization": (
         lambda **kw: specialization_sweep(sizes=(32, 64), **kw),
@@ -425,7 +425,7 @@ def _spy_cells(monkeypatch, names):
         original = getattr(design_space, name)
 
         def spy(arg, *rest, _original=original, **kw):
-            recomputed.extend(arg if isinstance(arg, list) else [arg])
+            recomputed.extend(arg if isinstance(arg, (list, tuple)) else [arg])
             return _original(arg, *rest, **kw)
 
         monkeypatch.setattr(design_space, name, spy)
@@ -570,7 +570,7 @@ class TestCliShardedEquivalence:
         assert merged == hierarchy_sweep(sizes=(256,), transfer_options=(10,))
 
     def test_engine_only_options_rejected_for_table_kernels(self, tmp_path):
-        with pytest.raises(SystemExit, match="engine-grid options"):
+        with pytest.raises(SystemExit, match="do not take --depths"):
             sweep_main(["run", "--shard", "0/1", "--store",
                         str(tmp_path / "s"), "--kernel", "hierarchy_cell",
                         "--depths", "2"])
@@ -601,6 +601,75 @@ class TestCliShardedEquivalence:
         assert sweep_main(["run", "--shard", "1/2", "--store", store_dir,
                            *GRID_ARGS]) == 0
         assert sweep_main(["status", "--store", store_dir, *GRID_ARGS]) == 0
+
+
+_KERNELS = ("engine_cell", "fidelity_cell", "specialization_cell",
+            "hierarchy_cell", "transfer_cell")
+_ENGINE_KERNELS = {"engine_cell", "fidelity_cell"}
+
+#: Every grid option: a value, and the kernels whose grid takes it.
+_GRID_OPTIONS = {
+    "--workloads": (["qft"], _ENGINE_KERNELS),
+    "--sizes": (["32"], _ENGINE_KERNELS | {"specialization_cell",
+                                           "hierarchy_cell"}),
+    "--codes": (["steane"], set(_KERNELS)),
+    "--depths": (["2"], _ENGINE_KERNELS),
+    "--policies": (["lru"], _ENGINE_KERNELS),
+    "--prefetches": (["none"], _ENGINE_KERNELS),
+    "--transfers": (["10", "99"], _ENGINE_KERNELS | {"hierarchy_cell"}),
+    "--compute-qubits": (["12"], _ENGINE_KERNELS),
+    "--cache-factor": (["1.0"], _ENGINE_KERNELS),
+    "--code-pairs": (["bacon_shor:steane"], _ENGINE_KERNELS),
+    "--fidelity-trials": (["300"], {"fidelity_cell"}),
+    "--fidelity-seed": (["7"], {"fidelity_cell"}),
+}
+
+
+def _option_pairs(accepted: bool) -> list:
+    return [
+        (kernel, option)
+        for option, (_, takers) in _GRID_OPTIONS.items()
+        for kernel in _KERNELS
+        if (kernel in takers) == accepted
+    ]
+
+
+class TestGridOptions:
+    """Each kernel takes exactly the grid options its builder has."""
+
+    @pytest.mark.parametrize("kernel,option", _option_pairs(False))
+    def test_unaccepted_option_exits_naming_it(self, tmp_path, kernel,
+                                               option):
+        store = tmp_path / "s"
+        with pytest.raises(SystemExit) as raised:
+            sweep_main(["status", "--store", str(store), "--kernel", kernel,
+                        option, *_GRID_OPTIONS[option][0]])
+        message = str(raised.value.code)
+        assert f"{kernel} grids do not take {option} " in message
+        assert not store.exists()
+
+    @pytest.mark.parametrize("kernel,option", _option_pairs(True))
+    def test_accepted_option_builds_the_grid(self, tmp_path, capsys, kernel,
+                                             option):
+        assert sweep_main(["status", "--store", str(tmp_path / "s"),
+                           "--kernel", kernel, option,
+                           *_GRID_OPTIONS[option][0]]) == 1
+        assert capsys.readouterr().out.startswith(f"{kernel} grid: 0/")
+
+    def test_every_option_and_kernel_is_covered(self):
+        from repro.sweep.cli import _GRID_KEYWORDS, build_parser
+        from repro.sweep.runner import kernel_registry
+
+        assert set(kernel_registry()) == set(_KERNELS)
+        assert {"--" + dest.replace("_", "-") for dest in _GRID_KEYWORDS} \
+            == set(_GRID_OPTIONS)
+        # Every grid option the parser offers is in the table.
+        status = build_parser()._subparsers._group_actions[0].choices["status"]
+        grid_group = next(group for group in status._action_groups
+                          if group.title.startswith("grid options"))
+        offered = {action.option_strings[0]
+                   for action in grid_group._group_actions} - {"--kernel"}
+        assert offered == set(_GRID_OPTIONS)
 
 
 class TestResume:
